@@ -6,8 +6,7 @@ against an independent moment-polytope oracle.
 from .analysis import (CrossValidationRecord, RootRecord, RootReport,
                        SampleComparison, count_roots_open, cross_validate,
                        fut_roots, isolate_roots, positive_on_interval,
-                       sample_curve, sample_values, squarefree_part,
-                       sturm_chain)
+                       sample_curve, squarefree_part, sturm_chain)
 from .catalog import catalog_names, load
 from .errors import (ComputationError, CrossValidationError,
                      DegenerateDatumError, EngineError, GeometryError,
@@ -29,7 +28,7 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
 from .rationals import (ParamPoly, Rational, RationalFunction, interpolate,
                         parse_poly, poly_arith, poly_divmod, poly_gcd,
                         poly_text, rat, rat_text, ratfun_eval, ratfun_reduce,
-                        render_factored)
+                        render_factored, sample_values)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     class_add, class_mul, equiv_mul, equiv_pow, integrate,
                     invert_unit, monomial_text, parse_monomial, point_ring,
@@ -41,4 +40,39 @@ from .scenario import (Scenario, load_scenario, parse_scenario,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "CrossValidationRecord", "RootRecord", "RootReport", "SampleComparison",
+    "count_roots_open", "cross_validate", "fut_roots", "isolate_roots",
+    "positive_on_interval", "sample_curve", "squarefree_part", "sturm_chain",
+    # catalog
+    "catalog_names", "load",
+    # errors
+    "ComputationError", "CrossValidationError", "DegenerateDatumError",
+    "EngineError", "GeometryError", "InconsistentResidueError", "ParseError",
+    "PoleError", "UsageError", "ValidationError",
+    # localization
+    "BundleRestriction", "FixedComponent", "IsolatedPoint",
+    "IsolatedPointData", "LocalizationScenario", "ValidationReport",
+    "component_integral", "fut_isolated", "fut_localized", "isolated_data",
+    "isolated_point", "make_point_component", "power_sum",
+    "shift_hamiltonians", "validate_scenario", "volume_localized",
+    # polytopes
+    "Facet", "MinkowskiReport", "ParamPolytope", "RealizedPolytope",
+    "ToricModel", "fut_toric", "fut_toric_at", "linear_moment",
+    "minkowski_check", "moment_curve", "realize", "triangulate", "volume",
+    "volume_curve",
+    # rationals
+    "ParamPoly", "Rational", "RationalFunction", "interpolate", "parse_poly",
+    "poly_arith", "poly_divmod", "poly_gcd", "poly_text", "rat", "rat_text",
+    "ratfun_eval", "ratfun_reduce", "render_factored", "sample_values",
+    # rings
+    "EquivariantClass", "Generator", "NilpotentClass", "Ring", "class_add",
+    "class_mul", "equiv_mul", "equiv_pow", "integrate", "invert_unit",
+    "monomial_text", "parse_monomial", "point_ring", "ring_create",
+    # report
+    "ObstructionReport", "ToricReport",
+    # scenario
+    "Scenario", "load_scenario", "parse_scenario", "scenario_from_dict",
+    "scenario_to_dict", "scenario_to_json",
+]

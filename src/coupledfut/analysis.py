@@ -22,7 +22,8 @@ from .localization import (LocalizationScenario, ValidationReport,
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
 from .rationals import (ParamPoly, RationalFunction, _rational_root_factors,
-                        poly_divmod, poly_gcd, rat, rat_text, ratfun_eval)
+                        poly_divmod, poly_gcd, rat, rat_text, ratfun_eval,
+                        sample_values)
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 DECIMAL_DIGITS = 18
@@ -111,6 +112,24 @@ def _decimal_of_fraction(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     if 2 * (scaled - n) >= 1:
         n += 1
     return _format_scaled(n, digits)
+
+
+def _decimal_of_simple_root(p: ParamPoly, a: Fraction, b: Fraction) -> str:
+    """Correctly rounded decimal of the one simple root of p inside (a, b).
+
+    Rounding is monotone, so once both ends of the bracket round to the same
+    digits the root does too; until then the bracket is halved.  The root is
+    irrational, so it is never a rounding boundary and the loop ends.
+    """
+    low, high = _decimal_of_fraction(a), _decimal_of_fraction(b)
+    a_positive = p.eval(a) > 0
+    while low != high:
+        mid = (a + b) / 2
+        if (p.eval(mid) > 0) == a_positive:
+            a, low = mid, _decimal_of_fraction(mid)
+        else:
+            b, high = mid, _decimal_of_fraction(mid)
+    return low
 
 
 def _decimal_of_surd(p: int, q: int, d: int, r: int,
@@ -239,7 +258,7 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                             and _surd_value_vs(*cand, b) < 0):
                         surd = cand
                 decimal = (_decimal_of_surd(*surd) if surd is not None
-                           else _decimal_of_fraction((a + b) / 2))
+                           else _decimal_of_simple_root(rest, a, b))
                 records.append(RootRecord(a, b, None, surd, decimal,
                                           _multiplicity_bracket(p, a, b)))
                 continue
@@ -313,15 +332,6 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
 # sampling and cross-validation
 
 
-def sample_values(interval: tuple[Fraction, Fraction],
-                  count: int) -> list[Fraction]:
-    """Equispaced interior sample abscissae x_j = lo + j (hi-lo)/(count+1)."""
-    if count < 1:
-        raise UsageError("need at least one sample")
-    lo, hi = interval
-    return [lo + Fraction(j, count + 1) * (hi - lo) for j in range(1, count + 1)]
-
-
 def sample_curve(f: RationalFunction, interval: tuple[Fraction, Fraction],
                  samples: int | list[Fraction]) -> list[tuple[Fraction, Fraction | None]]:
     """Evaluate exactly at the samples; a pole yields None for that abscissa."""
@@ -370,8 +380,8 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     Equivariant volumes carry a factor of m! against Euclidean polytope
     volumes; invariants must agree exactly as rational functions, and at
     each requested sample the localization value must equal the value
-    measured directly on freshly realized polytopes.  Any discrepancy is
-    reported, never repaired.
+    measured directly on the polytopes realized at that sample, never
+    interpolated.  Any discrepancy is reported, never repaired.
     """
     if model.param != scn.param:
         raise UsageError("parameter names differ between scenario and model")

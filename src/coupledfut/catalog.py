@@ -182,11 +182,3 @@ def load(name: str) -> Scenario:
                          % (name, ", ".join(sorted(data))))
     return scenario_from_dict(data[name])
 
-
-def catalog_dict(name: str) -> dict:
-    """The raw data of one catalog scenario (for export)."""
-    data = _catalog_data()
-    if name not in data:
-        raise UsageError("unknown catalog scenario %r; available: %s"
-                         % (name, ", ".join(sorted(data))))
-    return data[name]

@@ -15,12 +15,12 @@ import sys
 from fractions import Fraction
 
 from . import catalog
-from .analysis import cross_validate, fut_roots, sample_curve, sample_values
-from .errors import (CrossValidationError, EngineError, UsageError,
-                     ValidationError)
+from .analysis import cross_validate, fut_roots, sample_curve
+from .errors import (CrossValidationError, EngineError, ParseError,
+                     UsageError, ValidationError)
 from .localization import fut_localized, validate_scenario, volume_localized
 from .polytopes import fut_toric, minkowski_check, volume_curve
-from .rationals import RationalFunction, ratfun_eval
+from .rationals import RationalFunction, rat, ratfun_eval, sample_values
 from .report import (FORMATS, ObstructionReport, ToricReport,
                      emit_obstruction, emit_roots, emit_samples, emit_toric,
                      emit_verify)
@@ -118,8 +118,10 @@ def _validated(scn: Scenario):
 def _parse_samples(text: str, interval) -> list[Fraction]:
     text = text.strip()
     if "," in text or "/" in text or "." in text:
-        xs = [Fraction(piece.replace("−", "-").strip())
-              for piece in text.split(",") if piece.strip()]
+        try:
+            xs = [rat(piece) for piece in text.split(",") if piece.strip()]
+        except ParseError as exc:
+            raise ParseError("--samples: %s" % exc) from None
         if not xs:
             raise UsageError("no sample abscissae given")
         return xs

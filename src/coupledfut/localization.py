@@ -11,12 +11,19 @@ invariant is the weighted average of the ratios
 
 one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
+
+A scenario computes its residue table once, on first use: the power sums
+p = 0..m+1 of every bundle.  Each component's Euler class is inverted once,
+and (u + c1)^(p+1) / euler comes from (u + c1)^p / euler by one ring
+multiplication.  power_sum, validate_scenario, volume_localized and
+fut_localized all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, UsageError)
@@ -63,6 +70,28 @@ class LocalizationScenario:
     interval: tuple[Fraction, Fraction]
     components: tuple[FixedComponent, ...]
 
+    @cached_property
+    def residue_table(self) -> tuple[tuple[RationalFunction, ...], ...]:
+        """Power sums indexed [bundle][power] for powers 0..dimension+1."""
+        powers = self.dimension + 2
+        zero = RationalFunction.const(self.param, 0)
+        table = [[zero] * powers for _ in range(self.bundles)]
+        for comp in self.components:
+            if len(comp.bundles) != self.bundles:
+                raise UsageError("component %r restricts %d bundles; "
+                                 "scenario has %d" % (comp.label,
+                                                      len(comp.bundles),
+                                                      self.bundles))
+            inverse = invert_unit(comp.euler)
+            for alpha, row in enumerate(table):
+                base = comp.restriction(alpha)
+                term = inverse
+                for power in range(powers):
+                    if power:
+                        term = base * term
+                    row[power] = row[power] + integrate(term)
+        return tuple(tuple(row) for row in table)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -87,11 +116,16 @@ def component_integral(comp: FixedComponent, alpha: int, power: int) -> Rational
 
 
 def power_sum(scn: LocalizationScenario, alpha: int, power: int) -> RationalFunction:
-    """Sum of component integrals of (u + c1)^power / euler for one bundle."""
-    total = RationalFunction.const(scn.param, 0)
-    for comp in scn.components:
-        total = total + component_integral(comp, alpha, power)
-    return total
+    """Sum of component integrals of (u + c1)^power / euler for one bundle.
+
+    Read from the scenario's residue table, which holds powers 0..m+1.
+    """
+    if not 0 <= alpha < scn.bundles:
+        raise UsageError("bundle index %d out of range" % alpha)
+    if not 0 <= power <= scn.dimension + 1:
+        raise UsageError("power %d outside the residue table (0..%d)"
+                         % (power, scn.dimension + 1))
+    return scn.residue_table[alpha][power]
 
 
 def _polynomial_sum(scn: LocalizationScenario, alpha: int, power: int) -> RationalFunction:

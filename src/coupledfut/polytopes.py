@@ -1,97 +1,102 @@
 """Moment-polytope oracle, independent of the localization engine.
 
 A parametric polytope is cut out by integer facet normals with polynomial
-offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  Realizing it at a
-rational parameter value enumerates vertices exactly (square subsystems of
-active facets), and volumes and first moments come from a recursive star
-triangulation over the face lattice.  Curves in the parameter are recovered
-by exact interpolation at sample values, with held-out verification points,
-so a chamber crossing inside the interval is detected rather than silently
-averaged over.
+offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend
+on the parameter is computed once per polytope: the boundedness verdict of
+the normals and the integer inverse of every nonsingular square subsystem.
+Realizing at a rational parameter value then evaluates the offsets,
+multiplies them by each inverse and keeps the feasible solutions as
+vertices, all in exact integer arithmetic; each value is realized once and
+kept on the polytope.  One pass over a recursive star triangulation gives
+the volume and the whole first-moment vector of a realization.  The
+triangulation in vertex indices depends only on the vertex-facet
+incidences, so it is reused by every realization with the same ones.
+Curves in the parameter are recovered by exact interpolation on one grid of
+sample values shared by volume and moment, with held-out verification
+points, so a chamber crossing inside the interval is detected rather than
+silently averaged over.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import GeometryError, UsageError, ValidationError
 from .rationals import (ParamPoly, RationalFunction, interpolate, rat,
-                        rat_text)
+                        rat_text, sample_values)
 
 Vector = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact linear algebra over integers
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for cc in range(col, n):
-                m[r][cc] -= f * m[col][cc]
-    return det
+def _int_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination, in which every division is exact.  Overwrites m."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
+def _cross(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """Generalized cross product of n-1 integer vectors in n dimensions.
+
+    Orthogonal to every row, and zero exactly when the rows are dependent.
+    """
+    n = len(rows) + 1
+    return [(-1) ** k * _int_det([[x for c, x in enumerate(row) if c != k]
+                                  for row in rows])
+            for k in range(n)]
+
+
+def _rank(rows: list[Sequence[Fraction | int]]) -> int:
+    """Rank, by elimination after scaling each row to integers (scaling a
+    row leaves the rank unchanged)."""
+    m = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+    n_rows = len(m)
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for r in range(n_rows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col] * inv
-                for cc in range(col, n_cols):
-                    m[r][cc] -= f * m[row][cc]
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        for r in range(rank + 1, n_rows):
+            f = m[r][col]
+            if f:
+                row = [top[col] * a - f * b for a, b in zip(m[r], top)]
+                g = math.gcd(*row)
+                m[r] = [a // g for a in row] if g > 1 else row
         rank += 1
-        row += 1
-        if row == n_rows:
+        if rank == n_rows:
             break
     return rank
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly; None when A is singular."""
-    n = len(rows)
-    m = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        for cc in range(col, n + 1):
-            m[col][cc] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                for cc in range(col, n + 1):
-                    m[r][cc] -= f * m[col][cc]
-    return [m[r][n] for r in range(n)]
 
 
 def _affine_rank(points: list[Vector]) -> int:
@@ -115,7 +120,12 @@ class Facet:
 
 @dataclass(frozen=True)
 class ParamPolytope:
-    """Intersection of half-spaces <normal_i, y> <= offset_i(parameter)."""
+    """Intersection of half-spaces <normal_i, y> <= offset_i(parameter).
+
+    The parameter-independent data (boundedness, the inverses of the square
+    subsystems), the realizations made so far and their triangulations are
+    kept on the instance, each computed on first use.
+    """
 
     param: str
     ambient: int
@@ -142,16 +152,72 @@ class ParamPolytope:
             built.append(Facet(normal, offset))
         return ParamPolytope(param, ambient, tuple(built))
 
+    @cached_property
+    def _unbounded(self) -> str | None:
+        """Why every realization is unbounded, or None when none is."""
+        n = self.ambient
+        normals = [f.normal for f in self.facets]
+        if _rank(normals) < n:
+            return "normals span a proper subspace; the polytope is unbounded"
+        # the recession cone { d : <normal, d> <= 0 } is pointed, so it has a
+        # ray exactly when one is orthogonal to n-1 independent normals
+        for rows in itertools.combinations(normals, n - 1):
+            ray = _cross(rows)
+            if not any(ray):
+                continue
+            for direction in (ray, [-x for x in ray]):
+                if all(sum(a * d for a, d in zip(row, direction)) <= 0
+                       for row in normals):
+                    return "unbounded: recession ray %s" % (tuple(direction),)
+        return None
+
+    @cached_property
+    def _inverses(self) -> tuple[tuple[tuple[int, ...],
+                                       tuple[tuple[int, ...], ...], int], ...]:
+        """(subset, adjugate, determinant) for every nonsingular n-subset of
+        normals, signed so the determinant is positive: the vertex cut out by
+        the subset is adjugate . offsets / determinant."""
+        n = self.ambient
+        out = []
+        for subset in itertools.combinations(range(len(self.facets)), n):
+            rows = [self.facets[i].normal for i in subset]
+            # column j of the adjugate is (-1)^j times the cross product of
+            # the other rows
+            columns = [[(-1) ** j * x for x in _cross(rows[:j] + rows[j + 1:])]
+                       for j in range(n)]
+            det = sum(a * b for a, b in zip(rows[0], columns[0]))
+            if det == 0:
+                continue
+            sign = 1 if det > 0 else -1
+            adjugate = tuple(tuple(sign * col[i] for col in columns)
+                             for i in range(n))
+            out.append((subset, adjugate, abs(det)))
+        return tuple(out)
+
+    @cached_property
+    def _realizations(self) -> dict[Fraction, "RealizedPolytope"]:
+        return {}
+
+    @cached_property
+    def _stars(self) -> dict[tuple[frozenset[int], ...],
+                             tuple[tuple[int, ...], ...]]:
+        return {}
+
 
 @dataclass(frozen=True)
 class RealizedPolytope:
-    """Vertex description of one realization, with facet incidence."""
+    """Vertex description of one realization, with facet incidence.
+
+    stars maps an incidence tuple to a star triangulation in vertex indices;
+    realize() hands every realization of one polytope the same dict.
+    """
 
     ambient: int
     value: Fraction
     vertices: tuple[Vector, ...]
     incidence: tuple[frozenset[int], ...]
     supported: tuple[bool, ...]
+    stars: dict = field(default_factory=dict, compare=False, repr=False)
 
     def is_simple(self) -> bool:
         return all(len(inc) == self.ambient for inc in self.incidence)
@@ -163,81 +229,75 @@ class RealizedPolytope:
         """Vertex-facet incidence pattern, independent of vertex order."""
         return frozenset(self.incidence)
 
+    @cached_property
+    def measures(self) -> tuple[Fraction, Vector]:
+        """Volume and moment vector (the integral of y) in one pass.
+
+        The star triangulation about the barycenter is taken in vertex
+        indices from stars when a realization with the same incidences was
+        triangulated before: the incidences fix the face lattice, and with it
+        the triangulation.  The barycenter is this realization's own.
+        """
+        n = self.ambient
+        if not self.is_full_dimensional():
+            return Fraction(0), (Fraction(0),) * n
+        points = list(self.vertices) + [_barycenter(self)]
+        star = self.stars.get(self.incidence)
+        if star is None:
+            star = _indexed(points, triangulate(self, points[-1]))
+            self.stars[self.incidence] = star
+        return _measure(n, points, star)
+
 
 def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     """Enumerate the vertices at one parameter value.
 
     Raises GeometryError when the realization is empty or unbounded.
     Redundant facets are tolerated and reported through the supported flags.
+    Each parameter value is realized once; later calls return the same
+    object.
     """
     value = rat(value)
+    known = pp._realizations.get(value)
+    if known is not None:
+        return known
+    if pp._unbounded is not None:
+        raise GeometryError(pp._unbounded)
     n = pp.ambient
-    normals = [[Fraction(x) for x in f.normal] for f in pp.facets]
     offsets = [f.offset.eval(value) for f in pp.facets]
-
-    if _rank(normals) < n:
-        raise GeometryError(
-            "normals span a proper subspace; the polytope is unbounded")
-    for subset in itertools.combinations(range(len(normals)), n - 1):
-        rows = [normals[i] for i in subset]
-        if n > 1 and _rank(rows) != n - 1:
-            continue
-        ray = _kernel_direction(rows, n)
-        if ray is None:
-            continue
-        for direction in (ray, [-x for x in ray]):
-            if all(_dot(normals[i], direction) <= 0 for i in range(len(normals))):
-                raise GeometryError("unbounded: recession ray %s" % (direction,))
-
-    vertices: list[Vector] = []
-    for subset in itertools.combinations(range(len(normals)), n):
-        rows = [normals[i] for i in subset]
-        rhs = [offsets[i] for i in subset]
-        sol = _solve_square(rows, rhs)
-        if sol is None:
-            continue
-        if all(_dot(normals[i], sol) <= offsets[i] for i in range(len(normals))):
-            v = tuple(sol)
-            if v not in vertices:
-                vertices.append(v)
-    if not vertices:
+    scale = math.lcm(*(b.denominator for b in offsets))
+    rhs = [b.numerator * (scale // b.denominator) for b in offsets]
+    normals = [f.normal for f in pp.facets]
+    found: dict[Vector, frozenset[int]] = {}
+    for subset, adjugate, det in pp._inverses:
+        sub = [rhs[i] for i in subset]
+        # the candidate vertex is y / (det * scale)
+        y = [sum(a * b for a, b in zip(row, sub)) for row in adjugate]
+        tight = []
+        for i, normal in enumerate(normals):
+            lhs = sum(a * b for a, b in zip(normal, y))
+            bound = rhs[i] * det
+            if lhs > bound:
+                break
+            if lhs == bound:
+                tight.append(i)
+        else:
+            denom = det * scale
+            found.setdefault(tuple(Fraction(c, denom) for c in y),
+                             frozenset(tight))
+    if not found:
         raise GeometryError("empty realization at %s = %s"
                             % (pp.param, rat_text(value)))
-    vertices.sort()
-    incidence = tuple(
-        frozenset(i for i in range(len(normals))
-                  if _dot(normals[i], list(v)) == offsets[i])
-        for v in vertices)
+    vertices = sorted(found)
+    incidence = tuple(found[v] for v in vertices)
     supported = []
     for i in range(len(normals)):
-        face = [list(v) for v, inc in zip(vertices, incidence) if i in inc]
-        supported.append(bool(face) and _affine_rank(
-            [tuple(p) for p in face]) == n - 1)
-    return RealizedPolytope(n, value, tuple(vertices), incidence,
-                            tuple(supported))
-
-
-def _kernel_direction(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
-    """A nonzero vector orthogonal to n-1 independent rows."""
-    for drop in range(n):
-        cols = [c for c in range(n) if c != drop]
-        sq = [[row[c] for c in cols] for row in rows]
-        if n > 1 and _rank(sq) != n - 1:
-            continue
-        rhs = [-row[drop] for row in rows]
-        sol = _solve_square(sq, rhs) if n > 1 else []
-        if sol is None:
-            continue
-        out = [Fraction(0)] * n
-        out[drop] = Fraction(1)
-        for c, val in zip(cols, sol):
-            out[c] = val
-        return out
-    return None
-
-
-def _dot(a: list[Fraction], b: list[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+        face = [v for v, inc in zip(vertices, incidence) if i in inc]
+        supported.append(bool(face) and _affine_rank(face) == n - 1)
+    rp = RealizedPolytope(n, value, tuple(vertices), incidence,
+                          tuple(supported), pp._stars)
+    pp._realizations[value] = rp
+    return rp
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +331,11 @@ def _face_simplices(vertices: list[Vector], active: frozenset[int],
     return simplices
 
 
+def _barycenter(rp: RealizedPolytope) -> Vector:
+    k = len(rp.vertices)
+    return tuple(sum(v[i] for v in rp.vertices) / k for i in range(rp.ambient))
+
+
 def triangulate(rp: RealizedPolytope,
                 apex: Vector | None = None) -> list[list[Vector]]:
     """Star triangulation into full-dimensional simplices.
@@ -280,8 +345,7 @@ def triangulate(rp: RealizedPolytope,
     """
     n = rp.ambient
     if apex is None:
-        k = len(rp.vertices)
-        apex = tuple(sum(v[i] for v in rp.vertices) / k for i in range(n))
+        apex = _barycenter(rp)
     incidence = {v: inc for v, inc in zip(rp.vertices, rp.incidence)}
     facet_count = max((max(inc) for inc in rp.incidence if inc), default=-1) + 1
     simplices: list[list[Vector]] = []
@@ -297,22 +361,45 @@ def triangulate(rp: RealizedPolytope,
     return simplices
 
 
-def _simplex_volume(simplex: list[Vector]) -> Fraction:
-    n = len(simplex) - 1
-    base = simplex[0]
-    rows = [[x - b for x, b in zip(v, base)] for v in simplex[1:]]
-    det = _det(rows)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return abs(det) / fact
+def _indexed(points: list[Vector],
+             simplices: list[list[Vector]]) -> tuple[tuple[int, ...], ...]:
+    index = {v: i for i, v in enumerate(points)}
+    return tuple(tuple(index[v] for v in s) for s in simplices)
+
+
+def _measure(n: int, points: list[Vector],
+             simplices: tuple[tuple[int, ...], ...]) -> tuple[Fraction, Vector]:
+    """Volume and moment vector of n-simplices with disjoint interiors, each
+    given by n+1 indices into points.  Determinants are taken on the points
+    scaled to integers."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    ints = [[x.numerator * (scale // x.denominator) for x in p] for p in points]
+    total = 0
+    moment = [0] * n
+    for s in simplices:
+        base = ints[s[0]]
+        det = abs(_int_det([[x - b for x, b in zip(ints[i], base)]
+                            for i in s[1:]]))
+        total += det
+        for j in range(n):
+            moment[j] += det * sum(ints[i][j] for i in s)
+    denom = math.factorial(n) * scale ** n
+    return (Fraction(total, denom),
+            tuple(Fraction(m, denom * (n + 1) * scale) for m in moment))
+
+
+def _measures(rp: RealizedPolytope,
+              apex: Vector | None) -> tuple[Fraction, Vector]:
+    if apex is None or not rp.is_full_dimensional():
+        return rp.measures
+    points = list(rp.vertices) + [apex]
+    return _measure(rp.ambient, points,
+                    _indexed(points, triangulate(rp, apex)))
 
 
 def volume(rp: RealizedPolytope, apex: Vector | None = None) -> Fraction:
     """Exact Euclidean volume."""
-    if _affine_rank(list(rp.vertices)) < rp.ambient:
-        return Fraction(0)
-    return sum((_simplex_volume(s) for s in triangulate(rp, apex)), Fraction(0))
+    return _measures(rp, apex)[0]
 
 
 def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...],
@@ -320,31 +407,19 @@ def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...],
     """Integral of the linear functional <y, xi> over the polytope."""
     if len(xi) != rp.ambient:
         raise UsageError("direction has wrong length")
-    if _affine_rank(list(rp.vertices)) < rp.ambient:
-        return Fraction(0)
-    total = Fraction(0)
-    for s in triangulate(rp, apex):
-        vol = _simplex_volume(s)
-        if vol == 0:
-            continue
-        centroid = [sum(v[i] for v in s) / len(s) for i in range(rp.ambient)]
-        total += vol * _dot(centroid, [Fraction(x) for x in xi])
-    return total
+    return sum((m * x for m, x in zip(_measures(rp, apex)[1], xi)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # parameter curves by interpolation with held-out verification
 
 
-def _sample_values(interval: tuple[Fraction, Fraction], count: int) -> list[Fraction]:
-    lo, hi = interval
-    return [lo + Fraction(j, count + 1) * (hi - lo) for j in range(1, count + 1)]
-
-
 def _curve(pp: ParamPolytope, interval: tuple[Fraction, Fraction],
            degree: int, measure) -> ParamPoly:
-    values = _sample_values(interval, degree + 3)
-    data = [(x, measure(realize(pp, x))) for x in values]
+    # volume and moment curves share this grid, so they share realizations
+    data = [(x, measure(realize(pp, x)))
+            for x in sample_values(interval, pp.ambient + 4)]
     poly = interpolate(pp.param, data[:degree + 1])
     for x, y in data[degree + 1:]:
         if poly.eval(x) != y:
@@ -397,11 +472,11 @@ def fut_toric(model: ToricModel, interval: tuple[Fraction, Fraction],
 
 def fut_toric_at(polytopes, xi: tuple[int, ...],
                  x: int | str | Fraction) -> Fraction:
-    """The invariant at one parameter value, from freshly realized polytopes.
+    """The invariant at one parameter value, from polytopes realized at x.
 
     Unlike the curve version this never interpolates: each polytope is
-    realized at x and measured directly, so the value is an oracle for a
-    single parameter value.
+    realized at x, never interpolated, and measured directly, so the value
+    is an oracle for a single parameter value.
     """
     x = rat(x)
     total = Fraction(0)

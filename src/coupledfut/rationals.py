@@ -10,6 +10,7 @@ structural equality coincides with mathematical equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -263,10 +264,14 @@ class RationalFunction:
         return self.num.constant_value()
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return ratfun_reduce(self.num + other.num, self.den)
         return ratfun_reduce(self.num * other.den + other.num * self.den,
                              self.den * other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if self.den == other.den:
+            return ratfun_reduce(self.num - other.num, self.den)
         return ratfun_reduce(self.num * other.den - other.num * self.den,
                              self.den * other.den)
 
@@ -311,10 +316,11 @@ def ratfun_reduce(num: ParamPoly, den: ParamPoly) -> RationalFunction:
         raise ComputationError("zero denominator")
     if num.is_zero():
         return RationalFunction(num, ParamPoly.const(num.param, 1))
-    g = poly_gcd(num, den)
-    if g.degree() > 0:
-        num, _ = poly_divmod(num, g)
-        den, _ = poly_divmod(den, g)
+    if den.degree() > 0:  # a constant denominator has nothing to cancel
+        g = poly_gcd(num, den)
+        if g.degree() > 0:
+            num, _ = poly_divmod(num, g)
+            den, _ = poly_divmod(den, g)
     lead = den.leading()
     return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
 
@@ -352,22 +358,15 @@ def _int_primitive(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
     lcm = 1
     for x in p.coeffs:
         if x != 0:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
     ints = [x * lcm for x in p.coeffs]
     g = 0
     for x in ints:
-        g = _gcd(g, int(x))
+        g = math.gcd(g, int(x))
     if ints[-1] < 0:
         g = -g
     prim = ParamPoly(p.param, tuple(Fraction(int(x) // g) for x in ints))
     return Fraction(g, lcm), prim
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rational_root_factors(p: ParamPoly) -> tuple[list[ParamPoly], ParamPoly]:
@@ -439,6 +438,15 @@ def interpolate(param: str,
             denom *= xi - xj
         total = total + basis.scale(yi / denom)
     return total
+
+
+def sample_values(interval: tuple[Fraction, Fraction],
+                  count: int) -> list[Fraction]:
+    """Equispaced interior sample abscissae x_j = lo + j (hi-lo)/(count+1)."""
+    if count < 1:
+        raise UsageError("need at least one sample")
+    lo, hi = interval
+    return [lo + Fraction(j, count + 1) * (hi - lo) for j in range(1, count + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +574,11 @@ class _ExprParser:
             raise ParseError("unexpected end of expression %r" % self.text)
         kind, val = self.take()
         if kind == "num":
-            return ParamPoly.const(self.param, Fraction(val))
+            try:
+                return ParamPoly.const(self.param, Fraction(val))
+            except ValueError:
+                raise ParseError("malformed number %r in expression %r"
+                                 % (val, self.text)) from None
         if kind == "name":
             if val != self.param:
                 raise ParseError(

@@ -53,6 +53,22 @@ class TestIsolateRoots:
             assert rec.hi - rec.lo <= F(1, 10**12)
             assert rec.multiplicity == 1
 
+    def test_cubic_root_decimal_is_correctly_rounded(self):
+        (rec,) = isolate_roots(c("c^3-2"), (F(1), F(2)))
+        assert rec.hi - rec.lo <= F(1, 10**12)
+        assert rec.lo ** 3 < 2 < rec.hi ** 3
+        # round(2^(1/3) * 10^18) from the integer cube root, independently
+        target = 2 * 10**54
+        r = int(round(target ** (1 / 3)))
+        while r**3 > target:
+            r -= 1
+        while (r + 1) ** 3 <= target:
+            r += 1
+        if (2 * r + 1) ** 3 < 8 * target:
+            r += 1
+        assert rec.decimal == "1.%018d" % (r - 10**18)
+        assert rec.decimal == "1.259921049894873165"
+
     def test_width_request_is_honored(self):
         width = F(1, 10**20)
         for rec in isolate_roots(c("112c^2-112c+23"), INTERVAL, width):
@@ -242,6 +258,47 @@ class TestCrossValidate:
             record = cross_validate(scn.localization, scn.toric, 5)
             assert record.ok, record.messages
             assert all(row.localized == 0 and row.toric == 0 for row in record.samples)
+
+    def test_each_quantity_is_computed_once(self, monkeypatch):
+        from coupledfut import analysis, localization, polytopes, rings
+
+        scn = load("hultgren-c-true")
+
+        def counting(module, name, log, key):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                log.append(key(args, result))
+                return result
+
+            return wrapper
+
+        inverted, requested, built, triangulated = [], [], [], []
+        invert = counting(rings, "invert_unit", inverted, lambda a, r: a[0])
+        monkeypatch.setattr(rings, "invert_unit", invert)
+        monkeypatch.setattr(localization, "invert_unit", invert)
+        realize = counting(
+            polytopes, "realize", requested, lambda a, r: (id(a[0]), F(a[1]))
+        )
+        monkeypatch.setattr(polytopes, "realize", realize)
+        monkeypatch.setattr(analysis, "realize", realize)
+        monkeypatch.setattr(
+            polytopes,
+            "RealizedPolytope",
+            counting(polytopes, "RealizedPolytope", built, lambda a, r: r),
+        )
+        monkeypatch.setattr(
+            polytopes,
+            "triangulate",
+            counting(polytopes, "triangulate", triangulated, lambda a, r: a[0]),
+        )
+        record = cross_validate(scn.localization, scn.toric, 5)
+        assert record.ok
+        assert len(inverted) == len(scn.localization.components)
+        assert len(built) == len(set(requested)) < len(requested)
+        patterns = {(id(rp.stars), rp.incidence) for rp in triangulated}
+        assert len(triangulated) == len(patterns) < len(built)
 
     def test_sample_outside_interval_rejected(self):
         scn = load("hultgren-c")

@@ -106,6 +106,25 @@ class TestPowerSums:
         assert power_sum(twin, 1, 5) == poly_rf("30c-18")
 
 
+    def test_table_matches_component_integrals(self):
+        for name in ("hultgren-c", "hultgren-c-corrupt", "cp1-coupled"):
+            scn = load(name).localization
+            for alpha in range(scn.bundles):
+                for power in range(scn.dimension + 2):
+                    direct = RF.const("c", 0)
+                    for comp in scn.components:
+                        direct = direct + component_integral(comp, alpha, power)
+                    assert power_sum(scn, alpha, power) == direct, (name, alpha, power)
+
+    def test_indices_outside_the_table_are_rejected(self, flagship):
+        with pytest.raises(UsageError, match="outside the residue table"):
+            power_sum(flagship, 0, flagship.dimension + 2)
+        with pytest.raises(UsageError, match="outside the residue table"):
+            power_sum(flagship, 0, -1)
+        with pytest.raises(UsageError, match="bundle index 2 out of range"):
+            power_sum(flagship, 2, 0)
+
+
 class TestVolumes:
     def test_flagship_volumes(self, flagship):
         assert volume_localized(flagship, 0) == poly_rf("112c-6")

@@ -1,5 +1,6 @@
 """Parameterized polytopes: realization, measures, curves, the toric oracle."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from coupledfut import (
     moment_curve,
     parse_poly,
     realize,
+    triangulate,
     volume,
     volume_curve,
 )
@@ -262,3 +264,54 @@ class TestRandomizedGeometry:
                 assert volume(rp, apex=v) == expected_vol
                 assert linear_moment(rp, (0, 0, 0, 1), apex=v) == expected_mom
                 checked += 1
+
+
+def laplace_det(rows):
+    if not rows:
+        return F(1)
+    return sum(
+        (-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def simplex_sums(simplices, n):
+    """Volume and moment vector summed over simplices, by Laplace expansion."""
+    vol, mom = F(0), [F(0)] * n
+    for s in simplices:
+        d = abs(laplace_det([[a - b for a, b in zip(v, s[0])] for v in s[1:]]))
+        d /= math.factorial(n)
+        vol += d
+        mom = [m + d * sum(v[i] for v in s) / (n + 1) for i, m in enumerate(mom)]
+    return vol, mom
+
+
+class TestCachedRealizations:
+    def test_warm_copy_agrees_with_fresh_copies(self):
+        warm = load("hultgren-c").toric
+        fut_toric(warm, INTERVAL)
+        directions = [warm.direction] + [
+            tuple(int(i == j) for j in range(4)) for i in range(4)
+        ]
+        rng = random.Random(31415)
+        # both chambers of [0, 1] and the walls between them, so a
+        # triangulation is reused only for a matching incidence pattern
+        xs = [F(1, 4), F(3, 4)] + [F(rng.randint(0, 1000), 1000) for _ in range(28)]
+        reused = 0
+        for x in xs:
+            fresh = load("hultgren-c").toric
+            for pw, pf in zip(warm.polytopes, fresh.polytopes):
+                rw, rf = realize(pw, x), realize(pf, x)
+                assert rw == rf
+                reused += rw.incidence in rw.stars
+                assert volume(rw) == volume(rf)
+                for xi in directions:
+                    assert linear_moment(rw, xi) == linear_moment(rf, xi)
+                vol, mom = simplex_sums(triangulate(rw), 4)
+                assert volume(rw) == vol
+                for xi in directions:
+                    assert linear_moment(rw, xi) == sum(m * a for m, a in zip(mom, xi))
+            assert fut_toric_at(warm.polytopes, warm.direction, x) == fut_toric_at(
+                fresh.polytopes, fresh.direction, x
+            )
+        assert reused > 0

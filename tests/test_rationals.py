@@ -117,6 +117,11 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="exponent"):
             parse_poly("c^", "c")
 
+    @pytest.mark.parametrize("text", [".", "c*.", "1+."])
+    def test_rejects_a_lone_decimal_point(self, text):
+        with pytest.raises(ParseError, match="malformed number '\\.'"):
+            parse_poly(text, "c")
+
 
 class TestPolyArith:
     def test_sum_of_reference_volumes_is_constant(self):

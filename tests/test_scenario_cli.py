@@ -1,6 +1,7 @@
 """Scenario files and the command line front end."""
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -80,6 +81,17 @@ class TestScenarioFiles:
         bad["components"][0]["bundles"][0]["hamiltonian"] = {"x": 1}
         with pytest.raises(ParseError, match="expected an expression string"):
             scenario_from_dict(bad)
+
+    def test_lone_dot_offset_is_a_located_parse_error(self, capsys, tmp_path):
+        data = scenario_to_dict(load("cp1"))
+        data["toric"]["polytopes"][0]["facets"][0]["offset"] = "."
+        with pytest.raises(ParseError, match=r"toric\.polytopes\[0\]\.facets\[0\]"):
+            scenario_from_dict(data)
+        path = tmp_path / "dot.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "toric", "--scenario", str(path))
+        assert code == 2
+        assert "malformed number" in err
 
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A bundle-count mismatch parses fine; validate_scenario rejects it.
@@ -268,6 +280,91 @@ class TestCliVerify:
         code, out, _ = run(capsys, "verify", "--scenario", str(path))
         assert code == 0
         assert "overall: consistent" in out
+
+
+class TestCliMalformedSamples:
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("samples", ["abc,1", "1/0", "0.5,x"])
+    def test_bad_abscissa_is_a_parse_error(self, capsys, command, samples):
+        code, out, err = run(
+            capsys, command, "--catalog", "cp1", "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --samples: bad rational")
+
+
+# sha256 of stdout and the exit code of every structured call over the
+# catalog, recorded before the residue table and the per-abscissa polytope
+# caches were introduced; both must leave every byte unchanged
+STRUCTURED_GOLDEN = [
+    ("localize", "cp1", 0,
+     "b0461d1ff2d5ab6fe1ee8cae6ca4895f899fa22869145b88acd02db5180e660d"),
+    ("toric", "cp1", 0,
+     "6d0a5e9c015091b3cb8b56f4758b0214d0a36c8a66b761198b56fb0796027995"),
+    ("roots", "cp1", 0,
+     "502684fab473890e8a7d9d136848538eee4815f8d8ba349f2b0615c98eec872d"),
+    ("sample", "cp1", 0,
+     "3cf5ea80177c39a281ce19654db3828399af6b3c73f723720362b2d53c605757"),
+    ("verify", "cp1", 0,
+     "f33663c01caded52e7213aca4761a3caea606be2806f6d406588ee0f47b44ce1"),
+    ("localize", "cp1-coupled", 0,
+     "efbbb8499cf73facbd0edf4154c4fd216b981b352b41f9e38813a56dab00f11b"),
+    ("toric", "cp1-coupled", 0,
+     "23336d00ce8daf8a174be20b20ec89573404dee988f26332f57482489d1c051c"),
+    ("roots", "cp1-coupled", 0,
+     "f5a74573944504ed55119930e2ebd5aa6531e7a5817b483f82f8b857e431bc2b"),
+    ("sample", "cp1-coupled", 0,
+     "c0289ed1480d669a9befa7abda2d0910bd42f11197d3afd30eb18105e644cc81"),
+    ("verify", "cp1-coupled", 0,
+     "769e9dce51e9c8f58d0dbf4fdf4d94d064c9241bb1b80801d49497b1be89b0ea"),
+    ("localize", "hultgren-c", 0,
+     "508771f9a97624df2e5c54c856dde9f2ca34772880f3b9083ff5195360b590ea"),
+    ("toric", "hultgren-c", 0,
+     "5b7da70dfd7bd46bd7de1d789bbc640de290afd43d5e949883c75d77cc9784b9"),
+    ("roots", "hultgren-c", 0,
+     "4f9c4408e5cb79c41a9e4714ee51113fcb45f1941b9866e532ea25da1aed90b6"),
+    ("sample", "hultgren-c", 0,
+     "181b7a40e2e33ac9e9c21acfac59b03a25d499202bd7d4fb60224e65f83b1d1e"),
+    ("verify", "hultgren-c", 5,
+     "9021e84325c7fafc98529e187badfb1f67eb531ea6721cba7abce1d684c783c4"),
+    ("localize", "hultgren-c-true", 0,
+     "50e767db9ab21a97a0cd2a4bcab66acfe5f1a6a23185064a4c137b4c7b3d6f83"),
+    ("toric", "hultgren-c-true", 0,
+     "623bcd9435fbf2267c85fa797c4db528e945b91745c804bfb922de606e3e982f"),
+    ("roots", "hultgren-c-true", 0,
+     "2c2ed89ffbd276767fefbea57a92be3dffd84fce2679067079c098fae97f575f"),
+    ("sample", "hultgren-c-true", 0,
+     "7bf0b4372f10bcd5cf0637c240f6aec40c9d730ebcf217c1ebd4cb27d599bcd5"),
+    ("verify", "hultgren-c-true", 0,
+     "fef59b9924cdba0bbb3d766eba688b86253e0d970d049305064bfa4521a6f9bf"),
+    ("localize", "hultgren-c-corrupt", 0,
+     "0dda4a06be731a137c4edc24701eb1c48a33cb150c69cc8dc70e89ace7ed31aa"),
+    ("toric", "hultgren-c-corrupt", 0,
+     "ec045fd95c90c2e44edc527adaa0fda3fa4091e1596d67f199fab055fcee22bb"),
+    ("roots", "hultgren-c-corrupt", 0,
+     "6a204018019cba5e7c0a17552804b0726b201d6bd680e98978a25b1af5ceb981"),
+    ("sample", "hultgren-c-corrupt", 0,
+     "9cadcee343d032a513c773bbe50f7c5e39bc7b5259aa2fce57d9b8cfa852a080"),
+    ("verify", "hultgren-c-corrupt", 5,
+     "637eb11ad94367b2c01fafbc4893e899e05d0eb06f17e9c3bf734f5fc819738b"),
+]
+
+
+class TestStructuredGolden:
+    @pytest.mark.parametrize("command,name,code,digest", STRUCTURED_GOLDEN)
+    def test_stdout_and_exit_code_are_pinned(self, capsys, command, name,
+                                             code, digest):
+        got, out, _ = run(
+            capsys, command, "--catalog", name, "--format", "structured"
+        )
+        assert got == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_every_subcommand_and_entry_is_pinned(self):
+        pairs = {(cmd, name) for cmd, name, _, _ in STRUCTURED_GOLDEN}
+        commands = ("localize", "toric", "roots", "sample", "verify")
+        assert pairs == {(c, n) for c in commands for n in ALL_NAMES}
 
 
 class TestCliArgumentHandling:
