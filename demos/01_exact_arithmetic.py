@@ -9,7 +9,6 @@ from fractions import Fraction
 
 from coupledfut import (
     parse_poly,
-    poly_arith,
     poly_gcd,
     poly_text,
     rat,
@@ -31,12 +30,12 @@ def main():
     vol1 = parse_poly("106-112c", "c")
     print("first volume        ->", poly_text(vol0))
     print("second volume       ->", poly_text(vol1))
-    print("their sum           ->", poly_text(poly_arith(vol0, vol1, "add")))
+    print("their sum           ->", poly_text(vol0 + vol1))
 
     # The numerator of the invariant, assembled the long way round.
-    left = poly_arith(parse_poly("-30c+12", "c"), parse_poly("53-56c", "c"), "mul")
-    right = poly_arith(parse_poly("30c-18", "c"), parse_poly("56c-3", "c"), "mul")
-    num = poly_arith(left, right, "add")
+    left = parse_poly("-30c+12", "c") * parse_poly("53-56c", "c")
+    right = parse_poly("30c-18", "c") * parse_poly("56c-3", "c")
+    num = left + right
     print("cross-multiplied    ->", poly_text(num))
     print("gcd with a factor   ->", poly_text(poly_gcd(num, parse_poly("56c-3", "c"))))
 
@@ -44,8 +43,8 @@ def main():
     print("== rational functions ==")
     # Reduction divides out the gcd, makes the denominator monic internally,
     # and the factored renderer recovers integer factors for display.
-    den = poly_arith(parse_poly("-2", "c"), parse_poly("56c-3", "c"), "mul")
-    den = poly_arith(den, parse_poly("56c-53", "c"), "mul")
+    den = (parse_poly("-2", "c") * parse_poly("56c-3", "c")
+           * parse_poly("56c-53", "c"))
     f = ratfun_reduce(num, den)
     print("reduced quotient    ->", render_factored(f))
     for x in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):

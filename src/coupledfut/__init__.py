@@ -26,13 +26,12 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
                         moment_curve, realize, triangulate, volume,
                         volume_curve)
 from .rationals import (ParamPoly, Rational, RationalFunction, interpolate,
-                        parse_poly, poly_arith, poly_divmod, poly_gcd,
-                        poly_text, rat, rat_text, ratfun_eval, ratfun_reduce,
-                        render_factored, sample_values)
+                        parse_poly, poly_divmod, poly_gcd, poly_text, rat,
+                        rat_text, ratfun_eval, ratfun_reduce, render_factored,
+                        sample_values)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
-                    class_add, class_mul, equiv_mul, equiv_pow, integrate,
-                    invert_unit, monomial_text, parse_monomial, point_ring,
-                    ring_create)
+                    equiv_pow, integrate, invert_unit, monomial_text,
+                    parse_monomial, point_ring, ring_create)
 from .report import ObstructionReport, ToricReport
 from .scenario import (Scenario, load_scenario, parse_scenario,
                        scenario_from_dict, scenario_to_dict,
@@ -64,12 +63,12 @@ __all__ = [
     "volume_curve",
     # rationals
     "ParamPoly", "Rational", "RationalFunction", "interpolate", "parse_poly",
-    "poly_arith", "poly_divmod", "poly_gcd", "poly_text", "rat", "rat_text",
-    "ratfun_eval", "ratfun_reduce", "render_factored", "sample_values",
+    "poly_divmod", "poly_gcd", "poly_text", "rat", "rat_text", "ratfun_eval",
+    "ratfun_reduce", "render_factored", "sample_values",
     # rings
-    "EquivariantClass", "Generator", "NilpotentClass", "Ring", "class_add",
-    "class_mul", "equiv_mul", "equiv_pow", "integrate", "invert_unit",
-    "monomial_text", "parse_monomial", "point_ring", "ring_create",
+    "EquivariantClass", "Generator", "NilpotentClass", "Ring", "equiv_pow",
+    "integrate", "invert_unit", "monomial_text", "parse_monomial",
+    "point_ring", "ring_create",
     # report
     "ObstructionReport", "ToricReport",
     # scenario

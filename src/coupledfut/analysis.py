@@ -132,19 +132,6 @@ def _decimal_of_simple_root(p: ParamPoly, a: Fraction, b: Fraction) -> str:
     return low
 
 
-def _decimal_of_surd(p: int, q: int, d: int, r: int,
-                     digits: int = DECIMAL_DIGITS) -> str:
-    guard = 8
-    scale = 10 ** (digits + guard)
-    root = math.isqrt(q * q * d * scale * scale)
-    if q < 0:
-        root = -root
-    numer = p * scale + root
-    value = numer // r  # r > 0 after normalization
-    rounded = (value + 5 * 10 ** (guard - 1)) // 10 ** guard
-    return _format_scaled(rounded, digits)
-
-
 def _format_scaled(n: int, digits: int) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
@@ -168,12 +155,12 @@ def _surd_value_vs(p: int, q: int, d: int, r: int, x: Fraction) -> int:
 
 
 def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
-    """Closed forms (p, q, d, r) for a quadratic with irrational real roots."""
-    mult = 1
-    for co in quad.coeffs:
-        mult = mult * co.denominator // math.gcd(mult, co.denominator)
-    a, b, c = (int(quad.coeff(2) * mult), int(quad.coeff(1) * mult),
-               int(quad.coeff(0) * mult))
+    """Closed forms (p, q, d, r) for a quadratic with irrational real roots.
+
+    quad is primitive with integer coefficients and a positive leading one,
+    as _rational_root_factors leaves it, so r = 2a is positive.
+    """
+    a, b, c = (int(quad.coeff(2)), int(quad.coeff(1)), int(quad.coeff(0)))
     disc = b * b - 4 * a * c
     if disc <= 0:
         return []
@@ -187,8 +174,6 @@ def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
             square *= f
         f += 1
     p, q_mag, r = -b, square, 2 * a
-    if r < 0:
-        p, r = -p, -r
     g = math.gcd(math.gcd(abs(p), q_mag), r)
     p, q_mag, r = p // g, q_mag // g, r // g
     return [(p, -q_mag, core, r), (p, q_mag, core, r)]
@@ -257,10 +242,9 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                     if (_surd_value_vs(*cand, a) > 0
                             and _surd_value_vs(*cand, b) < 0):
                         surd = cand
-                decimal = (_decimal_of_surd(*surd) if surd is not None
-                           else _decimal_of_simple_root(rest, a, b))
-                records.append(RootRecord(a, b, None, surd, decimal,
-                                          _multiplicity_bracket(p, a, b)))
+                records.append(RootRecord(
+                    a, b, None, surd, _decimal_of_simple_root(rest, a, b),
+                    _multiplicity_bracket(p, a, b)))
                 continue
             mid = (a + b) / 2
             if rest.eval(mid) == 0:  # unreachable: rest has no rational roots
@@ -434,16 +418,17 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     if mink.status == "fail":
         messages.append("bundle polytopes do not sum to the ambient polytope")
     mid = (scn.interval[0] + scn.interval[1]) / 2
+    redundant = False
     for i, pp in enumerate(model.polytopes):
         rp = realize(pp, mid)
         if not all(rp.supported):
+            redundant = True
             unsupported = [j for j, s in enumerate(rp.supported) if not s]
             messages.append("polytope %d has redundant facets %s at the "
                             "midpoint" % (i, unsupported))
     ok = (validation.ok and all(vol_match) and fut_same
           and all(row.equal for row in rows)
-          and mink.status != "fail"
-          and not any(m.startswith("polytope") for m in messages))
+          and mink.status != "fail" and not redundant)
     return CrossValidationRecord(ok, validation, tuple(vols_loc),
                                  tuple(vols_tor), tuple(vol_match),
                                  f_loc, f_tor, fut_same, tuple(rows), mink,

@@ -18,21 +18,23 @@ from . import catalog
 from .analysis import cross_validate, fut_roots, sample_curve
 from .errors import (CrossValidationError, EngineError, ParseError,
                      UsageError, ValidationError)
-from .localization import fut_localized, validate_scenario, volume_localized
+from .localization import (LocalizationScenario, ValidationReport,
+                           fut_localized, validate_scenario, volume_localized)
 from .polytopes import fut_toric, minkowski_check, volume_curve
 from .rationals import RationalFunction, rat, ratfun_eval, sample_values
 from .report import (FORMATS, ObstructionReport, ToricReport,
                      emit_obstruction, emit_roots, emit_samples, emit_toric,
-                     emit_verify)
+                     emit_validation, emit_verify)
 from .scenario import Scenario, load_scenario
 
 DEFAULT_SAMPLES = 5
 
 
 def _rational_arg(text: str) -> Fraction:
+    # argparse turns ArgumentTypeError into a usage error; ParseError escapes
     try:
-        return Fraction(text.replace("−", "-").strip())
-    except (ValueError, ZeroDivisionError):
+        return rat(text)
+    except ParseError:
         raise argparse.ArgumentTypeError("not an exact rational: %r" % text)
 
 
@@ -51,8 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "from fixed-point data, cross-validated against a "
                     "moment-polytope oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    commands = {name: sub.add_parser(name, help=text) for name, text in (
+        ("localize", "compute the invariant from fixed-point data"),
+        ("toric", "compute the invariant from the polytopes"),
+        ("roots", "isolate the zeros inside the interval"),
+        ("verify", "cross-validate the two computations"),
+        ("sample", "evaluate the invariant on a grid"))}
+    for p in commands.values():
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--catalog", metavar="NAME",
                          help="built-in scenario (%s)" % ", ".join(
@@ -61,43 +68,22 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scenario JSON file")
         p.add_argument("--format", choices=FORMATS, default="text",
                        help="output format (default text)")
-
-    p_loc = sub.add_parser("localize",
-                           help="compute the invariant from fixed-point data")
-    add_common(p_loc)
-    p_loc.add_argument("--param-value", type=_rational_arg, metavar="RAT",
-                       help="also evaluate at this parameter value")
-
-    p_tor = sub.add_parser("toric",
-                           help="compute the invariant from the polytopes")
-    add_common(p_tor)
-    p_tor.add_argument("--param-value", type=_rational_arg, metavar="RAT",
-                       help="also evaluate at this parameter value")
-    p_tor.add_argument("--direction", type=_direction_arg, metavar="D1,..,Dn",
-                       help="override the model's direction")
-
-    p_roots = sub.add_parser("roots",
-                             help="isolate the zeros inside the interval")
-    add_common(p_roots)
-    p_roots.add_argument("--root-width", type=_rational_arg, metavar="RAT",
-                         default=Fraction(1, 10 ** 12),
-                         help="maximal bracket width (default 1/10^12)")
-
-    p_ver = sub.add_parser("verify",
-                           help="cross-validate the two computations")
-    add_common(p_ver)
-    p_ver.add_argument("--samples", default=str(DEFAULT_SAMPLES),
-                       metavar="N|X1,X2,..",
-                       help="sample count, or comma-separated exact "
-                            "abscissae (default %d)" % DEFAULT_SAMPLES)
-
-    p_sam = sub.add_parser("sample",
-                           help="evaluate the invariant on a grid")
-    add_common(p_sam)
-    p_sam.add_argument("--samples", default=str(DEFAULT_SAMPLES),
-                       metavar="N|X1,X2,..",
-                       help="sample count, or comma-separated exact "
-                            "abscissae (default %d)" % DEFAULT_SAMPLES)
+    for name in ("localize", "toric"):
+        commands[name].add_argument(
+            "--param-value", type=_rational_arg, metavar="RAT",
+            help="also evaluate at this parameter value")
+    commands["toric"].add_argument(
+        "--direction", type=_direction_arg, metavar="D1,..,Dn",
+        help="override the model's direction")
+    commands["roots"].add_argument(
+        "--root-width", type=_rational_arg, metavar="RAT",
+        default=Fraction(1, 10 ** 12),
+        help="maximal bracket width (default 1/10^12)")
+    for name in ("verify", "sample"):
+        commands[name].add_argument(
+            "--samples", default=str(DEFAULT_SAMPLES), metavar="N|X1,X2,..",
+            help="sample count, or comma-separated exact abscissae "
+                 "(default %d)" % DEFAULT_SAMPLES)
     return parser
 
 
@@ -107,17 +93,18 @@ def _load(args: argparse.Namespace) -> Scenario:
     return load_scenario(args.scenario)
 
 
-def _validated(scn: Scenario):
-    loc = scn.localization
+def _validated(loc: LocalizationScenario) -> ValidationReport:
     report = validate_scenario(loc)
     if not report.ok:
         raise ValidationError("; ".join(report.messages))
-    return loc
+    return report
 
 
 def _parse_samples(text: str, interval) -> list[Fraction]:
-    text = text.strip()
-    if "," in text or "/" in text or "." in text:
+    """An integer is a sample count; anything else lists exact abscissae."""
+    try:
+        count = int(text)
+    except ValueError:
         try:
             xs = [rat(piece) for piece in text.split(",") if piece.strip()]
         except ParseError as exc:
@@ -125,20 +112,12 @@ def _parse_samples(text: str, interval) -> list[Fraction]:
         if not xs:
             raise UsageError("no sample abscissae given")
         return xs
-    try:
-        count = int(text)
-    except ValueError:
-        raise UsageError("bad --samples value %r" % text)
     return sample_values(interval, count)
 
 
-def _default_rows(fut: RationalFunction, interval):
-    return sample_curve(fut, interval, DEFAULT_SAMPLES)
-
-
 def _cmd_localize(args: argparse.Namespace) -> int:
-    scn = _load(args)
-    loc = _validated(scn)
+    loc = _load(args).localization
+    _validated(loc)
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
     fut = fut_localized(loc)
     value_at = None
@@ -151,14 +130,15 @@ def _cmd_localize(args: argparse.Namespace) -> int:
                             loc.bundles, vols, fut, note, value_at)
     rows = None
     if args.format == "csv" and value_at is None:
-        rows = _default_rows(fut, loc.interval)
+        rows = sample_curve(fut, loc.interval, DEFAULT_SAMPLES)
     sys.stdout.write(emit_obstruction(rep, args.format, rows))
     return 0
 
 
 def _cmd_toric(args: argparse.Namespace) -> int:
     scn = _load(args)
-    loc = _validated(scn)
+    loc = scn.localization
+    _validated(loc)
     if scn.toric is None:
         raise ValidationError("scenario carries no toric model")
     model = scn.toric
@@ -180,14 +160,14 @@ def _cmd_toric(args: argparse.Namespace) -> int:
                       value_at)
     rows = None
     if args.format == "csv" and value_at is None:
-        rows = _default_rows(fut, loc.interval)
+        rows = sample_curve(fut, loc.interval, DEFAULT_SAMPLES)
     sys.stdout.write(emit_toric(rep, args.format, rows))
     return 0
 
 
 def _cmd_roots(args: argparse.Namespace) -> int:
-    scn = _load(args)
-    loc = _validated(scn)
+    loc = _load(args).localization
+    _validated(loc)
     if args.root_width <= 0:
         raise UsageError("--root-width must be positive")
     report = fut_roots(fut_localized(loc), loc.interval, args.root_width)
@@ -199,12 +179,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     scn = _load(args)
     loc = scn.localization
     if scn.toric is None:
-        report = validate_scenario(loc)
-        if not report.ok:
-            raise ValidationError("; ".join(report.messages))
-        sys.stdout.write("scenario: %s\nvalidation: ok\n"
-                         "no toric model; nothing to cross-validate\n"
-                         % loc.name)
+        sys.stdout.write(emit_validation(loc.name, _validated(loc),
+                                         args.format))
         return 0
     xs = _parse_samples(args.samples, loc.interval)
     record = cross_validate(loc, scn.toric, xs)
@@ -218,8 +194,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    scn = _load(args)
-    loc = _validated(scn)
+    loc = _load(args).localization
+    _validated(loc)
     xs = _parse_samples(args.samples, loc.interval)
     fut = fut_localized(loc)
     rows = sample_curve(fut, loc.interval, xs)

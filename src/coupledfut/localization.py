@@ -28,8 +28,8 @@ from functools import cached_property
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, UsageError)
 from .rationals import Rational, RationalFunction, rat, rat_text
-from .rings import (EquivariantClass, NilpotentClass, Ring, equiv_mul,
-                    equiv_pow, integrate, invert_unit, point_ring)
+from .rings import (EquivariantClass, NilpotentClass, Ring, equiv_pow,
+                    integrate, invert_unit, point_ring)
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def component_integral(comp: FixedComponent, alpha: int, power: int) -> Rational
         raise UsageError("bundle index %d out of range" % alpha)
     if power < 0:
         raise UsageError("negative power %d" % power)
-    integrand = equiv_mul(equiv_pow(comp.restriction(alpha), power),
-                          invert_unit(comp.euler))
+    integrand = (equiv_pow(comp.restriction(alpha), power)
+                 * invert_unit(comp.euler))
     return integrate(integrand)
 
 

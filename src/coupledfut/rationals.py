@@ -99,10 +99,7 @@ class ParamPoly:
             self.coeff(i) + other.coeff(i) for i in range(n)]))
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        _same_param(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPoly(self.param, _trim([
-            self.coeff(i) - other.coeff(i) for i in range(n)]))
+        return self + (-other)
 
     def __neg__(self) -> "ParamPoly":
         return ParamPoly(self.param, tuple(-x for x in self.coeffs))
@@ -146,12 +143,6 @@ class ParamPoly:
         lead = self.coeffs[-1]
         return ParamPoly(self.param, tuple(x / lead for x in self.coeffs))
 
-    def shift_pow(self, k: int) -> "ParamPoly":
-        """Multiply by parameter^k."""
-        if not self.coeffs:
-            return self
-        return ParamPoly(self.param, (Fraction(0),) * k + self.coeffs)
-
     def text(self) -> str:
         return poly_text(self)
 
@@ -163,17 +154,6 @@ def _same_param(a: ParamPoly, b: ParamPoly) -> None:
     if a.param != b.param:
         raise UsageError(
             "mismatched parameter names: %r vs %r" % (a.param, b.param))
-
-
-def poly_arith(a: ParamPoly, b: ParamPoly, op: str) -> ParamPoly:
-    """Dispatch add/sub/mul on two polynomials in the same parameter."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise UsageError("unknown polynomial operation %r" % op)
 
 
 def poly_divmod(a: ParamPoly, b: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
@@ -237,10 +217,6 @@ class RationalFunction:
     den: ParamPoly
 
     @staticmethod
-    def create(num: ParamPoly, den: ParamPoly | None = None) -> "RationalFunction":
-        return ratfun_reduce(num, den if den is not None else ParamPoly.const(num.param, 1))
-
-    @staticmethod
     def const(param: str, value: int | str | Fraction) -> "RationalFunction":
         return RationalFunction(ParamPoly.const(param, value), ParamPoly.const(param, 1))
 
@@ -270,10 +246,7 @@ class RationalFunction:
                              self.den * other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.den == other.den:
-            return ratfun_reduce(self.num - other.num, self.den)
-        return ratfun_reduce(self.num * other.den - other.num * self.den,
-                             self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
@@ -575,8 +548,8 @@ class _ExprParser:
         kind, val = self.take()
         if kind == "num":
             try:
-                return ParamPoly.const(self.param, Fraction(val))
-            except ValueError:
+                return ParamPoly.const(self.param, rat(val))
+            except ParseError:
                 raise ParseError("malformed number %r in expression %r"
                                  % (val, self.text)) from None
         if kind == "name":

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .analysis import CrossValidationRecord, RootReport
 from .errors import UsageError
+from .localization import ValidationReport
 from .rationals import RationalFunction, rat_text, render_factored
 
 FORMATS = ("text", "structured", "csv")
@@ -51,31 +52,48 @@ class ObstructionReport:
     value_at: tuple[Fraction, Fraction] | None
 
 
+def _curve_csv(rep: ObstructionReport | ToricReport,
+               samples: list[tuple[Fraction, Fraction | None]] | None) -> str:
+    """The --param-value row if there is one, else the sample rows."""
+    return csv_table([rep.value_at] if rep.value_at is not None
+                     else samples or [])
+
+
+def _curve_json(rep: ObstructionReport | ToricReport, fields: dict) -> str:
+    """The fields both invariant reports share, merged with their own."""
+    payload = {
+        "scenario": rep.scenario,
+        "parameter": rep.param,
+        "interval": [rat_text(rep.interval[0]), rat_text(rep.interval[1])],
+        "invariant": {
+            "factored": render_factored(rep.invariant),
+            "numerator": rep.invariant.num.text(),
+            "denominator": rep.invariant.den.text(),
+        },
+        **fields,
+    }
+    if rep.value_at is not None:
+        payload["value"] = {"at": rat_text(rep.value_at[0]),
+                            "exact": rat_text(rep.value_at[1])}
+    return _json_text(payload)
+
+
+def _value_line(rep: ObstructionReport | ToricReport) -> str:
+    return "value at %s = %s: %s" % (rep.param, rat_text(rep.value_at[0]),
+                                     rat_text(rep.value_at[1]))
+
+
 def emit_obstruction(rep: ObstructionReport, fmt: str,
                      samples: list[tuple[Fraction, Fraction | None]] | None = None) -> str:
     if fmt == "csv":
-        if rep.value_at is not None:
-            return csv_table([rep.value_at])
-        return csv_table(samples or [])
+        return _curve_csv(rep, samples)
     if fmt == "structured":
-        payload = {
-            "scenario": rep.scenario,
-            "parameter": rep.param,
-            "interval": [rat_text(rep.interval[0]), rat_text(rep.interval[1])],
+        return _curve_json(rep, {
             "dimension": rep.dimension,
             "bundles": rep.bundles,
             "volumes": [v.text() for v in rep.volumes],
-            "invariant": {
-                "factored": render_factored(rep.invariant),
-                "numerator": rep.invariant.num.text(),
-                "denominator": rep.invariant.den.text(),
-            },
             "note": rep.note,
-        }
-        if rep.value_at is not None:
-            payload["value"] = {"at": rat_text(rep.value_at[0]),
-                                "exact": rat_text(rep.value_at[1])}
-        return _json_text(payload)
+        })
     if fmt != "text":
         raise UsageError("unknown format %r" % fmt)
     lines = [
@@ -87,9 +105,7 @@ def emit_obstruction(rep: ObstructionReport, fmt: str,
         lines.append("bundle %d equivariant volume: %s" % (i, v.text()))
     lines.append("invariant: %s" % render_factored(rep.invariant))
     if rep.value_at is not None:
-        lines.append("value at %s = %s: %s"
-                     % (rep.param, rat_text(rep.value_at[0]),
-                        rat_text(rep.value_at[1])))
+        lines.append(_value_line(rep))
     if rep.note:
         lines.append("note: %s" % rep.note)
     return "\n".join(lines) + "\n"
@@ -114,29 +130,15 @@ class ToricReport:
 def emit_toric(rep: ToricReport, fmt: str,
                samples: list[tuple[Fraction, Fraction | None]] | None = None) -> str:
     if fmt == "csv":
-        if rep.value_at is not None:
-            return csv_table([rep.value_at])
-        return csv_table(samples or [])
+        return _curve_csv(rep, samples)
     if fmt == "structured":
-        payload = {
-            "scenario": rep.scenario,
-            "parameter": rep.param,
-            "interval": [rat_text(rep.interval[0]), rat_text(rep.interval[1])],
+        return _curve_json(rep, {
             "ambient": rep.ambient,
             "direction": list(rep.direction),
             "euclidean_volumes": [v.text() for v in rep.euclidean_volumes],
             "scaled_volumes": [v.text() for v in rep.scaled_volumes],
-            "invariant": {
-                "factored": render_factored(rep.invariant),
-                "numerator": rep.invariant.num.text(),
-                "denominator": rep.invariant.den.text(),
-            },
             "minkowski": rep.minkowski,
-        }
-        if rep.value_at is not None:
-            payload["value"] = {"at": rat_text(rep.value_at[0]),
-                                "exact": rat_text(rep.value_at[1])}
-        return _json_text(payload)
+        })
     if fmt != "text":
         raise UsageError("unknown format %r" % fmt)
     lines = [
@@ -152,9 +154,7 @@ def emit_toric(rep: ToricReport, fmt: str,
     lines.append("invariant: %s" % render_factored(rep.invariant))
     lines.append("additivity of polytopes: %s" % rep.minkowski)
     if rep.value_at is not None:
-        lines.append("value at %s = %s: %s"
-                     % (rep.param, rat_text(rep.value_at[0]),
-                        rat_text(rep.value_at[1])))
+        lines.append(_value_line(rep))
     return "\n".join(lines) + "\n"
 
 
@@ -250,6 +250,33 @@ def emit_samples(scenario: str, param: str,
     return "\n".join(lines) + "\n"
 
 
+def _validation_json(v: ValidationReport) -> dict:
+    return {
+        "ok": v.ok,
+        "residues_polynomial": v.residues_polynomial,
+        "volume_positive": list(v.volume_positive),
+        "messages": list(v.messages),
+    }
+
+
+_NO_TORIC = "no toric model; nothing to cross-validate"
+
+
+def emit_validation(scenario: str, validation: ValidationReport,
+                    fmt: str) -> str:
+    """verify on a scenario without a toric model: the validation alone."""
+    if fmt == "csv":
+        raise UsageError("csv output is not defined for verify")
+    if fmt == "structured":
+        return _json_text({"scenario": scenario, "ok": validation.ok,
+                           "validation": _validation_json(validation),
+                           "messages": [_NO_TORIC]})
+    if fmt != "text":
+        raise UsageError("unknown format %r" % fmt)
+    return "scenario: %s\nvalidation: %s\n%s\n" % (
+        scenario, "ok" if validation.ok else "FAILED", _NO_TORIC)
+
+
 def emit_verify(scenario: str, record: CrossValidationRecord, fmt: str) -> str:
     if fmt == "csv":
         raise UsageError("csv output is not defined for verify")
@@ -257,12 +284,7 @@ def emit_verify(scenario: str, record: CrossValidationRecord, fmt: str) -> str:
         payload = {
             "scenario": scenario,
             "ok": record.ok,
-            "validation": {
-                "ok": record.validation.ok,
-                "residues_polynomial": record.validation.residues_polynomial,
-                "volume_positive": list(record.validation.volume_positive),
-                "messages": list(record.validation.messages),
-            },
+            "validation": _validation_json(record.validation),
             "volumes_localized": [v.text() for v in record.volumes_localized],
             "volumes_toric": [v.text() for v in record.volumes_toric],
             "volume_match": list(record.volume_match),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import DegenerateDatumError, ParseError, UsageError, ValidationError
-from .rationals import ParamPoly, RationalFunction
+from .rationals import RationalFunction
 
 Exponents = tuple[int, ...]
 
@@ -144,9 +144,6 @@ class NilpotentClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[Exponents, RationalFunction]:
-        return dict(self.terms)
-
     def coeff(self, exps: Exponents) -> RationalFunction:
         for e, c in self.terms:
             if e == exps:
@@ -155,7 +152,7 @@ class NilpotentClass:
 
     def __add__(self, other: "NilpotentClass") -> "NilpotentClass":
         _same_ring(self.ring, other.ring)
-        merged = self.as_dict()
+        merged = dict(self.terms)
         for e, c in other.terms:
             merged[e] = merged.get(e, RationalFunction.const(self.ring.param, 0)) + c
         return NilpotentClass.create(self.ring, merged)
@@ -244,15 +241,6 @@ def parse_monomial(ring: Ring, key: str) -> Exponents:
     return tuple(exps)
 
 
-def class_mul(x: NilpotentClass, y: NilpotentClass) -> NilpotentClass:
-    """Product of two nilpotent classes with truncation."""
-    return x * y
-
-
-def class_add(x: NilpotentClass, y: NilpotentClass) -> NilpotentClass:
-    return x + y
-
-
 @dataclass(frozen=True)
 class EquivariantClass:
     """Scalar part plus nilpotent part over one ring."""
@@ -263,12 +251,6 @@ class EquivariantClass:
     @property
     def ring(self) -> Ring:
         return self.nilpotent.ring
-
-    @staticmethod
-    def create(ring: Ring, scalar: RationalFunction,
-               nilpotent: NilpotentClass | None = None) -> "EquivariantClass":
-        return EquivariantClass(
-            scalar, nilpotent if nilpotent is not None else NilpotentClass.zero(ring))
 
     @staticmethod
     def one(ring: Ring) -> "EquivariantClass":
@@ -301,10 +283,6 @@ class EquivariantClass:
         if self.scalar.is_zero():
             return n
         return "%s%s%s" % (s, "" if n.startswith("-") else "+", n)
-
-
-def equiv_mul(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
-    return x * y
 
 
 def equiv_pow(x: EquivariantClass, k: int) -> EquivariantClass:
@@ -359,15 +337,13 @@ def invert_unit(x: EquivariantClass) -> EquivariantClass:
     return EquivariantClass(inv_s, out_nil)
 
 
-def integrate(x: EquivariantClass | NilpotentClass, ring: Ring | None = None) -> RationalFunction:
-    """Coefficient of the top monomial; for a point, the scalar part."""
+def integrate(x: EquivariantClass | NilpotentClass) -> RationalFunction:
+    """Coefficient of the top monomial; for a point, the scalar part.
+
+    A nilpotent class on a point has no terms, so it integrates to zero.
+    """
     if isinstance(x, EquivariantClass):
-        ring = x.ring
-        if not ring.generators:
+        if not x.ring.generators:
             return x.scalar
-        return x.nilpotent.coeff(ring.top)
-    if ring is None:
-        ring = x.ring
-    if not ring.generators:
-        return RationalFunction.const(ring.param, 0)
-    return x.coeff(ring.top)
+        x = x.nilpotent
+    return x.coeff(x.ring.top)

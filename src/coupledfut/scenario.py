@@ -19,7 +19,7 @@ from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
 from .rationals import (ParamPoly, RationalFunction, parse_poly, poly_text,
-                        rat_text)
+                        rat, rat_text)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
@@ -65,26 +65,30 @@ def _need_str(raw: dict, key: str, where: str) -> str:
     return val
 
 
+def _is_int(val) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _need_int(raw: dict, key: str, where: str) -> int:
     val = _need(raw, key, where)
-    if not isinstance(val, int) or isinstance(val, bool):
+    if not _is_int(val):
         raise ParseError("%s.%s: expected an integer" % (where, key))
     return val
 
 
 def _parse_fraction(text, where: str) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
+    if not _is_int(text) and not isinstance(text, str):
         raise ParseError("%s: expected an exact rational string" % where)
     try:
-        return Fraction(text.replace("−", "-").strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("%s: not an exact rational: %r" % (where, text))
+        return rat(text)
+    except ParseError:
+        raise ParseError("%s: not an exact rational: %r"
+                         % (where, text)) from None
 
 
 def _parse_expr(text, param: str, where: str) -> ParamPoly:
-    if isinstance(text, int):
+    if _is_int(text):
         return ParamPoly.const(param, text)
     if not isinstance(text, str):
         raise ParseError("%s: expected an expression string" % where)
@@ -125,7 +129,7 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
                               _need_int(g, "degree", gw)))
     top = _need(raw, "top", where)
     if not isinstance(top, dict) or not all(
-            isinstance(v, int) for v in top.values()):
+            _is_int(v) for v in top.values()):
         raise ParseError("%s.top: expected generator-to-exponent map" % where)
     return ring_create(param, gens, top, _need_int(raw, "dimension", where))
 
@@ -143,7 +147,7 @@ def _parse_polytope(raw, param: str, ambient: int, where: str) -> ParamPolytope:
             raise ParseError("%s: expected an object" % fw)
         normal = _need(f, "normal", fw)
         if (not isinstance(normal, list)
-                or not all(isinstance(x, int) for x in normal)):
+                or not all(_is_int(x) for x in normal)):
             raise ParseError("%s.normal: expected a list of integers" % fw)
         offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset")
         facets.append((tuple(normal), offset))
@@ -222,7 +226,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         ambient = _need_int(t, "ambient", "toric")
         direction = _need(t, "direction", "toric")
         if (not isinstance(direction, list)
-                or not all(isinstance(x, int) for x in direction)
+                or not all(_is_int(x) for x in direction)
                 or len(direction) != ambient):
             raise ParseError("toric.direction: expected %d integers" % ambient)
         polys_raw = _need(t, "polytopes", "toric")

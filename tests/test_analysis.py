@@ -15,11 +15,12 @@ from coupledfut import (
     isolate_roots,
     load,
     parse_poly,
-    poly_arith,
     positive_on_interval,
     ratfun_reduce,
     sample_curve,
     sample_values,
+    scenario_from_dict,
+    scenario_to_dict,
     squarefree_part,
     sturm_chain,
 )
@@ -35,7 +36,7 @@ def c(text):
 def product(*texts):
     out = c(texts[0])
     for t in texts[1:]:
-        out = poly_arith(out, c(t), "mul")
+        out = out * c(t)
     return out
 
 
@@ -118,7 +119,7 @@ class TestSturm:
             p = ParamPoly.const("c", 1)
             for r in roots:
                 for _ in range(rng.randint(1, 3)):
-                    p = poly_arith(p, ParamPoly.create("c", [-r, 1]), "mul")
+                    p = p * ParamPoly.create("c", [-r, 1])
             sf = squarefree_part(p)
             from coupledfut import poly_gcd
 
@@ -132,7 +133,7 @@ class TestSturm:
             roots = rng.sample(grid, rng.randint(0, 4))
             p = ParamPoly.const("c", F(rng.choice([-3, -1, 1, 2])))
             for r in roots:
-                p = poly_arith(p, ParamPoly.create("c", [-r, 1]), "mul")
+                p = p * ParamPoly.create("c", [-r, 1])
             a = F(rng.randint(-20, 20), rng.randint(1, 5))
             b = a + F(rng.randint(1, 30), rng.randint(1, 5))
             inside = [r for r in roots if a < r < b]
@@ -258,6 +259,19 @@ class TestCrossValidate:
             record = cross_validate(scn.localization, scn.toric, 5)
             assert record.ok, record.messages
             assert all(row.localized == 0 and row.toric == 0 for row in record.samples)
+
+    def test_redundant_facet_makes_the_record_inconsistent(self):
+        # every other check passes: x <= 2 never touches the segment [-1, 1]
+        data = scenario_to_dict(load("cp1"))
+        data["toric"]["polytopes"][0]["facets"].append(
+            {"normal": [1], "offset": "2"})
+        scn = scenario_from_dict(data)
+        record = cross_validate(scn.localization, scn.toric, 5)
+        assert record.validation.ok and record.fut_match
+        assert all(record.volume_match)
+        assert not record.ok
+        assert record.messages == (
+            "polytope 0 has redundant facets [2] at the midpoint",)
 
     def test_each_quantity_is_computed_once(self, monkeypatch):
         from coupledfut import analysis, localization, polytopes, rings

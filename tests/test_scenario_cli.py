@@ -93,6 +93,34 @@ class TestScenarioFiles:
         assert code == 2
         assert "malformed number" in err
 
+    @pytest.mark.parametrize("site,where", [
+        (("parameter", "interval", 1), r"parameter\.interval\[1\]"),
+        (("components", 0, "bundles", 0, "hamiltonian"),
+         r"components\[0\]\.bundles\[0\]\.hamiltonian"),
+        (("toric", "polytopes", 0, "facets", 0, "offset"),
+         r"toric\.polytopes\[0\]\.facets\[0\]\.offset"),
+        (("toric", "direction", 0), r"toric\.direction"),
+        (("toric", "polytopes", 0, "facets", 0, "normal", 0),
+         r"toric\.polytopes\[0\]\.facets\[0\]\.normal"),
+        (("rings", "ring0", "top", "x"), r"rings\.ring0\.top"),
+    ], ids=["interval", "hamiltonian", "offset", "direction", "normal", "top"])
+    def test_json_boolean_is_not_a_number(self, capsys, tmp_path, site, where):
+        data = scenario_to_dict(load("cp1"))
+        data["parameter"]["interval"] = [0, 1]
+        data["components"][0]["bundles"][0]["hamiltonian"] = -1
+        data["toric"]["polytopes"][0]["facets"][0]["offset"] = 1
+        scenario_from_dict(data)  # the integers parse
+        node = data
+        for key in site[:-1]:
+            node = node[key]
+        node[site[-1]] = True
+        with pytest.raises(ParseError, match=where):
+            scenario_from_dict(data)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "localize", "--scenario", str(path))
+        assert (code, out) == (2, "")
+
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A bundle-count mismatch parses fine; validate_scenario rejects it.
         bad = copy.deepcopy(scenario_to_dict(load("hultgren-c")))
@@ -281,10 +309,34 @@ class TestCliVerify:
         assert code == 0
         assert "overall: consistent" in out
 
+    def test_scenario_without_toric_model_honours_format(self, capsys,
+                                                         tmp_path):
+        data = scenario_to_dict(load("cp1"))
+        del data["toric"]
+        path = tmp_path / "no-toric.json"
+        path.write_text(json.dumps(data))
+        argv = ("verify", "--scenario", str(path), "--format")
+        assert run(capsys, *argv, "text") == (
+            0, "scenario: cp1\nvalidation: ok\n"
+               "no toric model; nothing to cross-validate\n", "")
+        code, out, _ = run(capsys, *argv, "structured")
+        assert code == 0
+        _, full, _ = run(capsys, "verify", "--catalog", "cp1",
+                         "--format", "structured")
+        assert json.loads(out) == {
+            "scenario": "cp1",
+            "ok": True,
+            "validation": json.loads(full)["validation"],
+            "messages": ["no toric model; nothing to cross-validate"],
+        }
+        code, out, err = run(capsys, *argv, "csv")
+        assert (code, out) == (3, "")
+        assert "csv output is not defined for verify" in err
+
 
 class TestCliMalformedSamples:
     @pytest.mark.parametrize("command", ["verify", "sample"])
-    @pytest.mark.parametrize("samples", ["abc,1", "1/0", "0.5,x"])
+    @pytest.mark.parametrize("samples", ["abc", "abc,1", "1/0", "0.5,x"])
     def test_bad_abscissa_is_a_parse_error(self, capsys, command, samples):
         code, out, err = run(
             capsys, command, "--catalog", "cp1", "--samples", samples
@@ -454,3 +506,21 @@ class TestConsoleScript:
             env=checkout_env(),
         )
         assert proc.returncode == 5, proc.stderr
+
+
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+
+
+class TestDemos:
+    def test_demos_are_found(self):
+        assert len(DEMOS) >= 5
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+    def test_demo_runs(self, demo):
+        proc = subprocess.run(
+            [sys.executable, str(demo)],
+            capture_output=True,
+            text=True,
+            env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
