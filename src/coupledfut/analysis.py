@@ -1,13 +1,20 @@
 """Root isolation and cross-validation.
 
-Roots of the invariant's numerator are located exactly: rational roots are
-split off by trial division, the remaining squarefree factor is isolated by
-Sturm bisection into disjoint rational intervals of requested width, and
-degree-two factors additionally get closed-form surd descriptors
-(p + q*sqrt(D))/r.  Cross-validation plays the localization engine against
-the polytope oracle: per-bundle volumes must agree up to the dimension
-factorial, the invariants must agree as rational functions, and the bundle
-polytopes must sum to the ambient one.
+Roots of the invariant's numerator are located exactly.  Rational roots are
+split off first: every real root of the squarefree part is isolated inside
+its Cauchy bound, and the one candidate fraction per bracket is tested.
+The remaining squarefree factor has no rational roots; its roots are
+isolated on the integer root kernel of the rationals module, which maps the
+interval to [0, 1] once and reads signs at dyadic points in integers.  Sturm
+counts split the brackets until each holds one root, and a sign test per
+halving then refines it to the requested width.  Degree-two factors
+additionally get closed-form surd descriptors (p + q*sqrt(D))/r, with square
+factors pulled out of D by bounded trial division only, so a very large D
+may be left unreduced.
+Cross-validation plays the localization engine against the polytope oracle:
+per-bundle volumes must agree up to the dimension factorial, the invariants
+must agree as rational functions, and the bundle polytopes must sum to the
+ambient one.
 """
 
 from __future__ import annotations
@@ -21,37 +28,20 @@ from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
-from .rationals import (ParamPoly, RationalFunction, _rational_root_factors,
-                        poly_divmod, poly_gcd, rat, rat_text, ratfun_eval,
-                        sample_values)
+from .rationals import (ParamPoly, RationalFunction, UnitKernel,
+                        _rational_root_factors, poly_divmod, poly_gcd, rat,
+                        rat_text, ratfun_eval, sample_values, squarefree_part,
+                        sturm_chain)
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 DECIMAL_DIGITS = 18
+# square factors f^2 of a quadratic's discriminant are divided out for f up
+# to this bound, so every discriminant below 10^12 is reduced completely
+SURD_SQUARE_FACTOR_LIMIT = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
 # Sturm machinery
-
-
-def squarefree_part(p: ParamPoly) -> ParamPoly:
-    """p divided by gcd(p, p'), made monic."""
-    if p.degree() < 1:
-        return p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p.monic()
-    q, _ = poly_divmod(p, g)
-    return q.monic()
-
-
-def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree() >= 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
 
 
 def _sign_changes(chain: list[ParamPoly], x: Fraction) -> int:
@@ -114,22 +104,18 @@ def _decimal_of_fraction(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     return _format_scaled(n, digits)
 
 
-def _decimal_of_simple_root(p: ParamPoly, a: Fraction, b: Fraction) -> str:
-    """Correctly rounded decimal of the one simple root of p inside (a, b).
+def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
+    """Correctly rounded decimal of the one simple root in bracket (k, j).
 
     Rounding is monotone, so once both ends of the bracket round to the same
     digits the root does too; until then the bracket is halved.  The root is
     irrational, so it is never a rounding boundary and the loop ends.
     """
-    low, high = _decimal_of_fraction(a), _decimal_of_fraction(b)
-    a_positive = p.eval(a) > 0
-    while low != high:
-        mid = (a + b) / 2
-        if (p.eval(mid) > 0) == a_positive:
-            a, low = mid, _decimal_of_fraction(mid)
-        else:
-            b, high = mid, _decimal_of_fraction(mid)
-    return low
+    while True:
+        low = _decimal_of_fraction(kernel.point(k, j))
+        if low == _decimal_of_fraction(kernel.point(k + 1, j)):
+            return low
+        k, j = _refine(kernel, k, j, j + 1)
 
 
 def _format_scaled(n: int, digits: int) -> str:
@@ -158,7 +144,10 @@ def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
     """Closed forms (p, q, d, r) for a quadratic with irrational real roots.
 
     quad is primitive with integer coefficients and a positive leading one,
-    as _rational_root_factors leaves it, so r = 2a is positive.
+    as _rational_root_factors leaves it, so r = 2a is positive.  Square
+    factors f^2 of the discriminant are pulled out of d by trial division
+    for f up to SURD_SQUARE_FACTOR_LIMIT only, so a d above the square of
+    that limit may keep a square factor; the closed form is exact either way.
     """
     a, b, c = (int(quad.coeff(2)), int(quad.coeff(1)), int(quad.coeff(0)))
     disc = b * b - 4 * a * c
@@ -168,7 +157,7 @@ def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
         return []  # rational roots are handled elsewhere
     core, square = disc, 1
     f = 2
-    while f * f <= core:
+    while f <= SURD_SQUARE_FACTOR_LIMIT and f * f <= core:
         while core % (f * f) == 0:
             core //= f * f
             square *= f
@@ -200,6 +189,29 @@ def _multiplicity_bracket(p: ParamPoly, a: Fraction, b: Fraction) -> int:
     return mult
 
 
+def _halvings_to_width(span: Fraction, width: Fraction) -> int:
+    """The least j >= 0 with span / 2^j <= width."""
+    ratio = span / width
+    return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+
+
+def _refine(kernel: UnitKernel, k: int, j: int, fine: int) -> tuple[int, int]:
+    """Halve bracket (k, j), which holds one simple root, down to level fine.
+
+    The root lies in the half whose ends differ in sign; the sign at the
+    left end never changes, so one sign per step decides.
+    """
+    low_sign = kernel.sign(k, j)
+    while j < fine:
+        k, j = 2 * k, j + 1
+        mid_sign = kernel.sign(k + 1, j)
+        if mid_sign == 0:  # unreachable: the root is irrational
+            raise UsageError("bisection midpoint is a root")
+        if mid_sign == low_sign:
+            k += 1
+    return k, j
+
+
 def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                   width: Fraction = DEFAULT_WIDTH) -> tuple[RootRecord, ...]:
     """Disjoint rational brackets, one distinct root each, inside the interval.
@@ -225,32 +237,35 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                                       _decimal_of_fraction(root),
                                       _multiplicity_rational(p, root)))
     if rest.degree() >= 1:
-        for endpoint in (lo, hi):
-            if rest.eval(endpoint) == 0:  # cannot happen: no rational roots
-                raise UsageError("endpoint is a root of an irrational factor")
-        chain = sturm_chain(rest)
+        kernel = UnitKernel(rest, lo, hi)
+        if kernel.sign(0, 0) == 0 or kernel.sign(1, 0) == 0:
+            # cannot happen: rest has no rational roots
+            raise UsageError("endpoint is a root of an irrational factor")
         surds = _quadratic_surds(rest) if rest.degree() == 2 else []
-        stack = [(lo, hi)]
+        fine = _halvings_to_width(hi - lo, width)
+        stack = [(0, 0)]
         while stack:
-            a, b = stack.pop()
-            count = _sign_changes(chain, a) - _sign_changes(chain, b)
+            k, j = stack.pop()
+            count = kernel.count(k, j)
             if count == 0:
                 continue
-            if count == 1 and b - a <= width:
+            if count == 1:
+                k, j = _refine(kernel, k, j, fine)
+                a, b = kernel.point(k, j), kernel.point(k + 1, j)
                 surd = None
                 for cand in surds:
                     if (_surd_value_vs(*cand, a) > 0
                             and _surd_value_vs(*cand, b) < 0):
                         surd = cand
                 records.append(RootRecord(
-                    a, b, None, surd, _decimal_of_simple_root(rest, a, b),
+                    a, b, None, surd, _decimal_of_simple_root(kernel, k, j),
                     _multiplicity_bracket(p, a, b)))
                 continue
-            mid = (a + b) / 2
-            if rest.eval(mid) == 0:  # unreachable: rest has no rational roots
+            if kernel.sign(2 * k + 1, j + 1) == 0:
+                # unreachable: rest has no rational roots
                 raise UsageError("bisection midpoint is a root")
-            stack.append((a, mid))
-            stack.append((mid, b))
+            stack.append((2 * k, j + 1))
+            stack.append((2 * k + 1, j + 1))
     records.sort(key=lambda rec: rec.lo)
     return tuple(records)
 

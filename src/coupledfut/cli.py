@@ -178,11 +178,11 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scn = _load(args)
     loc = scn.localization
+    xs = _parse_samples(args.samples, loc.interval)
     if scn.toric is None:
         sys.stdout.write(emit_validation(loc.name, _validated(loc),
                                          args.format))
         return 0
-    xs = _parse_samples(args.samples, loc.interval)
     record = cross_validate(loc, scn.toric, xs)
     sys.stdout.write(emit_verify(loc.name, record, args.format))
     if not record.validation.ok:

@@ -5,7 +5,10 @@ Rational numbers are fractions.Fraction throughout (arbitrary precision,
 always canonical).  A ParamPoly stores its coefficients densely, ascending by
 degree, with no trailing zeros; the zero polynomial is the empty tuple.  A
 RationalFunction is a gcd-reduced quotient whose denominator is monic, so
-structural equality coincides with mathematical equality.
+structural equality coincides with mathematical equality.  UnitKernel reads
+the sign of a polynomial, and of its Sturm chain, at dyadic points of a
+bracket in integer arithmetic; root isolation and the rational-root search
+both run on it.
 """
 
 from __future__ import annotations
@@ -308,20 +311,92 @@ def ratfun_eval(f: RationalFunction, x: int | str | Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# exact real roots in integers
+
+
+def squarefree_part(p: ParamPoly) -> ParamPoly:
+    """p divided by gcd(p, p'), made monic."""
+    if p.degree() < 1:
+        return p.monic()
+    g = poly_gcd(p, p.derivative())
+    if g.degree() == 0:
+        return p.monic()
+    q, _ = poly_divmod(p, g)
+    return q.monic()
+
+
+def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
+    chain = [p, p.derivative()]
+    while chain[-1].degree() >= 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-r)
+    return [q for q in chain if not q.is_zero()]
+
+
+class UnitKernel:
+    """A nonzero squarefree polynomial on a bracket, read at dyadic points.
+
+    The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t, and the
+    substituted polynomial and its Sturm chain are scaled by positive
+    rationals to integer coefficients, which keeps every sign.  The sign at
+    t = k/2^j is then the sign of the homogeneous form
+    sum c_i k^i 2^(j(d-i)), evaluated by Horner's rule in integers with
+    power-of-two shifts: no Fraction and no gcd.  Points are named (k, j).
+    """
+
+    def __init__(self, p: ParamPoly, a: Fraction, b: Fraction):
+        self.a = a
+        self.span = b - a
+        q = [Fraction(0)] * len(p.coeffs)
+        for co in reversed(p.coeffs):  # Horner in t: q <- q*(a + span*t) + co
+            q = [co + a * q[0]] + [a * q[i] + self.span * q[i - 1]
+                                   for i in range(1, len(q))]
+        self.chain = [_positive_integer_coeffs(r)
+                      for r in sturm_chain(ParamPoly(p.param, _trim(q)))]
+
+    def point(self, k: int, j: int) -> Fraction:
+        """The bracket point x at t = k/2^j."""
+        return self.a + self.span * Fraction(k, 1 << j)
+
+    def sign(self, k: int, j: int) -> int:
+        """Sign of the polynomial at t = k/2^j."""
+        return _dyadic_sign(self.chain[0], k, j)
+
+    def count(self, k: int, j: int) -> int:
+        """Distinct roots with t strictly inside (k/2^j, (k+1)/2^j).
+
+        V(t) - V(u) counts the roots in (t, u]; a root at the right end is
+        taken back off.
+        """
+        return (self._variations(k, j) - self._variations(k + 1, j)
+                - (self.sign(k + 1, j) == 0))
+
+    def _variations(self, k: int, j: int) -> int:
+        signs = [s for s in (_dyadic_sign(q, k, j) for q in self.chain) if s]
+        return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def _positive_integer_coeffs(p: ParamPoly) -> tuple[int, ...]:
+    """Integer coefficients of a positive rational multiple of p."""
+    scale, prim = _int_primitive(p)
+    sign = 1 if scale > 0 else -1
+    return tuple(sign * int(x) for x in prim.coeffs)
+
+
+def _dyadic_sign(coeffs: tuple[int, ...], k: int, j: int) -> int:
+    """Sign of the integer polynomial at k/2^j, times 2^(j*degree) > 0."""
+    acc = 0
+    shift = 0
+    for co in reversed(coeffs):
+        acc = acc * k + (co << shift)
+        shift += j
+    return (acc > 0) - (acc < 0)
+
+
+# ---------------------------------------------------------------------------
 # factored text rendering
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
 
 
 def _int_primitive(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
@@ -346,36 +421,59 @@ def _rational_root_factors(p: ParamPoly) -> tuple[list[ParamPoly], ParamPoly]:
     """Split off primitive linear factors (q*x - a) at rational roots of p.
 
     Works up to a scalar: the returned factors multiply to the primitive
-    integer part of p, not to p itself.
+    integer part of p, not to p itself.  The rational roots come from
+    _rational_roots; each is divided out as often as it divides.
     """
     factors: list[ParamPoly] = []
     _, rest = _int_primitive(p)
-    while rest.degree() >= 1:
-        found = None
-        if rest.coeff(0) == 0:
-            found = Fraction(0)
-        else:
-            a0 = int(rest.coeff(0))
-            an = int(rest.leading())
-            for da in _divisors(a0):
-                for dl in _divisors(an):
-                    for sgn in (1, -1):
-                        cand = Fraction(sgn * da, dl)
-                        if rest.eval(cand) == 0:
-                            found = cand
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            break
-        lin = ParamPoly.create(p.param, [-found.numerator, found.denominator])
-        factors.append(lin)
-        quot, rem = poly_divmod(rest, lin)
-        assert rem.is_zero()
-        _, rest = _int_primitive(quot)
+    for root in _rational_roots(rest):
+        lin = ParamPoly.create(p.param, [-root.numerator, root.denominator])
+        while True:
+            quot, rem = poly_divmod(rest, lin)
+            if not rem.is_zero():
+                break
+            factors.append(lin)
+            _, rest = _int_primitive(quot)
     return factors, rest
+
+
+def _rational_roots(p: ParamPoly) -> list[Fraction]:
+    """Distinct rational roots of a nonzero primitive integer polynomial.
+
+    A rational root u/v in lowest terms has v dividing the leading
+    coefficient `lead` of the squarefree part, and two such roots lie at
+    least 1/lead^2 apart.  Every real root is isolated inside the Cauchy
+    bound to a bracket narrower than 1/(2 lead^2); the one candidate per
+    bracket is the fraction nearest its midpoint with denominator at most
+    lead, which is the root whenever the root is rational.  A dyadic
+    midpoint met on the way that is itself a root is taken directly.
+    """
+    if p.degree() < 1:
+        return []
+    _, s = _int_primitive(squarefree_part(p))
+    lead = int(s.leading())
+    bound = 1 + -(-max(abs(int(x)) for x in s.coeffs[:-1]) // lead)
+    kernel = UnitKernel(s, Fraction(-bound), Fraction(bound))
+    # brackets at this level are 2*bound/2^level < 1/(2 lead^2) wide
+    level = (4 * bound * lead * lead).bit_length()
+    roots: list[Fraction] = []
+    stack = [(0, 0)]
+    while stack:
+        k, j = stack.pop()
+        count = kernel.count(k, j)
+        if count == 0:
+            continue
+        if count == 1 and j >= level:
+            lo, hi = kernel.point(k, j), kernel.point(k + 1, j)
+            cand = ((lo + hi) / 2).limit_denominator(lead)
+            if lo < cand < hi and s.eval(cand) == 0:
+                roots.append(cand)
+            continue
+        if kernel.sign(2 * k + 1, j + 1) == 0:
+            roots.append(kernel.point(2 * k + 1, j + 1))
+        stack.append((2 * k, j + 1))
+        stack.append((2 * k + 1, j + 1))
+    return roots
 
 
 def _render_factor_product(factors: list[ParamPoly]) -> str:
@@ -424,6 +522,10 @@ def sample_values(interval: tuple[Fraction, Fraction],
 
 # ---------------------------------------------------------------------------
 # parsing of coefficient expressions like "2c-1/2", "(3-2c)/2", "-c"
+
+# largest exponent after "^"; a power is built by repeated multiplication, so
+# this bounds the work one "^" can ask for
+MAX_EXPONENT = 100
 
 _NORMALIZE = {
     "−": "-",  # unicode minus
@@ -536,6 +638,9 @@ class _ExprParser:
             kind, val = self.take() if self.pos < len(self.tokens) else ("", "")
             if kind != "num" or "." in val:
                 raise ParseError("exponent must be an integer in %r" % self.text)
+            if int(val) > MAX_EXPONENT:
+                raise ParseError("exponent %s exceeds the limit %d in %r"
+                                 % (val, MAX_EXPONENT, self.text))
             out = ParamPoly.const(self.param, 1)
             for _ in range(int(val)):
                 out = out * base

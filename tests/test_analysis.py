@@ -1,5 +1,6 @@
 """Root isolation, Sturm counting, sampling, and cross-validation."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,19 @@ from coupledfut import (
     scenario_to_dict,
     squarefree_part,
     sturm_chain,
+)
+from coupledfut.analysis import (
+    RootRecord,
+    _decimal_of_fraction,
+    _multiplicity_bracket,
+    _multiplicity_rational,
+    _quadratic_surds,
+    _surd_value_vs,
+)
+from coupledfut.rationals import (
+    _int_primitive,
+    _rational_root_factors,
+    poly_divmod,
 )
 
 INTERVAL = (F(1, 4), F(3, 4))
@@ -318,3 +332,153 @@ class TestCrossValidate:
         scn = load("hultgren-c")
         with pytest.raises(UsageError, match="outside the validity interval"):
             cross_validate(scn.localization, scn.toric, [F(9, 10)])
+
+
+# ---------------------------------------------------------------------------
+# Fraction references for the integer root kernel: Sturm bisection over
+# Fractions and the rational-root search by divisor enumeration, as the
+# engine computed them before the kernel replaced both.
+
+
+def _ref_sign_changes(chain, x):
+    signs = [1 if v > 0 else -1 for v in (q.eval(x) for q in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_divisors(n):
+    n = abs(n)
+    return sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0
+                   for d in (i, n // i)})
+
+
+def _ref_rational_root_factors(p):
+    factors = []
+    _, rest = _int_primitive(p)
+    while rest.degree() >= 1:
+        found = None
+        if rest.coeff(0) == 0:
+            found = F(0)
+        else:
+            cands = (F(sgn * da, dl)
+                     for da in _ref_divisors(int(rest.coeff(0)))
+                     for dl in _ref_divisors(int(rest.leading()))
+                     for sgn in (1, -1))
+            found = next((x for x in cands if rest.eval(x) == 0), None)
+        if found is None:
+            break
+        lin = ParamPoly.create("c", [-found.numerator, found.denominator])
+        factors.append(lin)
+        quot, _ = poly_divmod(rest, lin)
+        _, rest = _int_primitive(quot)
+    return factors, rest
+
+
+def _ref_decimal_of_simple_root(p, a, b):
+    low, high = _decimal_of_fraction(a), _decimal_of_fraction(b)
+    a_positive = p.eval(a) > 0
+    while low != high:
+        mid = (a + b) / 2
+        if (p.eval(mid) > 0) == a_positive:
+            a, low = mid, _decimal_of_fraction(mid)
+        else:
+            b, high = mid, _decimal_of_fraction(mid)
+    return low
+
+
+def _ref_isolate_roots(p, interval, width):
+    lo, hi = interval
+    records = []
+    linears, rest = _ref_rational_root_factors(squarefree_part(p))
+    for lin in linears:
+        root = -lin.coeff(0) / lin.coeff(1)
+        if lo < root < hi:
+            records.append(RootRecord(root, root, root, None,
+                                      _decimal_of_fraction(root),
+                                      _multiplicity_rational(p, root)))
+    if rest.degree() >= 1:
+        chain = sturm_chain(rest)
+        surds = _quadratic_surds(rest) if rest.degree() == 2 else []
+        stack = [(lo, hi)]
+        while stack:
+            a, b = stack.pop()
+            count = _ref_sign_changes(chain, a) - _ref_sign_changes(chain, b)
+            if count == 0:
+                continue
+            if count == 1 and b - a <= width:
+                surd = None
+                for cand in surds:
+                    if (_surd_value_vs(*cand, a) > 0
+                            and _surd_value_vs(*cand, b) < 0):
+                        surd = cand
+                records.append(RootRecord(
+                    a, b, None, surd, _ref_decimal_of_simple_root(rest, a, b),
+                    _multiplicity_bracket(p, a, b)))
+                continue
+            mid = (a + b) / 2
+            stack.append((a, mid))
+            stack.append((mid, b))
+    records.sort(key=lambda rec: rec.lo)
+    return tuple(records)
+
+
+# factors with rational, surd and degree >= 3 irrational real roots, and one
+# without real roots; products of these repeat roots
+_KERNEL_FACTORS = ("c-1/2", "3c+2", "4c-3", "c", "7c-5", "c^2-2", "5c^2-3",
+                   "112c^2-112c+23", "c^2-c-1", "c^3-2", "c^3-3c+1",
+                   "c^3-4c+1", "c^4-10c^2+1", "c^2+1")
+
+
+def _seeded_polynomials(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = c(str(rng.choice([1, -2, 3, F(-5, 7)])))
+        degree = rng.randint(1, 6)
+        while p.degree() < degree:
+            f = c(rng.choice(_KERNEL_FACTORS))
+            for _ in range(rng.choice([1, 1, 2])):
+                if p.degree() + f.degree() <= 6:
+                    p = p * f
+        lo = F(rng.randint(-12, 4), rng.choice([1, 2, 3, 4]))
+        out.append((p, (lo, lo + F(rng.randint(1, 24), rng.choice([1, 2, 5])))))
+    return out
+
+
+class TestRootKernelEquivalence:
+    @pytest.mark.parametrize("width,seed,count", [
+        (F(1, 10**2), 5101, 60),
+        (F(1, 10**30), 5102, 30),
+        (F(1, 10**300), 5103, 6),
+    ], ids=["1e-2", "1e-30", "1e-300"])
+    def test_isolate_roots_matches_fraction_bisection(self, width, seed, count):
+        kinds = set()
+        for p, interval in _seeded_polynomials(seed, count):
+            records = isolate_roots(p, interval, width)
+            assert records == _ref_isolate_roots(p, interval, width)
+            for rec in records:
+                kinds.add("rational" if rec.exact is not None
+                          else "surd" if rec.surd is not None else "other")
+                if rec.multiplicity > 1:
+                    kinds.add("repeated")
+        assert kinds == {"rational", "surd", "other", "repeated"}
+
+    def test_rational_root_factors_match_divisor_search(self):
+        by_root = lambda q: (-q.coeff(0) / q.coeff(1), q.coeffs)
+        polys = [p for p, _ in _seeded_polynomials(5104, 120)]
+        polys += [c("22265600c^2-22660736c+7565853"), c("6c^2-c-1"),
+                  c("c^3"), c("1024c^4-1")]
+        for p in polys:
+            lin, rest = _rational_root_factors(p)
+            ref_lin, ref_rest = _ref_rational_root_factors(p)
+            assert sorted(lin, key=by_root) == sorted(ref_lin, key=by_root)
+            assert rest == ref_rest
+
+    def test_rational_roots_of_wide_coefficients(self):
+        # the divisor search cannot finish here; the roots are known
+        p = product("(10^12+39)c-(10^11+3)", "(10^9+7)c+1", "c^2-3")
+        lin, rest = _rational_root_factors(p)
+        assert sorted(-q.coeff(0) / q.coeff(1) for q in lin) == [
+            F(-1, 10**9 + 7), F(10**11 + 3, 10**12 + 39)]
+        assert rest == c("c^2-3")
+        lin, rest = _rational_root_factors(c("(10^21+3)c^2-(3*10^20+7)"))
+        assert lin == [] and rest == c("(10^21+3)c^2-(3*10^20+7)")

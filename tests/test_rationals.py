@@ -23,6 +23,7 @@ from coupledfut import (
     ratfun_reduce,
     render_factored,
 )
+from coupledfut.rationals import MAX_EXPONENT
 
 
 def c(text):
@@ -115,6 +116,12 @@ class TestParsePoly:
     def test_rejects_dangling_exponent(self):
         with pytest.raises(ParseError, match="exponent"):
             parse_poly("c^", "c")
+
+    def test_exponent_limit(self):
+        assert parse_poly("c^%d" % MAX_EXPONENT, "c").degree() == MAX_EXPONENT
+        with pytest.raises(ParseError, match="exponent 99999999 exceeds the "
+                                             "limit %d" % MAX_EXPONENT):
+            parse_poly("2c^99999999+1", "c")
 
     @pytest.mark.parametrize("text", [".", "c*.", "1+."])
     def test_rejects_a_lone_decimal_point(self, text):

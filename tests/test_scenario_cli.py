@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -92,6 +93,18 @@ class TestScenarioFiles:
         code, _, err = run(capsys, "toric", "--scenario", str(path))
         assert code == 2
         assert "malformed number" in err
+
+    def test_exponent_limit_is_a_located_parse_error(self, capsys, tmp_path):
+        data = scenario_to_dict(load("cp1"))
+        data["components"][1]["bundles"][0]["hamiltonian"] = "c^99999999"
+        where = r"components\[1\]\.bundles\[0\]\.hamiltonian"
+        with pytest.raises(ParseError, match=where + ".*exceeds the limit"):
+            scenario_from_dict(data)
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "localize", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert "exponent 99999999 exceeds the limit" in err
 
     @pytest.mark.parametrize("site,where", [
         (("parameter", "interval", 1), r"parameter\.interval\[1\]"),
@@ -236,6 +249,32 @@ class TestCliRoots:
         assert code == 2
         assert "not an exact rational" in err
 
+    def test_wide_coefficient_quadratic_finishes(self, tmp_path):
+        # cp1 with hamiltonians -K+g and K+g has the invariant g; a search
+        # by divisors of these 21-digit coefficients never finished
+        a, b = 10**21 + 3, 3 * 10**20 + 7
+        g = "(10^21+3)c^2-(3*10^20+7)"
+        data = scenario_to_dict(load("cp1"))
+        del data["toric"]
+        data["components"][0]["bundles"][0]["hamiltonian"] = "-2*10^21+" + g
+        data["components"][1]["bundles"][0]["hamiltonian"] = "2*10^21+" + g
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coupledfut.cli", "roots", "--scenario",
+             str(path), "--format", "structured"],
+            capture_output=True, text=True, env=checkout_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        (root,) = json.loads(proc.stdout)["roots"]
+        lo, hi = F(root["lo"]), F(root["hi"])
+        assert 0 < lo < hi and a * lo**2 < b < a * hi**2
+        d, r = (int(x) for x in re.fullmatch(
+            r"\(0\+sqrt\((\d+)\)\)/(\d+)", root["closed_form"]).groups())
+        # sqrt(d)/r is the positive root of a c^2 - b, inside the bracket
+        assert a * d == b * r * r
+        assert (lo * r) ** 2 < d < (hi * r) ** 2
+
 
 class TestCliSample:
     def test_csv_three_point_grid(self, capsys):
@@ -332,6 +371,20 @@ class TestCliVerify:
         code, out, err = run(capsys, *argv, "csv")
         assert (code, out) == (3, "")
         assert "csv output is not defined for verify" in err
+
+    @pytest.mark.parametrize("samples,expected", [("abc", 2), ("1/0", 2),
+                                                  ("0", 3)])
+    def test_samples_are_read_without_a_toric_model(self, capsys, tmp_path,
+                                                     samples, expected):
+        data = scenario_to_dict(load("cp1"))
+        del data["toric"]
+        path = tmp_path / "no-toric.json"
+        path.write_text(json.dumps(data))
+        for source in (("--catalog", "cp1"), ("--scenario", str(path))):
+            code, out, err = run(capsys, "verify", *source,
+                                 "--samples", samples)
+            assert (code, out) == (expected, "")
+            assert "--samples" in err or "at least one sample" in err
 
 
 class TestCliMalformedSamples:
