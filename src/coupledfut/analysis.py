@@ -179,13 +179,24 @@ def _multiplicity_rational(p: ParamPoly, root: Fraction) -> int:
         p = q
 
 
-def _multiplicity_bracket(p: ParamPoly, a: Fraction, b: Fraction) -> int:
-    """Multiplicity of the single root of p inside (a, b), by gcd descent."""
+def _multiplicity_bracket(p: ParamPoly, rest: ParamPoly, a: Fraction,
+                          b: Fraction) -> int:
+    """Multiplicity in p of the one root of rest inside (a, b).
+
+    rest is squarefree, is nonzero at a and b, and has exactly one root
+    inside, so a factor of rest vanishes at that root exactly when it
+    changes sign over the bracket.  The root has multiplicity e in p when it
+    is a root of p, p', ..., p^(e-1) but not of p^(e); other roots of p in
+    the bracket, rational ones included, are never counted.
+    """
     mult = 0
     cur = p
-    while cur.degree() >= 1 and count_roots_open(cur, (a, b)) > 0:
+    while not cur.is_zero():
+        g = poly_gcd(cur, rest)
+        if g.eval(a) * g.eval(b) >= 0:
+            break
         mult += 1
-        cur = poly_gcd(cur, cur.derivative())
+        cur = cur.derivative()
     return mult
 
 
@@ -236,6 +247,7 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
             records.append(RootRecord(root, root, root, None,
                                       _decimal_of_fraction(root),
                                       _multiplicity_rational(p, root)))
+    exact = list(records)
     if rest.degree() >= 1:
         kernel = UnitKernel(rest, lo, hi)
         if kernel.sign(0, 0) == 0 or kernel.sign(1, 0) == 0:
@@ -251,6 +263,10 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                 continue
             if count == 1:
                 k, j = _refine(kernel, k, j, fine)
+                # halve on until the bracket holds no exact root, ends included
+                while any(kernel.point(k, j) <= rec.exact
+                          <= kernel.point(k + 1, j) for rec in exact):
+                    k, j = _refine(kernel, k, j, j + 1)
                 a, b = kernel.point(k, j), kernel.point(k + 1, j)
                 surd = None
                 for cand in surds:
@@ -259,7 +275,7 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                         surd = cand
                 records.append(RootRecord(
                     a, b, None, surd, _decimal_of_simple_root(kernel, k, j),
-                    _multiplicity_bracket(p, a, b)))
+                    _multiplicity_bracket(p, rest, a, b)))
                 continue
             if kernel.sign(2 * k + 1, j + 1) == 0:
                 # unreachable: rest has no rational roots

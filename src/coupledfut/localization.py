@@ -13,23 +13,37 @@ one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
 
 A scenario computes its residue table once, on first use: the power sums
-p = 0..m+1 of every bundle.  Each component's Euler class is inverted once,
-and (u + c1)^(p+1) / euler comes from (u + c1)^p / euler by one ring
-multiplication.  power_sum, validate_scenario, volume_localized and
-fut_localized all read that table.
+p = 0..m+1 of every bundle.  The table is built fraction-free.  On a
+component of ring dimension d with Euler class s + N (N nilpotent) and
+bundle restriction u + c1, the two finite expansions
+
+    1/(s + N) = sum_{k<=d} (-N)^k / s^(k+1),
+    (u + c1)^p = sum_{j<=min(p,d)} C(p,j) u^(p-j) c1^j
+
+give int (u + c1)^p / (s + N) = [sum_j C(p,j) u^(p-j) w_j] / s^(d+1) with
+w_j = sum_k s^(d-k) <c1^j, (-N)^k>, where <x, y> is the top coefficient of
+xy, read by pairing complementary monomials.  Each component clears its
+denominators once and works over integer polynomials in the parameter,
+with its classes stored as dense arrays over the monomials dividing the top
+one.  The scenario then sums every entry over one least common multiple of
+the component denominators and reduces it once.  power_sum,
+validate_scenario, volume_localized and fut_localized all read that table;
+component_integral keeps the direct ring arithmetic as the reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, UsageError)
-from .rationals import Rational, RationalFunction, rat, rat_text
-from .rings import (EquivariantClass, NilpotentClass, Ring, equiv_pow,
-                    integrate, invert_unit, point_ring)
+from .rationals import (ParamPoly, Rational, RationalFunction, _int_primitive,
+                        poly_gcd, rat, rat_text, ratfun_reduce)
+from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
+                    equiv_pow, integrate, invert_unit, point_ring)
 
 
 @dataclass(frozen=True)
@@ -72,25 +86,219 @@ class LocalizationScenario:
 
     @cached_property
     def residue_table(self) -> tuple[tuple[RationalFunction, ...], ...]:
-        """Power sums indexed [bundle][power] for powers 0..dimension+1."""
+        """Power sums indexed [bundle][power] for powers 0..dimension+1.
+
+        Each component gives integer numerators over B_alpha^p * S^(d+1)
+        (_component_residues).  Entry (alpha, p) is summed over
+        L_alpha^p * L, with L_alpha and L the least common multiples in
+        Z[param] of the components' B_alpha and S^(d+1), and reduced once.
+        """
         powers = self.dimension + 2
-        zero = RationalFunction.const(self.param, 0)
-        table = [[zero] * powers for _ in range(self.bundles)]
-        for comp in self.components:
-            if len(comp.bundles) != self.bundles:
-                raise UsageError("component %r restricts %d bundles; "
-                                 "scenario has %d" % (comp.label,
-                                                      len(comp.bundles),
-                                                      self.bundles))
-            inverse = invert_unit(comp.euler)
-            for alpha, row in enumerate(table):
-                base = comp.restriction(alpha)
-                term = inverse
-                for power in range(powers):
-                    if power:
-                        term = base * term
-                    row[power] = row[power] + integrate(term)
-        return tuple(tuple(row) for row in table)
+        parts = [_component_residues(comp, self.param, self.bundles, powers)
+                 for comp in self.components]
+        euler_den: IntPoly = (1,)
+        bundle_dens: list[IntPoly] = [(1,)] * self.bundles
+        for _, dens, den in parts:
+            euler_den = _ipoly_lcm(euler_den, den, self.param)
+            bundle_dens = [_ipoly_lcm(a, b, self.param)
+                           for a, b in zip(bundle_dens, dens)]
+        table = []
+        for alpha, bundle_den in enumerate(bundle_dens):
+            sums: list[IntPoly] = [()] * powers
+            for nums, dens, den in parts:
+                scale = _ipoly_quo(euler_den, den)
+                ratio = _ipoly_quo(bundle_den, dens[alpha])
+                for power, num in enumerate(nums[alpha]):
+                    sums[power] = _ipoly_add(sums[power],
+                                             _ipoly_mul(scale, num))
+                    scale = _ipoly_mul(scale, ratio)
+            row = []
+            den = euler_den
+            for total in sums:
+                row.append(ratfun_reduce(_param_poly(total, self.param),
+                                         _param_poly(den, self.param)))
+                den = _ipoly_mul(den, bundle_den)
+            table.append(tuple(row))
+        return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# the residue table over integer polynomials
+
+# integer coefficients, ascending by degree, no trailing zeros; () is zero
+IntPoly = tuple[int, ...]
+
+
+def _component_residues(comp: FixedComponent, param: str, bundles: int,
+                        powers: int
+                        ) -> tuple[list[list[IntPoly]], list[IntPoly], IntPoly]:
+    """One component's integrals of (u + c1)^p / euler for p < powers.
+
+    Returns (nums, dens, den) with int (u_alpha + c1_alpha)^p / euler equal
+    to nums[alpha][p] / (dens[alpha]^p * den), every entry an integer
+    polynomial.  With the Euler class cleared to (S + N) / E and the bundle
+    class to (U + C) / B, nums[alpha][p] = E * sum_j C(p,j) U^(p-j) W_j and
+    den = S^(d+1), where W_j = sum_k S^(d-k) <C^j, (-N)^k>.
+    """
+    if len(comp.bundles) != bundles:
+        raise UsageError("component %r restricts %d bundles; scenario has %d"
+                         % (comp.label, len(comp.bundles), bundles))
+    if comp.euler.scalar.is_zero():
+        raise DegenerateDatumError(
+            "equivariant Euler class with zero scalar part is not invertible")
+    ring = comp.euler.ring
+    _check_param(ring.param, param)
+    table = ring.monomial_table
+    d = ring.dimension
+    euler, e_den = _dense(comp.euler, table, param)
+    s = euler[0]
+    neg_nil = [()] + [tuple(-x for x in co) for co in euler[1:]]
+    neg_pows = _dense_powers(neg_nil, table, d)
+    s_pows: list[IntPoly] = [(1,)]
+    for _ in range(d + 1):
+        s_pows.append(_ipoly_mul(s_pows[-1], s))
+    nums, dens = [], []
+    for alpha in range(bundles):
+        restriction = comp.restriction(alpha)
+        if restriction.ring != ring:
+            raise UsageError("classes live in different rings")
+        cls, b_den = _dense(restriction, table, param)
+        u, cls[0] = cls[0], ()
+        w = []
+        for j, c1_j in enumerate(_dense_powers(cls, table, d)):
+            acc: IntPoly = ()
+            for k in range(d - j + 1):
+                acc = _ipoly_add(acc, _ipoly_mul(
+                    s_pows[d - k], _pair(c1_j, neg_pows[k], table)))
+            w.append(_ipoly_mul(e_den, acc))
+        u_pows: list[IntPoly] = [(1,)]
+        for _ in range(powers - 1):
+            u_pows.append(_ipoly_mul(u_pows[-1], u))
+        row = []
+        for p in range(powers):
+            acc = ()
+            for j in range(min(p, d) + 1):
+                acc = _ipoly_add(acc, _ipoly_mul(
+                    (math.comb(p, j),), _ipoly_mul(u_pows[p - j], w[j])))
+            row.append(acc)
+        nums.append(row)
+        dens.append(b_den)
+    return nums, dens, s_pows[d + 1]
+
+
+def _check_param(name: str, param: str) -> None:
+    if name != param:
+        raise UsageError("mismatched parameter names: %r vs %r"
+                         % (param, name))
+
+
+def _dense(cls: EquivariantClass, table: MonomialTable,
+           param: str) -> tuple[list[IntPoly], IntPoly]:
+    """Integer numerators over the monomials of table, and their denominator.
+
+    Index 0 holds the scalar part.  Terms that do not divide the top
+    monomial never reach it and are dropped after their parameter check.
+    """
+    cleared = []
+    for i, f in [(0, cls.scalar)] + [(table.index.get(e), f)
+                                     for e, f in cls.nilpotent.terms]:
+        _check_param(f.param, param)
+        if i is not None:
+            cleared.append((i, _cleared(f)))
+    den: IntPoly = (1,)
+    for _, (_, d) in cleared:
+        den = _ipoly_lcm(den, d, param)
+    out: list[IntPoly] = [()] * len(table.monomials)
+    for i, (n, d) in cleared:
+        out[i] = _ipoly_mul(n, _ipoly_quo(den, d))
+    return out, den
+
+
+def _dense_powers(x: list[IntPoly], table: MonomialTable,
+                  top: int) -> list[list[IntPoly]]:
+    """x^0 .. x^top for a dense nilpotent class x (zero at index 0)."""
+    unit: list[IntPoly] = [()] * len(x)
+    unit[0] = (1,)
+    out = [unit, x] if top else [unit]
+    while len(out) <= top:
+        prod: list[IntPoly] = [()] * len(x)
+        for i, j, k in table.products:
+            if out[-1][i] and x[j]:
+                prod[k] = _ipoly_add(prod[k], _ipoly_mul(out[-1][i], x[j]))
+        out.append(prod)
+    return out
+
+
+def _pair(x: list[IntPoly], y: list[IntPoly], table: MonomialTable) -> IntPoly:
+    """Top coefficient of x * y, from complementary monomials only."""
+    acc: IntPoly = ()
+    for i, j in table.pairs:
+        if x[i] and y[j]:
+            acc = _ipoly_add(acc, _ipoly_mul(x[i], y[j]))
+    return acc
+
+
+def _cleared(f: RationalFunction) -> tuple[IntPoly, IntPoly]:
+    """Integer polynomials n and d with f = n / d."""
+    q = 1
+    for x in f.num.coeffs + f.den.coeffs:
+        q = math.lcm(q, x.denominator)
+    return (tuple(x.numerator * (q // x.denominator) for x in f.num.coeffs),
+            tuple(x.numerator * (q // x.denominator) for x in f.den.coeffs))
+
+
+def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ipoly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        return tuple(a[0] * y for y in b)
+    if len(b) == 1:
+        return tuple(x * b[0] for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ipoly_quo(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b where b divides a in Z[param]."""
+    if len(b) == 1:
+        return tuple(x // b[0] for x in a)
+    rem = list(a)
+    shift = len(b) - 1
+    quot = [0] * (len(a) - shift)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + shift] // b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= q * y
+    return tuple(quot)
+
+
+def _ipoly_lcm(a: IntPoly, b: IntPoly, param: str) -> IntPoly:
+    """Least common multiple in Z[param], up to sign."""
+    if len(a) == 1 and len(b) == 1:
+        return (math.lcm(a[0], b[0]),)
+    _, g = _int_primitive(poly_gcd(_param_poly(a, param),
+                                   _param_poly(b, param)))
+    content = math.gcd(math.gcd(*a), math.gcd(*b))
+    return _ipoly_mul(a, _ipoly_quo(b, tuple(content * int(x)
+                                             for x in g.coeffs)))
+
+
+def _param_poly(a: IntPoly, param: str) -> ParamPoly:
+    return ParamPoly(param, tuple(Fraction(x) for x in a))
 
 
 @dataclass(frozen=True)

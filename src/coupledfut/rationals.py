@@ -524,8 +524,12 @@ def sample_values(interval: tuple[Fraction, Fraction],
 # parsing of coefficient expressions like "2c-1/2", "(3-2c)/2", "-c"
 
 # largest exponent after "^"; a power is built by repeated multiplication, so
-# this bounds the work one "^" can ask for
+# this bounds the work one "^" can ask for, also on a constant base
 MAX_EXPONENT = 100
+# largest degree of any power or product met while parsing; it is checked
+# before the polynomial is expanded, so nested powers such as
+# "((c+1)^100)^100" fail at once instead of multiplying out
+MAX_DEGREE = 100
 
 _NORMALIZE = {
     "−": "-",  # unicode minus
@@ -606,13 +610,23 @@ class _ExprParser:
             acc = acc + rhs if kind == "+" else acc - rhs
         return acc
 
+    def check_degree(self, degree: int) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError("degree %d exceeds the limit %d in %r"
+                             % (degree, MAX_DEGREE, self.text))
+
+    def product(self, acc: ParamPoly) -> ParamPoly:
+        rhs = self.factor()
+        self.check_degree(acc.degree() + rhs.degree())
+        return acc * rhs
+
     def term(self) -> ParamPoly:
         acc = self.factor()
         while True:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = self.product(acc)
             elif nxt == "/":
                 self.take()
                 div = self.factor()
@@ -624,7 +638,7 @@ class _ExprParser:
                     raise ParseError("division by zero in expression %r" % self.text)
                 acc = acc.scale(1 / q)
             elif nxt in ("num", "name", "("):
-                acc = acc * self.factor()  # implicit multiplication, e.g. "2c"
+                acc = self.product(acc)  # implicit multiplication, e.g. "2c"
             else:
                 return acc
 
@@ -641,6 +655,7 @@ class _ExprParser:
             if int(val) > MAX_EXPONENT:
                 raise ParseError("exponent %s exceeds the limit %d in %r"
                                  % (val, MAX_EXPONENT, self.text))
+            self.check_degree(base.degree() * int(val))
             out = ParamPoly.const(self.param, 1)
             for _ in range(int(val)):
                 out = out * base

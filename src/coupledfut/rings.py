@@ -9,13 +9,19 @@ coefficient of the top monomial.  An
 equivariant class splits as scalar part plus nilpotent part; units are exactly
 the classes with nonzero scalar part, inverted through a finite geometric
 series that terminates by nilpotency.
+
+Each ring also keeps, built once, a dense index of the monomials dividing its
+top monomial, with their products and complementary pairs; the residue
+table of the localization module integrates on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import DegenerateDatumError, ParseError, UsageError, ValidationError
@@ -57,6 +63,39 @@ class Ring:
         if any(e >= g.order for e, g in zip(exps, self.generators)):
             return False
         return self.monomial_degree(exps) <= self.dimension
+
+    @cached_property
+    def monomial_table(self) -> "MonomialTable":
+        """The monomials dividing top, their products and complements."""
+        monos = tuple(itertools.product(*(range(e + 1) for e in self.top)))
+        index = {m: i for i, m in enumerate(monos)}
+        products = []
+        for i, a in enumerate(monos[1:], 1):
+            for j, b in enumerate(monos[1:], 1):
+                k = index.get(tuple(x + y for x, y in zip(a, b)))
+                if k is not None:
+                    products.append((i, j, k))
+        pairs = tuple((i, index[tuple(t - e for t, e in zip(self.top, m))])
+                      for i, m in enumerate(monos))
+        return MonomialTable(monos, index, tuple(products), pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class MonomialTable:
+    """Dense index of the monomials that divide a ring's top monomial.
+
+    Only these reach the top coefficient, because a product's exponents are
+    at least each factor's; all of them survive truncation.  A class stored
+    as an array over this index therefore integrates exactly.  Index 0 is the
+    unit monomial and the last index the top one.  products lists (i, j, k)
+    with m_i * m_j = m_k for non-unit i and j; pairs lists (i, j) with
+    m_i * m_j = top.
+    """
+
+    monomials: tuple[Exponents, ...]
+    index: Mapping[Exponents, int]
+    products: tuple[tuple[int, int, int], ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")

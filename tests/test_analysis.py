@@ -84,6 +84,23 @@ class TestIsolateRoots:
         assert rec.decimal == "1.%018d" % (r - 10**18)
         assert rec.decimal == "1.259921049894873165"
 
+    def test_irrational_bracket_counts_only_its_own_root(self):
+        # 141/100 lies inside the first bracket (1, 3/2) that isolates sqrt(2)
+        p = c("(100c-141)^2(c^2-2)")
+        exact, surd = isolate_roots(p, (F(1), F(2)), F(1, 2))
+        assert (exact.exact, exact.multiplicity) == (F(141, 100), 2)
+        assert surd.exact is None and surd.surd == (0, 1, 2, 1)
+        assert surd.multiplicity == 1
+        assert exact.exact < surd.lo < surd.hi and surd.lo**2 < 2 < surd.hi**2
+        assert surd.hi - surd.lo <= F(1, 2)
+
+    def test_irrational_multiplicity_beside_an_exact_root(self):
+        p = c("(c-3/2)(c^2-2)^3")
+        surd, exact = isolate_roots(p, (F(1), F(2)), F(1, 2))
+        assert (exact.exact, exact.multiplicity) == (F(3, 2), 1)
+        assert surd.multiplicity == 3
+        assert surd.hi < F(3, 2) and surd.lo**2 < 2 < surd.hi**2
+
     def test_width_request_is_honored(self):
         width = F(1, 10**20)
         for rec in isolate_roots(c("112c^2-112c+23"), INTERVAL, width):
@@ -288,7 +305,7 @@ class TestCrossValidate:
             "polytope 0 has redundant facets [2] at the midpoint",)
 
     def test_each_quantity_is_computed_once(self, monkeypatch):
-        from coupledfut import analysis, localization, polytopes, rings
+        from coupledfut import analysis, localization, polytopes
 
         scn = load("hultgren-c-true")
 
@@ -302,10 +319,13 @@ class TestCrossValidate:
 
             return wrapper
 
-        inverted, requested, built, triangulated = [], [], [], []
-        invert = counting(rings, "invert_unit", inverted, lambda a, r: a[0])
-        monkeypatch.setattr(rings, "invert_unit", invert)
-        monkeypatch.setattr(localization, "invert_unit", invert)
+        cleared, requested, built, triangulated = [], [], [], []
+        monkeypatch.setattr(
+            localization,
+            "_component_residues",
+            counting(localization, "_component_residues", cleared,
+                     lambda a, r: a[0].label),
+        )
         realize = counting(
             polytopes, "realize", requested, lambda a, r: (id(a[0]), F(a[1]))
         )
@@ -323,7 +343,8 @@ class TestCrossValidate:
         )
         record = cross_validate(scn.localization, scn.toric, 5)
         assert record.ok
-        assert len(inverted) == len(scn.localization.components)
+        assert sorted(cleared) == sorted(
+            comp.label for comp in scn.localization.components)
         assert len(built) == len(set(requested)) < len(requested)
         patterns = {(id(rp.stars), rp.incidence) for rp in triangulated}
         assert len(triangulated) == len(patterns) < len(built)
@@ -337,7 +358,9 @@ class TestCrossValidate:
 # ---------------------------------------------------------------------------
 # Fraction references for the integer root kernel: Sturm bisection over
 # Fractions and the rational-root search by divisor enumeration, as the
-# engine computed them before the kernel replaced both.
+# engine computed them before the kernel replaced both.  Like the engine,
+# the bisection goes on halving an irrational root's bracket while it holds
+# an exact root.
 
 
 def _ref_sign_changes(chain, x):
@@ -395,6 +418,7 @@ def _ref_isolate_roots(p, interval, width):
             records.append(RootRecord(root, root, root, None,
                                       _decimal_of_fraction(root),
                                       _multiplicity_rational(p, root)))
+    exact = list(records)
     if rest.degree() >= 1:
         chain = sturm_chain(rest)
         surds = _quadratic_surds(rest) if rest.degree() == 2 else []
@@ -404,7 +428,8 @@ def _ref_isolate_roots(p, interval, width):
             count = _ref_sign_changes(chain, a) - _ref_sign_changes(chain, b)
             if count == 0:
                 continue
-            if count == 1 and b - a <= width:
+            if count == 1 and b - a <= width and not any(
+                    a <= rec.exact <= b for rec in exact):
                 surd = None
                 for cand in surds:
                     if (_surd_value_vs(*cand, a) > 0
@@ -412,7 +437,7 @@ def _ref_isolate_roots(p, interval, width):
                         surd = cand
                 records.append(RootRecord(
                     a, b, None, surd, _ref_decimal_of_simple_root(rest, a, b),
-                    _multiplicity_bracket(p, a, b)))
+                    _multiplicity_bracket(p, rest, a, b)))
                 continue
             mid = (a + b) / 2
             stack.append((a, mid))

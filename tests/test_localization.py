@@ -1,6 +1,8 @@
 """Fixed-point localization: power sums, equivariant volumes, the invariant."""
 
+import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +14,12 @@ from coupledfut import (
     DegenerateDatumError,
     EquivariantClass,
     FixedComponent,
+    Generator,
     InconsistentResidueError,
     IsolatedPointData,
     LocalizationScenario,
     NilpotentClass,
+    ParamPoly,
     RationalFunction,
     UsageError,
     component_integral,
@@ -26,9 +30,11 @@ from coupledfut import (
     load,
     make_point_component,
     parse_poly,
+    point_ring,
     power_sum,
     ratfun_eval,
     render_factored,
+    ring_create,
     shift_hamiltonians,
     validate_scenario,
     volume_localized,
@@ -57,8 +63,6 @@ def twin():
 
 def two_point_line(euler_exprs, ham_exprs):
     """One-dimensional scenario with two fixed points given symbolically."""
-    from coupledfut import point_ring
-
     pt = point_ring("c")
     zero = NilpotentClass.zero(pt)
     comps = []
@@ -69,6 +73,81 @@ def two_point_line(euler_exprs, ham_exprs):
     return LocalizationScenario(
         "line", "", "", "c", 1, len(ham_exprs[0]), (F(0), F(1)), tuple(comps)
     )
+
+
+# polynomial denominators are drawn from a small pool, which keeps the
+# reference path (one ring product per step, each reduced by a gcd) quick
+SEEDED_DENOMINATORS = ("1", "c+2", "2c-1")
+
+
+def seeded_rf(rng, fractional):
+    """A small random rational function of c.
+
+    With fractional set, the coefficients are rational and the denominator
+    is sometimes a polynomial; otherwise the result is an integer polynomial.
+    """
+    while True:
+        num = ParamPoly.create("c", [F(rng.randint(-5, 5), rng.randint(1, 4) if fractional else 1)
+                                     for _ in range(rng.randint(1, 2))])
+        if not num.is_zero():
+            break
+    den = rng.choice(SEEDED_DENOMINATORS) if fractional else "1"
+    return ratfun_reduce(num, c(den))
+
+
+def seeded_class(rng, ring, fractional, density, max_degree):
+    """A random nilpotent class on surviving monomials up to max_degree."""
+    terms = {}
+    for exps in itertools.product(*(range(g.order) for g in ring.generators)):
+        if (any(exps) and ring.monomial_survives(exps)
+                and ring.monomial_degree(exps) <= max_degree
+                and rng.random() < density):
+            terms[exps] = seeded_rf(rng, fractional)
+    return NilpotentClass.create(ring, terms)
+
+
+SEEDED_RINGS = (
+    # a degree-4 generator beside an order-3 truncation
+    ring_create("c", [Generator("a", 3, 2), Generator("b", 2, 4)], {"a": 2, "b": 1}, 4),
+    # b, a*b and b^2 survive truncation but do not divide the top monomial a^2
+    ring_create("c", [Generator("a", 3, 2), Generator("b", 3, 2)], {"a": 2}, 2),
+    ring_create("c", [Generator("x", 2, 2)], {"x": 1}, 1),
+)
+CP1_FACE = ring_create("c", [Generator("h%d" % i, 2, 2) for i in range(5)],
+                       {"h%d" % i: 1 for i in range(5)}, 5)
+
+
+def seeded_component(rng, label, ring, ambient, fractional, max_degree):
+    euler = EquivariantClass(seeded_rf(rng, fractional),
+                             seeded_class(rng, ring, fractional, 0.5, max_degree))
+    bundles = tuple(
+        BundleRestriction(seeded_rf(rng, fractional),
+                          seeded_class(rng, ring, fractional, 0.5, max_degree))
+        for _ in range(2))
+    return FixedComponent(label, ring, ambient - ring.dimension, euler, bundles)
+
+
+def seeded_scenario(seed):
+    """Points and ring components mixed, two bundles.
+
+    Seeds below 4 use the small rings in ambient dimension 4 with rational
+    and polynomial denominators; seed 4 puts the (CP^1)^5 face in ambient
+    dimension 6, with linear classes of integer-polynomial coefficients.
+    """
+    rng = random.Random(9100 + seed)
+    ambient, rings, fractional, max_degree = 4, SEEDED_RINGS, True, 4
+    if seed == 4:
+        ambient, rings, fractional, max_degree = 6, (CP1_FACE,), False, 1
+    comps = [seeded_component(rng, "pt%d" % i, point_ring("c"), ambient, True, 0)
+             for i in range(rng.randint(1, 2))]
+    comps += [seeded_component(rng, "z%d" % i, ring, ambient, fractional, max_degree)
+              for i, ring in enumerate(rings)]
+    rng.shuffle(comps)
+    return LocalizationScenario("seeded-%d" % seed, "", "", "c", ambient, 2,
+                                (F(0), F(1)), tuple(comps))
+
+
+SEEDS = range(5)
 
 
 class TestPowerSums:
@@ -105,16 +184,61 @@ class TestPowerSums:
         assert power_sum(twin, 0, 5) == poly_rf("-30c+12")
         assert power_sum(twin, 1, 5) == poly_rf("30c-18")
 
-
     def test_table_matches_component_integrals(self):
-        for name in ("hultgren-c", "hultgren-c-corrupt", "cp1-coupled"):
-            scn = load(name).localization
+        scenarios = [load(name).localization
+                     for name in ("hultgren-c", "hultgren-c-corrupt", "cp1-coupled")]
+        scenarios += [seeded_scenario(seed) for seed in SEEDS]
+        for scn in scenarios:
             for alpha in range(scn.bundles):
                 for power in range(scn.dimension + 2):
                     direct = RF.const("c", 0)
                     for comp in scn.components:
                         direct = direct + component_integral(comp, alpha, power)
-                    assert power_sum(scn, alpha, power) == direct, (name, alpha, power)
+                    assert power_sum(scn, alpha, power) == direct, (
+                        scn.name, alpha, power)
+
+    def test_seeded_scenarios_cover_the_table_cases(self):
+        comps = [comp for seed in SEEDS for comp in seeded_scenario(seed).components]
+        rings = {comp.ring for comp in comps}
+        assert {len(r.generators) for r in rings} == {0, 1, 2, 5}
+        assert any(g.degree == 4 for r in rings for g in r.generators)
+        assert any(g.order == 3 for r in rings for g in r.generators)
+        assert any(not comp.euler.nilpotent.is_zero() for comp in comps)
+        places = {
+            "hamiltonian": [b.hamiltonian for comp in comps for b in comp.bundles],
+            "chern": [co for comp in comps for b in comp.bundles for _, co in b.chern.terms],
+            "euler": [comp.euler.scalar for comp in comps],
+        }
+        for place, coeffs in places.items():
+            assert any(f.den.degree() > 0 for f in coeffs), place
+            assert any(co.denominator > 1 for f in coeffs for co in f.num.coeffs), place
+        for seed in SEEDS:
+            kinds = {comp.is_point() for comp in seeded_scenario(seed).components}
+            assert kinds == {True, False}, seed
+
+    @pytest.mark.parametrize("where", ["hamiltonian", "chern", "euler", "euler-class"])
+    def test_coefficient_in_another_parameter_is_rejected(self, where):
+        scn = seeded_scenario(0)
+        comp = next(comp for comp in scn.components if comp.ring.generators)
+        foreign = RF.from_poly(ParamPoly.create("t", [1, 2]))
+        mono = comp.ring.top
+        if where == "hamiltonian":
+            bundles = (BundleRestriction(foreign, comp.bundles[0].chern),) + comp.bundles[1:]
+            comp = replace(comp, bundles=bundles)
+        elif where == "chern":
+            chern = NilpotentClass(comp.ring, ((mono, foreign),))
+            bundles = (BundleRestriction(comp.bundles[0].hamiltonian, chern),) + comp.bundles[1:]
+            comp = replace(comp, bundles=bundles)
+        elif where == "euler":
+            comp = replace(comp, euler=EquivariantClass(foreign, comp.euler.nilpotent))
+        else:
+            nil = NilpotentClass(comp.ring, ((mono, foreign),))
+            comp = replace(comp, euler=EquivariantClass(comp.euler.scalar, nil))
+        bad = replace(scn, components=(comp,) + scn.components[1:])
+        with pytest.raises(UsageError, match="mismatched parameter names"):
+            component_integral(comp, 0, 2)
+        with pytest.raises(UsageError, match="mismatched parameter names"):
+            power_sum(bad, 0, 0)
 
     def test_indices_outside_the_table_are_rejected(self, flagship):
         with pytest.raises(UsageError, match="outside the residue table"):
@@ -199,6 +323,8 @@ class TestValidation:
         assert any("degenerate Euler class" in m for m in report.messages)
         with pytest.raises(DegenerateDatumError):
             component_integral(bad.components[0], 0, 1)
+        with pytest.raises(DegenerateDatumError, match="zero scalar part"):
+            power_sum(bad, 0, 1)
 
     def test_bundle_count_mismatch(self, flagship):
         wrong = LocalizationScenario(
@@ -207,6 +333,8 @@ class TestValidation:
         report = validate_scenario(wrong)
         assert not report.ok
         assert any("restricts 2 bundles; scenario has 1" in m for m in report.messages)
+        with pytest.raises(UsageError, match="restricts 2 bundles; scenario has 1"):
+            power_sum(wrong, 0, 0)
 
     def test_empty_interval(self):
         bad = two_point_line(["1", "-1"], [["0"], ["1"]])

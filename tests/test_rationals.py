@@ -1,6 +1,7 @@
 """Exact scalar layer: rationals, parameter polynomials, rational functions."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from coupledfut import (
     ratfun_reduce,
     render_factored,
 )
-from coupledfut.rationals import MAX_EXPONENT
+from coupledfut.rationals import MAX_DEGREE, MAX_EXPONENT
 
 
 def c(text):
@@ -122,6 +123,20 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="exponent 99999999 exceeds the "
                                              "limit %d" % MAX_EXPONENT):
             parse_poly("2c^99999999+1", "c")
+
+    @pytest.mark.parametrize("text,degree", [
+        ("((c+1)^100)^100", 10000),
+        ("(c^2+1)^51", 102),
+        ("c^50*c^51", 101),
+        ("2c^60(c+1)^41", 101),
+    ])
+    def test_degree_limit(self, text, degree):
+        assert parse_poly("(c+1)^%d" % MAX_DEGREE, "c").degree() == MAX_DEGREE
+        start = time.process_time()  # CPU time: other load does not count
+        with pytest.raises(ParseError, match="degree %d exceeds the limit %d"
+                                             % (degree, MAX_DEGREE)):
+            parse_poly(text, "c")
+        assert time.process_time() - start < 0.1
 
     @pytest.mark.parametrize("text", [".", "c*.", "1+."])
     def test_rejects_a_lone_decimal_point(self, text):

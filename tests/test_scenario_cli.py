@@ -105,6 +105,9 @@ class TestScenarioFiles:
         code, out, err = run(capsys, "localize", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert "exponent 99999999 exceeds the limit" in err
+        data["components"][1]["bundles"][0]["hamiltonian"] = "((c+1)^100)^100"
+        with pytest.raises(ParseError, match=where + ".*degree 10000 exceeds the limit"):
+            scenario_from_dict(data)
 
     @pytest.mark.parametrize("site,where", [
         (("parameter", "interval", 1), r"parameter\.interval\[1\]"),
