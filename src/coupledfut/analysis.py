@@ -20,10 +20,9 @@ ambient one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import Record, UsageError
 from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
@@ -75,8 +74,7 @@ def count_roots_open(p: ParamPoly,
 # root records and isolation
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(Record):
     """One isolated root: a bracketing interval plus optional exact forms.
 
     exact is set for rational roots (then lo == hi == exact).  surd is set
@@ -301,8 +299,7 @@ def positive_on_interval(p: ParamPoly,
 # the invariant's vanishing locus
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(Record):
     """Vanishing locus of the invariant inside the validity interval."""
 
     param: str
@@ -361,8 +358,7 @@ def sample_curve(f: RationalFunction, interval: tuple[Fraction, Fraction],
     return out
 
 
-@dataclass(frozen=True)
-class SampleComparison:
+class SampleComparison(Record):
     """The two computations of the invariant at one parameter value."""
 
     at: Fraction
@@ -371,8 +367,7 @@ class SampleComparison:
     equal: bool
 
 
-@dataclass(frozen=True)
-class CrossValidationRecord:
+class CrossValidationRecord(Record):
     """Per-check outcome of the localization-versus-polytope comparison."""
 
     ok: bool

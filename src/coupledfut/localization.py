@@ -34,28 +34,25 @@ component_integral keeps the direct ring arithmetic as the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
-                     InconsistentResidueError, UsageError)
+                     InconsistentResidueError, Record, UsageError)
 from .rationals import (ParamPoly, Rational, RationalFunction, _int_primitive,
                         poly_gcd, rat, rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
 
-@dataclass(frozen=True)
-class BundleRestriction:
+class BundleRestriction(Record):
     """One bundle on one component: moment scalar and restricted Chern class."""
 
     hamiltonian: RationalFunction
     chern: NilpotentClass
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(Record):
     label: str
     ring: Ring
     codimension: int
@@ -71,8 +68,7 @@ class FixedComponent:
         return not self.ring.generators
 
 
-@dataclass(frozen=True)
-class LocalizationScenario:
+class LocalizationScenario(Record):
     """Complete fixed-point data set plus the parameter's validity interval."""
 
     name: str
@@ -301,8 +297,7 @@ def _param_poly(a: IntPoly, param: str) -> ParamPoly:
     return ParamPoly(param, tuple(Fraction(x) for x in a))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of the structural and analytic checks on a scenario."""
 
     ok: bool
@@ -364,8 +359,7 @@ def fut_localized(scn: LocalizationScenario) -> RationalFunction:
     return total.scale(Fraction(1, m + 1))
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
+class IsolatedPoint(Record):
     """One isolated fixed point: k moment values and the Jacobian determinant
     of the generating vector field at the point."""
 
@@ -374,8 +368,7 @@ class IsolatedPoint:
     jacobian: RationalFunction
 
 
-@dataclass(frozen=True)
-class IsolatedPointData:
+class IsolatedPointData(Record):
     """Fixed-point data for an action whose fixed locus is discrete."""
 
     param: str
@@ -458,8 +451,8 @@ def shift_hamiltonians(scn: LocalizationScenario,
         new_bundles = tuple(
             BundleRestriction(b.hamiltonian + consts[alpha], b.chern)
             for alpha, b in enumerate(comp.bundles))
-        new_components.append(replace(comp, bundles=new_bundles))
-    return replace(scn, components=tuple(new_components))
+        new_components.append(comp.replace(bundles=new_bundles))
+    return scn.replace(components=tuple(new_components))
 
 
 def make_point_component(param: str, label: str, ambient_dim: int,

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import GeometryError, UsageError, ValidationError
+from .errors import GeometryError, Record, UsageError, ValidationError
 from .rationals import (ParamPoly, RationalFunction, interpolate, rat,
                         rat_text, sample_values)
 
@@ -112,14 +111,12 @@ def _affine_rank(points: list[Vector]) -> int:
 # parametric and realized polytopes
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     normal: tuple[int, ...]
     offset: ParamPoly
 
 
-@dataclass(frozen=True)
-class ParamPolytope:
+class ParamPolytope(Record):
     """Intersection of half-spaces <normal_i, y> <= offset_i(parameter).
 
     The parameter-independent data (boundedness, the inverses of the square
@@ -204,8 +201,7 @@ class ParamPolytope:
         return {}
 
 
-@dataclass(frozen=True)
-class RealizedPolytope:
+class RealizedPolytope(Record, hidden=("stars",)):
     """Vertex description of one realization, with facet incidence.
 
     stars maps an incidence tuple to a star triangulation in vertex indices;
@@ -217,7 +213,7 @@ class RealizedPolytope:
     vertices: tuple[Vector, ...]
     incidence: tuple[frozenset[int], ...]
     supported: tuple[bool, ...]
-    stars: dict = field(default_factory=dict, compare=False, repr=False)
+    stars: dict
 
     def is_simple(self) -> bool:
         return all(len(inc) == self.ambient for inc in self.incidence)
@@ -442,8 +438,7 @@ def moment_curve(pp: ParamPolytope, xi: tuple[int, ...],
                   lambda rp: linear_moment(rp, xi))
 
 
-@dataclass(frozen=True)
-class ToricModel:
+class ToricModel(Record):
     """Moment polytopes of the bundles, a direction, and the ambient polytope."""
 
     param: str
@@ -489,8 +484,7 @@ def fut_toric_at(polytopes, xi: tuple[int, ...],
     return total
 
 
-@dataclass(frozen=True)
-class MinkowskiReport:
+class MinkowskiReport(Record):
     status: str  # "pass" | "fail" | "inconclusive"
     messages: tuple[str, ...]
 

@@ -14,11 +14,10 @@ both run on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .errors import ComputationError, ParseError, PoleError, UsageError
+from .errors import ComputationError, ParseError, PoleError, Record, UsageError
 
 Rational = Fraction
 
@@ -52,12 +51,15 @@ def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParamPoly:
+class ParamPoly(Record):
     """Dense univariate polynomial over Fraction in one named parameter."""
 
     param: str
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, param: str, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "param", param)  # hot: no generic init
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def create(param: str, coeffs: Iterable[int | str | Fraction]) -> "ParamPoly":
@@ -181,15 +183,27 @@ def poly_divmod(a: ParamPoly, b: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 
 
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic polynomial gcd by the Euclidean algorithm."""
+    """Monic polynomial gcd by a primitive remainder sequence over Z: each
+    pseudo-remainder is divided by its content, which keeps the coefficients
+    small where Euclid's over Fraction grow."""
     _same_param(a, b)
     if a.is_zero() and b.is_zero():
         raise ComputationError("gcd of two zero polynomials is undefined")
-    x, y = a, b
-    while not y.is_zero():
-        _, r = poly_divmod(x, y)
-        x, y = y, r
-    return x.monic()
+    x, y = (_clear_denominators(p)[1] for p in (a, b))
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        r = x  # pseudo-remainder: lead(y)^k * x reduced modulo y
+        while len(r) >= len(y):
+            q, shift = r[-1], len(r) - len(y)
+            r = [y[-1] * co for co in r]
+            for i, co in enumerate(y):
+                r[shift + i] -= q * co
+            while r and r[-1] == 0:
+                r.pop()
+        content = math.gcd(*r) or 1
+        x, y = y, [co // content for co in r]
+    return ParamPoly(a.param, tuple(Fraction(co, x[-1]) for co in x))
 
 
 def poly_text(p: ParamPoly) -> str:
@@ -212,12 +226,15 @@ def poly_text(p: ParamPoly) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     """Reduced quotient num/den with monic denominator (canonical form)."""
 
     num: ParamPoly
     den: ParamPoly
+
+    def __init__(self, num: ParamPoly, den: ParamPoly):
+        object.__setattr__(self, "num", num)  # hot: no generic init
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def const(param: str, value: int | str | Fraction) -> "RationalFunction":
@@ -399,21 +416,19 @@ def _dyadic_sign(coeffs: tuple[int, ...], k: int, j: int) -> int:
 # factored text rendering
 
 
+def _clear_denominators(p: ParamPoly) -> tuple[int, list[int]]:
+    """The common denominator L of p's coefficients and those of L p."""
+    lcm = math.lcm(*[x.denominator for x in p.coeffs])
+    return lcm, [x.numerator * (lcm // x.denominator) for x in p.coeffs]
+
+
 def _int_primitive(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
     """Write p = scale * P with P integer, content 1, positive leading coeff."""
     if p.is_zero():
         return Fraction(0), p
-    lcm = 1
-    for x in p.coeffs:
-        if x != 0:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [x * lcm for x in p.coeffs]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, int(x))
-    if ints[-1] < 0:
-        g = -g
-    prim = ParamPoly(p.param, tuple(Fraction(int(x) // g) for x in ints))
+    lcm, ints = _clear_denominators(p)
+    g = -math.gcd(*ints) if ints[-1] < 0 else math.gcd(*ints)
+    prim = ParamPoly(p.param, tuple(Fraction(x // g) for x in ints))
     return Fraction(g, lcm), prim
 
 
@@ -530,6 +545,9 @@ MAX_EXPONENT = 100
 # before the polynomial is expanded, so nested powers such as
 # "((c+1)^100)^100" fail at once instead of multiplying out
 MAX_DEGREE = 100
+# largest coefficient size in bits (_coeff_bits) of any power or product met
+# while parsing, checked the same way: "((2^100)^100)^100" fails at once
+MAX_COEFF_BITS = 1024
 
 _NORMALIZE = {
     "−": "-",  # unicode minus
@@ -610,14 +628,18 @@ class _ExprParser:
             acc = acc + rhs if kind == "+" else acc - rhs
         return acc
 
-    def check_degree(self, degree: int) -> None:
+    def check_size(self, degree: int, bits: float) -> None:
         if degree > MAX_DEGREE:
             raise ParseError("degree %d exceeds the limit %d in %r"
                              % (degree, MAX_DEGREE, self.text))
+        if bits > MAX_COEFF_BITS:
+            raise ParseError("coefficient size %d bits exceeds the limit %d in %r"
+                             % (math.ceil(bits), MAX_COEFF_BITS, self.text))
 
     def product(self, acc: ParamPoly) -> ParamPoly:
         rhs = self.factor()
-        self.check_degree(acc.degree() + rhs.degree())
+        self.check_size(acc.degree() + rhs.degree(),
+                        _coeff_bits(acc) + _coeff_bits(rhs))
         return acc * rhs
 
     def term(self) -> ParamPoly:
@@ -655,7 +677,8 @@ class _ExprParser:
             if int(val) > MAX_EXPONENT:
                 raise ParseError("exponent %s exceeds the limit %d in %r"
                                  % (val, MAX_EXPONENT, self.text))
-            self.check_degree(base.degree() * int(val))
+            self.check_size(base.degree() * int(val),
+                            _coeff_bits(base) * int(val))
             out = ParamPoly.const(self.param, 1)
             for _ in range(int(val)):
                 out = out * base
@@ -685,6 +708,15 @@ class _ExprParser:
             self.take()
             return inner
         raise ParseError("unexpected token %r in expression %r" % (val, self.text))
+
+
+def _coeff_bits(p: ParamPoly) -> float:
+    """log2 of L * |L p|_1, L the common denominator of p's coefficients.
+
+    It bounds log2 of every numerator and denominator of p, and a product's
+    is at most the sum of its factors'.  Zero counts 0."""
+    lcm, ints = _clear_denominators(p)
+    return math.log2(max(1, lcm * sum(map(abs, ints))))
 
 
 def parse_poly(text: str, param: str) -> ParamPoly:

@@ -9,11 +9,10 @@ explicitly labelled decimal renderings of isolated roots.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import CrossValidationRecord, RootReport
-from .errors import UsageError
+from .errors import Record, UsageError
 from .localization import ValidationReport
 from .rationals import RationalFunction, rat_text, render_factored
 
@@ -37,8 +36,7 @@ def csv_table(rows: list[tuple[Fraction, Fraction | None]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Result of the localization computation on one scenario."""
 
     scenario: str
@@ -111,8 +109,7 @@ def emit_obstruction(rep: ObstructionReport, fmt: str,
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ToricReport:
+class ToricReport(Record):
     """Result of the polytope-oracle computation on one scenario."""
 
     scenario: str

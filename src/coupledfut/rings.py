@@ -20,18 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
-from .errors import DegenerateDatumError, ParseError, UsageError, ValidationError
+from .errors import (DegenerateDatumError, ParseError, Record, UsageError,
+                     ValidationError)
 from .rationals import RationalFunction
 
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """Nilpotent ring generator: name, truncation order, even real degree."""
 
     name: str
@@ -39,8 +38,7 @@ class Generator:
     degree: int
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(Record):
     """Truncated polynomial ring with a distinguished top monomial."""
 
     param: str
@@ -80,8 +78,7 @@ class Ring:
         return MonomialTable(monos, index, tuple(products), pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class MonomialTable:
+class MonomialTable(Record):
     """Dense index of the monomials that divide a ring's top monomial.
 
     Only these reach the top coefficient, because a product's exponents are
@@ -89,13 +86,16 @@ class MonomialTable:
     as an array over this index therefore integrates exactly.  Index 0 is the
     unit monomial and the last index the top one.  products lists (i, j, k)
     with m_i * m_j = m_k for non-unit i and j; pairs lists (i, j) with
-    m_i * m_j = top.
+    m_i * m_j = top.  Each ring has one table, compared by identity.
     """
 
     monomials: tuple[Exponents, ...]
     index: Mapping[Exponents, int]
     products: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -151,8 +151,7 @@ def point_ring(param: str) -> Ring:
     return Ring(param, (), (), 0)
 
 
-@dataclass(frozen=True)
-class NilpotentClass:
+class NilpotentClass(Record):
     """Sum of monomials with rational-function coefficients; no constant term."""
 
     ring: Ring
@@ -280,8 +279,7 @@ def parse_monomial(ring: Ring, key: str) -> Exponents:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class EquivariantClass:
+class EquivariantClass(Record):
     """Scalar part plus nilpotent part over one ring."""
 
     scalar: RationalFunction

@@ -11,10 +11,9 @@ location; semantic problems are left to validate_scenario.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, Record
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
@@ -24,8 +23,7 @@ from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A localization data set together with its optional toric model."""
 
     localization: LocalizationScenario

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -224,17 +223,17 @@ class TestPowerSums:
         mono = comp.ring.top
         if where == "hamiltonian":
             bundles = (BundleRestriction(foreign, comp.bundles[0].chern),) + comp.bundles[1:]
-            comp = replace(comp, bundles=bundles)
+            comp = comp.replace(bundles=bundles)
         elif where == "chern":
             chern = NilpotentClass(comp.ring, ((mono, foreign),))
             bundles = (BundleRestriction(comp.bundles[0].hamiltonian, chern),) + comp.bundles[1:]
-            comp = replace(comp, bundles=bundles)
+            comp = comp.replace(bundles=bundles)
         elif where == "euler":
-            comp = replace(comp, euler=EquivariantClass(foreign, comp.euler.nilpotent))
+            comp = comp.replace(euler=EquivariantClass(foreign, comp.euler.nilpotent))
         else:
             nil = NilpotentClass(comp.ring, ((mono, foreign),))
-            comp = replace(comp, euler=EquivariantClass(comp.euler.scalar, nil))
-        bad = replace(scn, components=(comp,) + scn.components[1:])
+            comp = comp.replace(euler=EquivariantClass(comp.euler.scalar, nil))
+        bad = scn.replace(components=(comp,) + scn.components[1:])
         with pytest.raises(UsageError, match="mismatched parameter names"):
             component_integral(comp, 0, 2)
         with pytest.raises(UsageError, match="mismatched parameter names"):

@@ -24,7 +24,7 @@ from coupledfut import (
     ratfun_reduce,
     render_factored,
 )
-from coupledfut.rationals import MAX_DEGREE, MAX_EXPONENT
+from coupledfut.rationals import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT
 
 
 def c(text):
@@ -124,17 +124,22 @@ class TestParsePoly:
                                              "limit %d" % MAX_EXPONENT):
             parse_poly("2c^99999999+1", "c")
 
-    @pytest.mark.parametrize("text,degree", [
-        ("((c+1)^100)^100", 10000),
-        ("(c^2+1)^51", 102),
-        ("c^50*c^51", 101),
-        ("2c^60(c+1)^41", 101),
+    @pytest.mark.parametrize("text,message", [
+        ("((c+1)^100)^100", "degree 10000 exceeds the limit %d" % MAX_DEGREE),
+        ("(c^2+1)^51", "degree 102 exceeds the limit %d" % MAX_DEGREE),
+        ("c^50*c^51", "degree 101 exceeds the limit %d" % MAX_DEGREE),
+        ("2c^60(c+1)^41", "degree 101 exceeds the limit %d" % MAX_DEGREE),
+        ("((2^100)^100)^100", "size 10000 bits exceeds the limit %d"
+                              % MAX_COEFF_BITS),
+        ("(2^100)^11", "size 1100 bits exceeds the limit %d" % MAX_COEFF_BITS),
+        ("(2^100)^10*2^25", "size 1025 bits exceeds the limit %d"
+                            % MAX_COEFF_BITS),
     ])
-    def test_degree_limit(self, text, degree):
+    def test_degree_limit(self, text, message):
         assert parse_poly("(c+1)^%d" % MAX_DEGREE, "c").degree() == MAX_DEGREE
+        assert parse_poly("(2^100)^10", "c") == ParamPoly.const("c", 2 ** 1000)
         start = time.process_time()  # CPU time: other load does not count
-        with pytest.raises(ParseError, match="degree %d exceeds the limit %d"
-                                             % (degree, MAX_DEGREE)):
+        with pytest.raises(ParseError, match=message):
             parse_poly(text, "c")
         assert time.process_time() - start < 0.1
 
@@ -217,6 +222,45 @@ class TestPolyGcd:
                 if not p.is_zero():
                     _, rem = poly_divmod(p, g)
                     assert rem.is_zero()
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid over Fraction coefficients: the reference."""
+    x, y = a, b
+    while not y.is_zero():
+        _, r = poly_divmod(x, y)
+        x, y = y, r
+    return x.monic()
+
+
+def with_common_factor(rng, degree, common=4):
+    """Two random rational polynomials of the given degree sharing a random
+    factor of degree `common`."""
+    def exact(d):
+        return ParamPoly.create("c", [F(rng.randint(-9, 9), rng.randint(1, 9))
+                                      for _ in range(d)] + [F(rng.randint(1, 9), rng.randint(1, 9))])
+    g = exact(common)
+    return exact(degree - common) * g, exact(degree - common) * g
+
+
+class TestPolyGcdReference:
+    def test_matches_fraction_euclid_randomized(self):
+        rng = random.Random(5150)
+        pairs = [(random_poly(rng, 8), random_poly(rng, 8)) for _ in range(150)]
+        pairs += [with_common_factor(rng, d) for d in range(4, 41, 6)]
+        for a, b in pairs:
+            if a.is_zero() and b.is_zero():
+                continue
+            assert poly_gcd(a, b) == poly_gcd(b, a) == euclid_gcd(a, b)
+
+    def test_degree_44_is_fast(self):
+        a, b = with_common_factor(random.Random(44), 44)
+        start = time.process_time()  # CPU time: other load does not count
+        g = poly_gcd(a, b)
+        assert time.process_time() - start < 0.2  # Euclid over Fraction: 0.7 s
+        assert g.degree() >= 4
+        for p in (a, b):
+            assert poly_divmod(p, g)[1].is_zero()
 
 
 class TestInterpolate:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -105,9 +106,14 @@ class TestScenarioFiles:
         code, out, err = run(capsys, "localize", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert "exponent 99999999 exceeds the limit" in err
-        data["components"][1]["bundles"][0]["hamiltonian"] = "((c+1)^100)^100"
-        with pytest.raises(ParseError, match=where + ".*degree 10000 exceeds the limit"):
-            scenario_from_dict(data)
+        for text, message in (("((c+1)^100)^100", "degree 10000"),
+                              ("((2^100)^100)^100", "size 10000 bits")):
+            data["components"][1]["bundles"][0]["hamiltonian"] = text
+            start = time.process_time()  # CPU time: other load does not count
+            with pytest.raises(ParseError,
+                               match=where + ".*%s exceeds the limit" % message):
+                scenario_from_dict(data)
+            assert time.process_time() - start < 0.1
 
     @pytest.mark.parametrize("site,where", [
         (("parameter", "interval", 1), r"parameter\.interval\[1\]"),
