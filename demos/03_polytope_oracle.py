@@ -2,8 +2,8 @@
 
 Each bundle contributes a four-dimensional polytope whose facet offsets move
 affinely with the parameter.  Volumes and first moments are computed exactly
-by triangulation from realized vertices, then stitched into polynomial curves
-in c by interpolation with held-out verification.
+by triangulation from realized vertices.  The curves in c come from a
+certified chamber, measured at degree+1 abscissae and interpolated.
 """
 
 from fractions import Fraction

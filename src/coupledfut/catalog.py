@@ -137,48 +137,52 @@ def _line_scenario(name: str, description: str, bundles: int,
     }
 
 
-def _catalog_data() -> dict[str, dict]:
-    return {
-        "hultgren-c": _flagship(
-            "hultgren-c",
-            "Two coupled bundles over a four-dimensional ambient space; "
-            "the invariant vanishes at a conjugate pair of quadratic "
-            "irrationals.",
-            "-1/2", "1/2", "-1/2"),
-        "hultgren-c-true": _flagship(
-            "hultgren-c-true",
-            "Variant of hultgren-c whose scalar normal weights are doubled; "
-            "this data set cross-validates exactly against the polytope "
-            "oracle.",
-            "-1", "1", "-1/2"),
-        "hultgren-c-corrupt": _flagship(
-            "hultgren-c-corrupt",
-            "hultgren-c with one moment value deliberately corrupted; "
-            "cross-validation must reject it.",
-            "-1/2", "1/2", "-2/5"),
-        "cp1": _line_scenario(
-            "cp1",
-            "Smallest end-to-end example: one bundle, two fixed points, "
-            "vanishing invariant.",
-            1, "1", "1"),
-        "cp1-coupled": _line_scenario(
-            "cp1-coupled",
-            "Two identical bundles on the line, each carrying half the "
-            "ambient polytope.",
-            2, "1/2", "1/2"),
-    }
+# name -> a function building that entry's data, so loading one entry builds
+# no other
+_ENTRIES = {
+    "hultgren-c": lambda: _flagship(
+        "hultgren-c",
+        "Two coupled bundles over a four-dimensional ambient space; "
+        "the invariant vanishes at a conjugate pair of quadratic "
+        "irrationals.",
+        "-1/2", "1/2", "-1/2"),
+    "hultgren-c-true": lambda: _flagship(
+        "hultgren-c-true",
+        "Variant of hultgren-c whose scalar normal weights are doubled; "
+        "this data set cross-validates exactly against the polytope "
+        "oracle.",
+        "-1", "1", "-1/2"),
+    "hultgren-c-corrupt": lambda: _flagship(
+        "hultgren-c-corrupt",
+        "hultgren-c with one moment value deliberately corrupted; "
+        "cross-validation must reject it.",
+        "-1/2", "1/2", "-2/5"),
+    "cp1": lambda: _line_scenario(
+        "cp1",
+        "Smallest end-to-end example: one bundle, two fixed points, "
+        "vanishing invariant.",
+        1, "1", "1"),
+    "cp1-coupled": lambda: _line_scenario(
+        "cp1-coupled",
+        "Two identical bundles on the line, each carrying half the "
+        "ambient polytope.",
+        2, "1/2", "1/2"),
+}
+
+# the keys of _ENTRIES in sorted order, spelled out so that listing the
+# catalog builds nothing
+NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt",
+         "hultgren-c-true")
 
 
 def catalog_names() -> tuple[str, ...]:
     """Names of the built-in scenarios, in a stable order."""
-    return tuple(sorted(_catalog_data()))
+    return NAMES
 
 
 def load(name: str) -> Scenario:
     """Build one catalog scenario; unknown names raise UsageError."""
-    data = _catalog_data()
-    if name not in data:
+    if name not in _ENTRIES:
         raise UsageError("unknown catalog scenario %r; available: %s"
-                         % (name, ", ".join(sorted(data))))
-    return scenario_from_dict(data[name])
-
+                         % (name, ", ".join(NAMES)))
+    return scenario_from_dict(_ENTRIES[name]())

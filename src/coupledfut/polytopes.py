@@ -3,18 +3,24 @@
 A parametric polytope is cut out by integer facet normals with polynomial
 offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend
 on the parameter is computed once per polytope: the boundedness verdict of
-the normals and the integer inverse of every nonsingular square subsystem.
-Realizing at a rational parameter value then evaluates the offsets,
+the normals, the integer inverse of every nonsingular square subsystem, and
+the rank of the normals tight on each face, which gives the face's
+dimension.  Realizing at a rational parameter value evaluates the offsets,
 multiplies them by each inverse and keeps the feasible solutions as
 vertices, all in exact integer arithmetic; each value is realized once and
 kept on the polytope.  One pass over a recursive star triangulation gives
 the volume and the whole first-moment vector of a realization.  The
 triangulation in vertex indices depends only on the vertex-facet
 incidences, so it is reused by every realization with the same ones.
-Curves in the parameter are recovered by exact interpolation on one grid of
-sample values shared by volume and moment, with held-out verification
-points, so a chamber crossing inside the interval is detected rather than
-silently averaged over.
+
+Curves in the parameter are computed on a certified chamber, at degree+1
+abscissae.  The polytope is realized once, at the midpoint of the interval,
+and each vertex becomes a polynomial vector in the parameter.  Every slack
+of every vertex is proved identically zero or positive on the whole open
+interval, so the combinatorial type cannot change inside it; a chamber wall
+is rejected wherever it lies.  The midpoint's star triangulation is then
+measured at as many abscissae as the degree of the moment curve plus one,
+and each curve is interpolated once and kept on the polytope.
 """
 
 from __future__ import annotations
@@ -60,51 +66,54 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _cross(rows: Sequence[tuple[int, ...]]) -> list[int]:
-    """Generalized cross product of n-1 integer vectors in n dimensions.
+def _reduce(m: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination in place, pivoting in the first
+    width columns: Bareiss's exact divisions, applied above each pivot too.
 
-    Orthogonal to every row, and zero exactly when the rows are dependent.
+    Returns the pivot columns, one per leading row, and the last pivot d.
+    Each leading row then holds d in its own pivot column and 0 in the other
+    pivot columns, so a nonsingular A next to the identity ends as
+    [d I | d A^-1], with d = +-det A.
     """
-    n = len(rows) + 1
-    return [(-1) ** k * _int_det([[x for c, x in enumerate(row) if c != k]
-                                  for row in rows])
-            for k in range(n)]
-
-
-def _rank(rows: list[Sequence[Fraction | int]]) -> int:
-    """Rank, by elimination after scaling each row to integers (scaling a
-    row leaves the rank unchanged)."""
-    m = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
-    n_rows = len(m)
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, n_rows) if m[r][col]), None)
+    prev, pivots = 1, []
+    for col in range(width):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         top = m[rank]
-        for r in range(rank + 1, n_rows):
-            f = m[r][col]
-            if f:
-                row = [top[col] * a - f * b for a, b in zip(m[r], top)]
-                g = math.gcd(*row)
-                m[r] = [a // g for a in row] if g > 1 else row
-        rank += 1
-        if rank == n_rows:
+        p = top[col]
+        for r, row in enumerate(m):
+            if r != rank:
+                f = row[col]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return pivots, prev
 
 
-def _affine_rank(points: list[Vector]) -> int:
-    """Dimension of the affine hull (0 for a single point)."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return _rank(rows)
+def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
+    return len(_reduce([list(row) for row in rows], width)[0])
+
+
+def _kernel(rows: Sequence[tuple[int, ...]]) -> list[int] | None:
+    """A nonzero integer vector orthogonal to n-1 integer vectors in n
+    dimensions, their generalized cross product up to sign; None when the
+    vectors are dependent."""
+    n = len(rows) + 1
+    m = [list(row) for row in rows]
+    pivots, d = _reduce(m, n)
+    if len(pivots) < n - 1:
+        return None
+    free = next(j for j in range(n) if j not in pivots)
+    ray = [0] * n
+    ray[free] = d
+    for row, col in zip(m, pivots):
+        ray[col] = -row[free]
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +129,9 @@ class ParamPolytope(Record):
     """Intersection of half-spaces <normal_i, y> <= offset_i(parameter).
 
     The parameter-independent data (boundedness, the inverses of the square
-    subsystems), the realizations made so far and their triangulations are
-    kept on the instance, each computed on first use.
+    subsystems, the face ranks), the realizations made so far, their
+    triangulations and the certified chambers are kept on the instance, each
+    computed on first use.
     """
 
     param: str
@@ -154,13 +164,13 @@ class ParamPolytope(Record):
         """Why every realization is unbounded, or None when none is."""
         n = self.ambient
         normals = [f.normal for f in self.facets]
-        if _rank(normals) < n:
+        if _rank(normals, n) < n:
             return "normals span a proper subspace; the polytope is unbounded"
         # the recession cone { d : <normal, d> <= 0 } is pointed, so it has a
         # ray exactly when one is orthogonal to n-1 independent normals
         for rows in itertools.combinations(normals, n - 1):
-            ray = _cross(rows)
-            if not any(ray):
+            ray = _kernel(rows)
+            if ray is None:
                 continue
             for direction in (ray, [-x for x in ray]):
                 if all(sum(a * d for a, d in zip(row, direction)) <= 0
@@ -169,27 +179,38 @@ class ParamPolytope(Record):
         return None
 
     @cached_property
-    def _inverses(self) -> tuple[tuple[tuple[int, ...],
-                                       tuple[tuple[int, ...], ...], int], ...]:
-        """(subset, adjugate, determinant) for every nonsingular n-subset of
-        normals, signed so the determinant is positive: the vertex cut out by
-        the subset is adjugate . offsets / determinant."""
+    def _inverses(self) -> dict[tuple[int, ...],
+                                tuple[tuple[tuple[int, ...], ...], int]]:
+        """(adjugate, determinant) of every nonsingular n-subset of normals,
+        signed so the determinant is positive: the vertex cut out by the
+        subset is adjugate . offsets / determinant."""
         n = self.ambient
-        out = []
+        out = {}
         for subset in itertools.combinations(range(len(self.facets)), n):
             rows = [self.facets[i].normal for i in subset]
-            # column j of the adjugate is (-1)^j times the cross product of
-            # the other rows
-            columns = [[(-1) ** j * x for x in _cross(rows[:j] + rows[j + 1:])]
-                       for j in range(n)]
-            det = sum(a * b for a, b in zip(rows[0], columns[0]))
-            if det == 0:
+            if _int_det([list(row) for row in rows]) == 0:
                 continue
-            sign = 1 if det > 0 else -1
-            adjugate = tuple(tuple(sign * col[i] for col in columns)
-                             for i in range(n))
-            out.append((subset, adjugate, abs(det)))
-        return tuple(out)
+            m = [list(row) + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(rows)]
+            _, d = _reduce(m, n)
+            # d A^-1 is the adjugate of A up to the sign of d = +-det A
+            sign = 1 if d > 0 else -1
+            adjugate = tuple(tuple(sign * x for x in row[n:]) for row in m)
+            out[subset] = (adjugate, abs(d))
+        return out
+
+    @cached_property
+    def _ranks(self) -> dict[frozenset[int], int]:
+        return {}
+
+    def _face_dim(self, tight: frozenset[int]) -> int:
+        """Dimension of a nonempty face, from the facets tight at all of its
+        vertices: n minus the rank of their normals."""
+        rank = self._ranks.get(tight)
+        if rank is None:
+            rank = self._ranks[tight] = _rank(
+                [self.facets[i].normal for i in tight], self.ambient)
+        return self.ambient - rank
 
     @cached_property
     def _realizations(self) -> dict[Fraction, "RealizedPolytope"]:
@@ -200,12 +221,17 @@ class ParamPolytope(Record):
                              tuple[tuple[int, ...], ...]]:
         return {}
 
+    @cached_property
+    def _chambers(self) -> dict[tuple[Fraction, Fraction], tuple[list, dict]]:
+        """Per interval: the certified measures and the curves from them."""
+        return {}
 
-class RealizedPolytope(Record, hidden=("stars",)):
+
+class RealizedPolytope(Record, hidden=("polytope",)):
     """Vertex description of one realization, with facet incidence.
 
-    stars maps an incidence tuple to a star triangulation in vertex indices;
-    realize() hands every realization of one polytope the same dict.
+    polytope is the parametric polytope realized; its face ranks and its
+    star triangulations serve every realization of it.
     """
 
     ambient: int
@@ -213,13 +239,14 @@ class RealizedPolytope(Record, hidden=("stars",)):
     vertices: tuple[Vector, ...]
     incidence: tuple[frozenset[int], ...]
     supported: tuple[bool, ...]
-    stars: dict
+    polytope: ParamPolytope
 
     def is_simple(self) -> bool:
         return all(len(inc) == self.ambient for inc in self.incidence)
 
     def is_full_dimensional(self) -> bool:
-        return _affine_rank(list(self.vertices)) == self.ambient
+        return self.polytope._face_dim(
+            frozenset.intersection(*self.incidence)) == self.ambient
 
     def signature(self) -> frozenset[frozenset[int]]:
         """Vertex-facet incidence pattern, independent of vertex order."""
@@ -227,22 +254,12 @@ class RealizedPolytope(Record, hidden=("stars",)):
 
     @cached_property
     def measures(self) -> tuple[Fraction, Vector]:
-        """Volume and moment vector (the integral of y) in one pass.
-
-        The star triangulation about the barycenter is taken in vertex
-        indices from stars when a realization with the same incidences was
-        triangulated before: the incidences fix the face lattice, and with it
-        the triangulation.  The barycenter is this realization's own.
-        """
-        n = self.ambient
+        """Volume and moment vector (the integral of y) in one pass, over the
+        star triangulation from the first vertex."""
         if not self.is_full_dimensional():
-            return Fraction(0), (Fraction(0),) * n
-        points = list(self.vertices) + [_barycenter(self)]
-        star = self.stars.get(self.incidence)
-        if star is None:
-            star = _indexed(points, triangulate(self, points[-1]))
-            self.stars[self.incidence] = star
-        return _measure(n, points, star)
+            return Fraction(0), (Fraction(0),) * self.ambient
+        return _measure(self.ambient, *_integer_points(self.vertices),
+                        _star(self))
 
 
 def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
@@ -265,7 +282,7 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
     normals = [f.normal for f in pp.facets]
     found: dict[Vector, frozenset[int]] = {}
-    for subset, adjugate, det in pp._inverses:
+    for subset, (adjugate, det) in pp._inverses.items():
         sub = [rhs[i] for i in subset]
         # the candidate vertex is y / (det * scale)
         y = [sum(a * b for a, b in zip(row, sub)) for row in adjugate]
@@ -288,10 +305,11 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     incidence = tuple(found[v] for v in vertices)
     supported = []
     for i in range(len(normals)):
-        face = [v for v, inc in zip(vertices, incidence) if i in inc]
-        supported.append(bool(face) and _affine_rank(face) == n - 1)
+        face = [inc for inc in incidence if i in inc]
+        supported.append(bool(face) and pp._face_dim(
+            frozenset.intersection(*face)) == n - 1)
     rp = RealizedPolytope(n, value, tuple(vertices), incidence,
-                          tuple(supported), pp._stars)
+                          tuple(supported), pp)
     pp._realizations[value] = rp
     return rp
 
@@ -300,101 +318,105 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
 # volume and first moments by recursive star triangulation
 
 
-def _face_simplices(vertices: list[Vector], active: frozenset[int],
-                    incidence: dict[Vector, frozenset[int]],
-                    facet_count: int, dim: int) -> list[list[Vector]]:
-    """Triangulate one face of dimension dim into dim-simplices."""
+def _face_simplices(rp: RealizedPolytope, anchor: int, face: tuple[int, ...],
+                    tight: frozenset[int], dim: int) -> list[tuple[int, ...]]:
+    """Triangulate one face into dim-simplices coned from its vertex anchor.
+
+    The face is given by its vertex indices in ascending order and the
+    facets tight at all of them; dim is its dimension.  Its own facets are
+    coned from their first vertices in turn.
+    """
     if dim == 0:
-        return [[vertices[0]]]
-    anchor = min(vertices)
-    simplices: list[list[Vector]] = []
-    seen: set[frozenset[Vector]] = set()
-    for g in range(facet_count):
-        if g in active:
+        return [(anchor,)]
+    incidence = rp.incidence
+    simplices: list[tuple[int, ...]] = []
+    done = set(tight)
+    for g in range(len(rp.supported)):
+        if g in done:
             continue
-        sub = [v for v in vertices if g in incidence[v]]
+        sub = tuple(v for v in face if g in incidence[v])
+        # the cone from the anchor over a facet through it is flat
         if not sub or anchor in sub:
             continue
-        key = frozenset(sub)
-        if key in seen:
+        sub_tight = frozenset.intersection(*(incidence[v] for v in sub))
+        if rp.polytope._face_dim(sub_tight) != dim - 1:
             continue
-        seen.add(key)
-        if _affine_rank(sub) != dim - 1:
-            continue
-        for s in _face_simplices(sub, active | {g}, incidence,
-                                 facet_count, dim - 1):
-            simplices.append([anchor] + s)
+        # every facet tight on this facet of the face, a facet listed twice
+        # among them, cuts out the same one
+        done |= sub_tight
+        for s in _face_simplices(rp, sub[0], sub, sub_tight, dim - 1):
+            simplices.append((anchor,) + s)
     return simplices
 
 
-def _barycenter(rp: RealizedPolytope) -> Vector:
-    k = len(rp.vertices)
-    return tuple(sum(v[i] for v in rp.vertices) / k for i in range(rp.ambient))
+def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
+    """Star triangulation from one vertex into full-dimensional simplices.
 
-
-def triangulate(rp: RealizedPolytope,
-                apex: Vector | None = None) -> list[list[Vector]]:
-    """Star triangulation into full-dimensional simplices.
-
-    The default apex is the barycenter of the vertex set; any other point,
-    in particular any vertex, yields the same volume and moments.
+    Each simplex lists n+1 indices into rp.vertices: the apex, then one
+    vertex per face dimension, so the simplices depend only on the
+    incidences.  Every vertex as apex yields the same volume and moments;
+    the default is the first.
     """
-    n = rp.ambient
-    if apex is None:
-        apex = _barycenter(rp)
-    incidence = {v: inc for v, inc in zip(rp.vertices, rp.incidence)}
-    facet_count = max((max(inc) for inc in rp.incidence if inc), default=-1) + 1
-    simplices: list[list[Vector]] = []
-    for f in range(facet_count):
-        face = [v for v in rp.vertices if f in incidence[v]]
-        if not face or _affine_rank(face) != n - 1:
-            continue
-        if apex in face:
-            continue
-        for s in _face_simplices(face, frozenset([f]), incidence,
-                                 facet_count, n - 1):
-            simplices.append([apex] + s)
-    return simplices
+    return _face_simplices(rp, apex, tuple(range(len(rp.vertices))),
+                           frozenset.intersection(*rp.incidence), rp.ambient)
 
 
-def _indexed(points: list[Vector],
-             simplices: list[list[Vector]]) -> tuple[tuple[int, ...], ...]:
-    index = {v: i for i, v in enumerate(points)}
-    return tuple(tuple(index[v] for v in s) for s in simplices)
+def _star(rp: RealizedPolytope) -> tuple[tuple[int, ...], ...]:
+    """The star triangulation from the first vertex, shared by every
+    realization of the polytope with the same incidences: the incidences fix
+    the face lattice, and with it the triangulation."""
+    stars = rp.polytope._stars
+    star = stars.get(rp.incidence)
+    if star is None:
+        star = stars[rp.incidence] = tuple(triangulate(rp))
+    return star
 
 
-def _measure(n: int, points: list[Vector],
-             simplices: tuple[tuple[int, ...], ...]) -> tuple[Fraction, Vector]:
-    """Volume and moment vector of n-simplices with disjoint interiors, each
-    given by n+1 indices into points.  Determinants are taken on the points
-    scaled to integers."""
-    scale = math.lcm(*(x.denominator for p in points for x in p))
-    ints = [[x.numerator * (scale // x.denominator) for x in p] for p in points]
+def _integer_points(points: Sequence[Vector]) -> tuple[list[list[int]], int]:
+    """Integer numerators of the points over their common denominator."""
+    denom = math.lcm(*(x.denominator for p in points for x in p))
+    return [[x.numerator * (denom // x.denominator) for x in p]
+            for p in points], denom
+
+
+def _measure(n: int, points: list[list[int]], denom: int,
+             simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, Vector]:
+    """Volume and moment vector of n-simplices with disjoint interiors, coned
+    from one apex: each is n+1 indices into points, the apex first.  Points
+    are the integer numerators of the coordinates over the common
+    denominator denom."""
+    if not simplices:
+        return Fraction(0), (Fraction(0),) * n
+    apex = points[simplices[0][0]]
+    rays = [[x - a for x, a in zip(p, apex)] for p in points]
     total = 0
-    moment = [0] * n
+    # the moment of a simplex is its volume times the sum of its vertices
+    # over n+1, so each point collects the determinants of its simplices
+    weight = [0] * len(points)
     for s in simplices:
-        base = ints[s[0]]
-        det = abs(_int_det([[x - b for x, b in zip(ints[i], base)]
-                            for i in s[1:]]))
+        det = abs(_int_det([rays[i][:] for i in s[1:]]))
         total += det
-        for j in range(n):
-            moment[j] += det * sum(ints[i][j] for i in s)
-    denom = math.factorial(n) * scale ** n
-    return (Fraction(total, denom),
-            tuple(Fraction(m, denom * (n + 1) * scale) for m in moment))
+        for i in s:
+            weight[i] += det
+    moment = [sum(w * x for w, x in zip(weight, col)) for col in zip(*points)]
+    scale = math.factorial(n) * denom ** n
+    return (Fraction(total, scale),
+            tuple(Fraction(m, scale * (n + 1) * denom) for m in moment))
 
 
 def _measures(rp: RealizedPolytope,
               apex: Vector | None) -> tuple[Fraction, Vector]:
     if apex is None or not rp.is_full_dimensional():
         return rp.measures
-    points = list(rp.vertices) + [apex]
-    return _measure(rp.ambient, points,
-                    _indexed(points, triangulate(rp, apex)))
+    if apex not in rp.vertices:
+        raise UsageError("the apex must be a vertex of the realization")
+    return _measure(rp.ambient, *_integer_points(rp.vertices),
+                    triangulate(rp, rp.vertices.index(apex)))
 
 
 def volume(rp: RealizedPolytope, apex: Vector | None = None) -> Fraction:
-    """Exact Euclidean volume."""
+    """Exact Euclidean volume, from the star triangulation about the apex
+    (a vertex; by default the first)."""
     return _measures(rp, apex)[0]
 
 
@@ -408,34 +430,115 @@ def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
-# parameter curves by interpolation with held-out verification
+# parameter curves on a certified chamber
 
 
-def _curve(pp: ParamPolytope, interval: tuple[Fraction, Fraction],
-           degree: int, measure) -> ParamPoly:
-    # volume and moment curves share this grid, so they share realizations
-    data = [(x, measure(realize(pp, x)))
-            for x in sample_values(interval, pp.ambient + 4)]
-    poly = interpolate(pp.param, data[:degree + 1])
-    for x, y in data[degree + 1:]:
-        if poly.eval(x) != y:
-            raise GeometryError(
-                "measurements on the interval do not lie on one polynomial; "
-                "the combinatorial type changes inside it")
-    return poly
+def _chamber_curve(pp: ParamPolytope, interval: tuple[Fraction, Fraction],
+                   xi: tuple[int, ...] | None) -> ParamPoly:
+    """The volume curve (xi None) or the moment curve along xi.
+
+    The chamber of the interval is certified and measured once per polytope,
+    and each curve is interpolated once; both are kept on the polytope.
+    """
+    key = (interval[0], interval[1])
+    chamber = pp._chambers.get(key)
+    if chamber is None:
+        chamber = pp._chambers[key] = (_certified_samples(pp, key), {})
+    samples, curves = chamber
+    curve = curves.get(xi)
+    if curve is None:
+        data = [(x, vol if xi is None else
+                 sum((m * a for m, a in zip(mom, xi)), Fraction(0)))
+                for x, (vol, mom) in samples]
+        curve = curves[xi] = interpolate(pp.param, data)
+    return curve
+
+
+def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
+                       ) -> list[tuple[Fraction, tuple[Fraction, Vector]]]:
+    """Measures of the polytope at (n+1)*d+1 abscissae, d the largest offset
+    degree, after certifying the midpoint's type on the open interval.
+
+    Each vertex of the midpoint realization is adjugate . offsets(c) /
+    determinant over one basis of its tight facets, a vector of polynomials
+    of degree at most d; the volume then has degree at most n*d and the
+    moment at most (n+1)*d.  The type holds on the interval exactly when
+    every slack offset_i(c) - <normal_i, vertex(c)> is identically zero for
+    the facets tight at the midpoint and positive for the others: every
+    edge at such a vertex then ends at another of them, so no vertex
+    appears or disappears.
+    """
+    lo, hi = interval
+    rp = realize(pp, (lo + hi) / 2)
+    n = pp.ambient
+    degree = max(0, max(f.offset.degree() for f in pp.facets))
+    # offset_i(c) = sum_k offsets[i][k] c^k / q, integers
+    q = math.lcm(*(x.denominator for f in pp.facets for x in f.offset.coeffs))
+    offsets = [[x.numerator * (q // x.denominator) for x in f.offset.coeffs]
+               + [0] * (degree + 1 - len(f.offset.coeffs)) for f in pp.facets]
+    formulas = []
+    for tight in rp.incidence:
+        subset = next(s for s in itertools.combinations(sorted(tight), n)
+                      if s in pp._inverses)
+        adjugate, det = pp._inverses[subset]
+        # the vertex is sum_k vertex[r][k] c^k / (det * q) in coordinate r
+        vertex = [[sum(a * offsets[i][k] for a, i in zip(row, subset))
+                   for k in range(degree + 1)] for row in adjugate]
+        for i, f in enumerate(pp.facets):
+            slack = [det * b - sum(a * v[k] for a, v in zip(f.normal, vertex))
+                     for k, b in enumerate(offsets[i])]
+            if (any(slack) if i in tight
+                    else not _positive_inside(slack, interval, pp.param)):
+                raise GeometryError(
+                    "facet %d meets the vertices of the realization at %s = "
+                    "%s differently elsewhere on the interval; the "
+                    "combinatorial type changes inside it"
+                    % (i, pp.param, rat_text(rp.value)))
+        formulas.append((vertex, det))
+    star = _star(rp) if rp.is_full_dimensional() else ()
+    common = math.lcm(*(det for _, det in formulas))
+    scaled = [[[a * (common // det) for a in coord] for coord in vertex]
+              for vertex, det in formulas]
+    samples = []
+    for x in sample_values(interval, (n + 1) * degree + 1):
+        num, den = x.numerator, x.denominator
+        powers = [num ** k * den ** (degree - k) for k in range(degree + 1)]
+        points = [[sum(a * w for a, w in zip(coord, powers)) for coord in v]
+                  for v in scaled]
+        samples.append((x, _measure(n, points, common * q * den ** degree,
+                                    star)))
+    return samples
+
+
+def _positive_inside(slack: list[int], interval: tuple[Fraction, Fraction],
+                     param: str) -> bool:
+    """Whether a polynomial (integer coefficients, ascending), known to be
+    positive at the midpoint, is positive on the whole open interval."""
+    while slack and slack[-1] == 0:
+        slack.pop()
+    if len(slack) <= 2:
+        # a line positive at the midpoint is positive inside exactly when
+        # it is not negative at either end
+        return all(slack[0] * x.denominator
+                   + (slack[1] * x.numerator if len(slack) == 2 else 0) >= 0
+                   for x in interval)
+    from .analysis import positive_on_interval  # deferred: analysis builds on this module
+    return positive_on_interval(
+        ParamPoly(param, tuple(Fraction(a) for a in slack)), interval)
 
 
 def volume_curve(pp: ParamPolytope,
                  interval: tuple[Fraction, Fraction]) -> ParamPoly:
     """Euclidean volume as a polynomial in the parameter over the interval."""
-    return _curve(pp, interval, pp.ambient, volume)
+    return _chamber_curve(pp, interval, None)
 
 
 def moment_curve(pp: ParamPolytope, xi: tuple[int, ...],
                  interval: tuple[Fraction, Fraction]) -> ParamPoly:
     """First moment along xi as a polynomial in the parameter."""
-    return _curve(pp, interval, pp.ambient + 1,
-                  lambda rp: linear_moment(rp, xi))
+    if len(xi) != pp.ambient:
+        raise UsageError("direction has wrong length")
+    return _chamber_curve(pp, interval, tuple(xi))
 
 
 class ToricModel(Record):

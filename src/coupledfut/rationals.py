@@ -507,23 +507,26 @@ def _render_factor_product(factors: list[ParamPoly]) -> str:
 
 def interpolate(param: str,
                 points: Sequence[tuple[Fraction, Fraction]]) -> ParamPoly:
-    """Exact Lagrange interpolation through distinct abscissae."""
+    """Exact interpolation through distinct abscissae, in Newton form: the
+    divided differences, then the nested form expanded from the inside out,
+    O(k^2) operations on k points."""
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise UsageError("repeated abscissa in interpolation data")
-    total = ParamPoly.zero(param)
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = ParamPoly.const(param, 1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * ParamPoly.create(param, [-xj, 1])
-            denom *= xi - xj
-        total = total + basis.scale(yi / denom)
-    return total
+    diffs = [Fraction(y) for _, y in points]
+    k = len(points)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    # c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...))
+    coeffs: list[Fraction] = []
+    for i in range(k - 1, -1, -1):
+        shifted = [Fraction(0)] + coeffs
+        for t, a in enumerate(coeffs):
+            shifted[t] -= xs[i] * a
+        shifted[0] += diffs[i]
+        coeffs = shifted
+    return ParamPoly(param, _trim(coeffs))
 
 
 def sample_values(interval: tuple[Fraction, Fraction],

@@ -319,7 +319,7 @@ class TestCrossValidate:
 
             return wrapper
 
-        cleared, requested, built, triangulated = [], [], [], []
+        cleared, requested, built, triangulated, interpolated = [], [], [], [], []
         monkeypatch.setattr(
             localization,
             "_component_residues",
@@ -341,13 +341,30 @@ class TestCrossValidate:
             "triangulate",
             counting(polytopes, "triangulate", triangulated, lambda a, r: a[0]),
         )
+        monkeypatch.setattr(
+            polytopes,
+            "interpolate",
+            counting(polytopes, "interpolate", interpolated, lambda a, r: r),
+        )
         record = cross_validate(scn.localization, scn.toric, 5)
         assert record.ok
         assert sorted(cleared) == sorted(
             comp.label for comp in scn.localization.components)
+        # vertices are enumerated at the midpoint and at the samples only
+        lo, hi = scn.localization.interval
+        mid = (lo + hi) / 2
+        xs = set(sample_values(scn.localization.interval, 5)) | {mid}
+        model = scn.toric
+        assert sorted((id(rp.polytope), rp.value) for rp in built) == sorted(
+            [(id(pp), x) for pp in model.polytopes for x in xs]
+            + [(id(model.anticanonical), mid)])
         assert len(built) == len(set(requested)) < len(requested)
-        patterns = {(id(rp.stars), rp.incidence) for rp in triangulated}
-        assert len(triangulated) == len(patterns) < len(built)
+        # one volume and one moment curve per polytope, each interpolated once
+        assert len(interpolated) == 2 * len(model.polytopes)
+        # one star per incidence pattern, and at least one per polytope
+        patterns = {(id(rp.polytope), rp.incidence) for rp in triangulated}
+        assert len(model.polytopes) <= len(triangulated) == len(patterns)
+        assert len(triangulated) < len(built)
 
     def test_sample_outside_interval_rejected(self):
         scn = load("hultgren-c")

@@ -18,6 +18,7 @@ from coupledfut import (
     load,
     minkowski_check,
     moment_curve,
+    ParamPoly,
     parse_poly,
     realize,
     triangulate,
@@ -168,6 +169,24 @@ class TestCurves:
         with pytest.raises(GeometryError, match="combinatorial type changes"):
             volume_curve(kink, (F(0), F(1)))
 
+    def test_quadratic_offsets_keep_one_chamber(self):
+        # the square [-c^2, 1]^2 never changes type; its volume has degree 4
+        square = ParamPolytope.create(
+            "c", 2, [((1, 0), c("1")), ((-1, 0), c("c^2")),
+                     ((0, 1), c("1")), ((0, -1), c("c^2"))]
+        )
+        assert volume_curve(square, INTERVAL) == c("(1+c^2)^2")
+        assert moment_curve(square, (1, 0), INTERVAL) == c("(1-c^4)(1+c^2)/2")
+
+    def test_wall_past_every_sample_is_refused(self):
+        # on (0, 1) the facet y <= 9/10 starts to cut [0, c] at c = 9/10
+        clipped = ParamPolytope.create(
+            "c", 1, [((-1,), c("0")), ((1,), c("c")), ((1,), c("9/10"))]
+        )
+        with pytest.raises(GeometryError, match="combinatorial type changes"):
+            volume_curve(clipped, (F(0), F(1)))
+        assert volume_curve(clipped, (F(0), F(9, 10))) == c("c")
+
     def test_curves_match_pointwise_measures(self, model):
         rng = random.Random(8118)
         pp = model.polytopes[1]
@@ -178,6 +197,73 @@ class TestCurves:
             rp = realize(pp, x)
             assert vol.eval(x) == volume(rp)
             assert mom.eval(x) == linear_moment(rp, (0, 0, 0, 1))
+
+
+def positive_poly(rng, degree):
+    """A polynomial with positive coefficients, so positive for c > 0."""
+    return ParamPoly.create(
+        "c", [F(rng.randint(1, 6), rng.randint(1, 4))]
+        + [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(degree)]
+    )
+
+
+class TestCertifiedCurves:
+    def test_curves_match_fresh_realizations(self):
+        rng = random.Random(4477)
+        for trial in range(12):
+            dim = rng.randint(1, 5)
+            degree = 1 + trial % 2
+            facets = []
+            if trial % 4 < 2:  # a box around the origin
+                for i in range(dim):
+                    e = tuple(int(j == i) for j in range(dim))
+                    facets.append((e, positive_poly(rng, degree)))
+                    facets.append((tuple(-x for x in e), positive_poly(rng, degree)))
+            else:  # a simplex around the origin
+                for i in range(dim):
+                    e = tuple(-int(j == i) for j in range(dim))
+                    facets.append((e, positive_poly(rng, degree)))
+                facets.append(((1,) * dim, positive_poly(rng, degree)))
+            pp = ParamPolytope.create("c", dim, facets)
+            xi = tuple(rng.randint(-3, 3) for _ in range(dim))
+            vol = volume_curve(pp, INTERVAL)
+            mom = moment_curve(pp, xi, INTERVAL)
+            assert vol.degree() == dim * degree
+            fresh = ParamPolytope.create("c", dim, facets)
+            for _ in range(20):
+                x = F(rng.randint(2501, 7499), 10000)
+                rp = realize(fresh, x)
+                assert vol.eval(x) == volume(rp)
+                assert mom.eval(x) == linear_moment(rp, xi)
+
+    def test_each_curve_is_interpolated_once(self, monkeypatch):
+        from coupledfut import polytopes
+
+        calls = []
+        original = polytopes.interpolate
+        monkeypatch.setattr(polytopes, "interpolate",
+                            lambda *a: calls.append(a) or original(*a))
+        pp = ParamPolytope.create(
+            "c", 3, [(e, c("1")) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            + [(e, c("c")) for e in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))]
+        )
+        for _ in range(2):
+            volume_curve(pp, INTERVAL)
+            moment_curve(pp, (1, 0, 0), INTERVAL)
+            moment_curve(pp, (0, 1, 0), INTERVAL)
+        assert len(calls) == 3
+        # 4d+1 abscissae fix the moment curve of degree (n+1)d, d = 1
+        assert [len(points) for _, points in calls] == [5, 5, 5]
+
+    def test_duplicated_facet_bounds_the_polytope_once(self):
+        square = ParamPolytope.create(
+            "c", 2, [((1, 0), c("1")), ((1, 0), c("1")), ((-1, 0), c("c")),
+                     ((0, 1), c("1")), ((0, -1), c("0"))]
+        )
+        rp = realize(square, F(1, 2))
+        assert volume(rp) == F(3, 2)
+        assert linear_moment(rp, (1, 0)) == F(3, 8)
+        assert volume_curve(square, INTERVAL) == c("1+c")
 
 
 class TestToricInvariant:
@@ -303,11 +389,14 @@ class TestCachedRealizations:
             for pw, pf in zip(warm.polytopes, fresh.polytopes):
                 rw, rf = realize(pw, x), realize(pf, x)
                 assert rw == rf
-                reused += rw.incidence in rw.stars
+                reused += rw.incidence in rw.polytope._stars
                 assert volume(rw) == volume(rf)
                 for xi in directions:
                     assert linear_moment(rw, xi) == linear_moment(rf, xi)
-                vol, mom = simplex_sums(triangulate(rw), 4)
+                center = tuple(sum(col) / len(rw.vertices) for col in zip(*rw.vertices))
+                points = rw.vertices + (center,)
+                vol, mom = simplex_sums(
+                    [[points[i] for i in s] for s in triangulate(rw)], 4)
                 assert volume(rw) == vol
                 for xi in directions:
                     assert linear_moment(rw, xi) == sum(m * a for m, a in zip(mom, xi))

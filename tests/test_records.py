@@ -4,11 +4,12 @@ import pytest
 
 import coupledfut  # noqa: F401  defines every record class
 from coupledfut.errors import Record
-from coupledfut.polytopes import RealizedPolytope
+from coupledfut.polytopes import ParamPolytope, RealizedPolytope
+from coupledfut.rationals import ParamPoly
 from coupledfut.rings import MonomialTable
 
 RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
-HIDDEN = {RealizedPolytope: ("stars",)}
+HIDDEN = {RealizedPolytope: ("polytope",)}
 
 
 def test_every_value_class_is_a_record():
@@ -63,10 +64,14 @@ def test_monomial_table_compares_by_identity():
     assert hash(table) == object.__hash__(table)
 
 
-def test_stars_are_left_out_of_equality():
-    a = RealizedPolytope(1, 0, (), (), (), {})
-    b = RealizedPolytope(1, 0, (), (), (), {(): ((0,),)})
+def test_source_polytope_is_left_out_of_equality():
+    def segment(hi):
+        return ParamPolytope.create("c", 1, [((1,), ParamPoly.const("c", hi)),
+                                             ((-1,), ParamPoly.const("c", 0))])
+
+    a = RealizedPolytope(1, 0, (), (), (), segment(1))
+    b = RealizedPolytope(1, 0, (), (), (), segment(2))
     assert a == b
     assert hash(a) == hash(b)
-    assert "stars" not in repr(b)
-    assert b.stars == {(): ((0,),)}
+    assert "polytope" not in repr(b)
+    assert b.polytope == segment(2)

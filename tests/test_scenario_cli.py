@@ -41,6 +41,28 @@ class TestScenarioFiles:
     def test_catalog_listing(self):
         assert catalog_names() == ALL_NAMES
 
+    def test_catalog_names_are_the_data_keys(self):
+        from coupledfut import catalog
+
+        assert catalog.NAMES == tuple(sorted(catalog._ENTRIES))
+
+    def test_load_builds_only_the_requested_entry(self, monkeypatch):
+        from coupledfut import catalog
+
+        built = []
+        for builder in ("_flagship", "_line_scenario"):
+            original = getattr(catalog, builder)
+
+            def counting(name, *args, original=original):
+                built.append(name)
+                return original(name, *args)
+
+            monkeypatch.setattr(catalog, builder, counting)
+        for name in ALL_NAMES:
+            assert load(name).localization.name == name
+        catalog_names()
+        assert built == list(ALL_NAMES)
+
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_round_trip_preserves_the_scenario(self, name):
         scn = load(name)
@@ -215,6 +237,22 @@ class TestCliToric:
         )
         assert code == 0
         assert "invariant: 3(112c^2-112c+23)/((56c-3)(56c-53))" in out
+
+    def test_chamber_wall_past_the_last_sample_exits_4(self, capsys, tmp_path):
+        # on (0, 1) the facet y <= 9/10 starts to cut the segment [0, c] at
+        # c = 9/10, beyond every abscissa a curve needs
+        data = scenario_to_dict(load("cp1"))
+        data["toric"]["polytopes"][0]["facets"] = [
+            {"normal": [-1], "offset": "0"},
+            {"normal": [1], "offset": "c"},
+            {"normal": [1], "offset": "9/10"},
+        ]
+        path = tmp_path / "wall.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "toric", "--scenario", str(path))
+        assert code == 4
+        assert out == ""
+        assert "the combinatorial type changes inside it" in err
 
 
 class TestCliRoots:
