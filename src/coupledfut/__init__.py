@@ -4,9 +4,8 @@ against an independent moment-polytope oracle.
 """
 
 from .analysis import (CrossValidationRecord, RootRecord, RootReport,
-                       SampleComparison, count_roots_open, cross_validate,
-                       fut_roots, isolate_roots, positive_on_interval,
-                       sample_curve, squarefree_part, sturm_chain)
+                       SampleComparison, cross_validate, fut_roots,
+                       isolate_roots, sample_curve)
 from .catalog import catalog_names, load
 from .errors import (ComputationError, CrossValidationError,
                      DegenerateDatumError, EngineError, GeometryError,
@@ -25,10 +24,11 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
                         fut_toric_at, linear_moment, minkowski_check,
                         moment_curve, realize, triangulate, volume,
                         volume_curve)
-from .rationals import (ParamPoly, Rational, RationalFunction, interpolate,
-                        parse_poly, poly_divmod, poly_gcd, poly_text, rat,
+from .rationals import (ParamPoly, Rational, RationalFunction,
+                        count_roots_open, interpolate, parse_poly, poly_divmod,
+                        poly_gcd, poly_text, positive_on_interval, rat,
                         rat_text, ratfun_eval, ratfun_reduce, render_factored,
-                        sample_values)
+                        sample_values, squarefree_part, sturm_chain)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, monomial_text,
                     parse_monomial, point_ring, ring_create)

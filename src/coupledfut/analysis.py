@@ -10,7 +10,8 @@ counts split the brackets until each holds one root, and a sign test per
 halving then refines it to the requested width.  Degree-two factors
 additionally get closed-form surd descriptors (p + q*sqrt(D))/r, with square
 factors pulled out of D by bounded trial division only, so a very large D
-may be left unreduced.
+may be left unreduced.  Root counting and the positivity test live in the
+rationals module, on the same kernel; the irrational-pole check counts there.
 Cross-validation plays the localization engine against the polytope oracle:
 per-bundle volumes must agree up to the dimension factorial, the invariants
 must agree as rational functions, and the bundle polytopes must sum to the
@@ -28,46 +29,17 @@ from .localization import (LocalizationScenario, ValidationReport,
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
 from .rationals import (ParamPoly, RationalFunction, UnitKernel,
-                        _rational_root_factors, poly_divmod, poly_gcd, rat,
-                        rat_text, ratfun_eval, sample_values, squarefree_part,
-                        sturm_chain)
+                        _rational_root_factors, _root_multiplicity,
+                        count_roots_open, poly_gcd, rat, rat_text,
+                        ratfun_eval, sample_values, squarefree_part)
+# bound here too: perfbench/layertrace.py looks these up on this module
+from .rationals import positive_on_interval, sturm_chain  # noqa: F401
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 DECIMAL_DIGITS = 18
 # square factors f^2 of a quadratic's discriminant are divided out for f up
 # to this bound, so every discriminant below 10^12 is reduced completely
 SURD_SQUARE_FACTOR_LIMIT = 10 ** 6
-
-
-# ---------------------------------------------------------------------------
-# Sturm machinery
-
-
-def _sign_changes(chain: list[ParamPoly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q.eval(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_open(p: ParamPoly,
-                     interval: tuple[Fraction, Fraction]) -> int:
-    """Number of distinct real roots strictly inside the interval."""
-    lo, hi = interval
-    if not lo < hi:
-        raise UsageError("empty interval")
-    s = squarefree_part(p)
-    if s.degree() < 1:
-        return 0
-    # endpoint roots are outside the open interval; divide them away
-    for endpoint in (lo, hi):
-        if s.eval(endpoint) == 0:
-            lin = ParamPoly.create(s.param, [-endpoint, 1])
-            s, _ = poly_divmod(s, lin)
-    chain = sturm_chain(s)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -94,12 +66,12 @@ class RootRecord(Record):
         return (self.lo + self.hi) / 2
 
 
-def _decimal_of_fraction(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    scaled = x * 10 ** digits
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled - n) >= 1:
-        n += 1
-    return _format_scaled(n, digits)
+def _decimal_of_fraction(x: Fraction) -> str:
+    """x rounded half up to DECIMAL_DIGITS places."""
+    scaled = x * 10 ** DECIMAL_DIGITS
+    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    whole, frac = divmod(abs(n), 10 ** DECIMAL_DIGITS)
+    return "%s%d.%0*d" % ("-" if n < 0 else "", whole, DECIMAL_DIGITS, frac)
 
 
 def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
@@ -114,13 +86,6 @@ def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
         if low == _decimal_of_fraction(kernel.point(k + 1, j)):
             return low
         k, j = _refine(kernel, k, j, j + 1)
-
-
-def _format_scaled(n: int, digits: int) -> str:
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    whole, frac = divmod(n, 10 ** digits)
-    return "%s%d.%0*d" % (sign, whole, digits, frac)
 
 
 def _surd_value_vs(p: int, q: int, d: int, r: int, x: Fraction) -> int:
@@ -164,17 +129,6 @@ def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
     g = math.gcd(math.gcd(abs(p), q_mag), r)
     p, q_mag, r = p // g, q_mag // g, r // g
     return [(p, -q_mag, core, r), (p, q_mag, core, r)]
-
-
-def _multiplicity_rational(p: ParamPoly, root: Fraction) -> int:
-    lin = ParamPoly.create(p.param, [-root, 1])
-    mult = 0
-    while True:
-        q, r = poly_divmod(p, lin)
-        if not r.is_zero():
-            return mult
-        mult += 1
-        p = q
 
 
 def _multiplicity_bracket(p: ParamPoly, rest: ParamPoly, a: Fraction,
@@ -244,7 +198,7 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
         if lo < root < hi:
             records.append(RootRecord(root, root, root, None,
                                       _decimal_of_fraction(root),
-                                      _multiplicity_rational(p, root)))
+                                      _root_multiplicity(p, root)))
     exact = list(records)
     if rest.degree() >= 1:
         kernel = UnitKernel(rest, lo, hi)
@@ -282,17 +236,6 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
             stack.append((2 * k + 1, j + 1))
     records.sort(key=lambda rec: rec.lo)
     return tuple(records)
-
-
-def positive_on_interval(p: ParamPoly,
-                         interval: tuple[Fraction, Fraction]) -> bool:
-    """True when p > 0 on the whole open interval."""
-    if p.is_zero():
-        return False
-    if count_roots_open(p, interval) > 0:
-        return False
-    mid = (interval[0] + interval[1]) / 2
-    return p.eval(mid) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +294,8 @@ def sample_curve(f: RationalFunction, interval: tuple[Fraction, Fraction],
         rat(x) for x in samples]
     out: list[tuple[Fraction, Fraction | None]] = []
     for x in xs:
-        if f.den.eval(x) == 0:
-            out.append((x, None))
-        else:
-            out.append((x, f.num.eval(x) / f.den.eval(x)))
+        d = f.den.eval(x)
+        out.append((x, f.num.eval(x) / d if d else None))
     return out
 
 

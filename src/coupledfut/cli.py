@@ -21,7 +21,8 @@ from .errors import (CrossValidationError, EngineError, ParseError,
 from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import fut_toric, minkowski_check, volume_curve
-from .rationals import RationalFunction, rat, ratfun_eval, sample_values
+from .rationals import (MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval,
+                        sample_values)
 from .report import (FORMATS, ObstructionReport, ToricReport,
                      emit_obstruction, emit_roots, emit_samples, emit_toric,
                      emit_validation, emit_verify)
@@ -35,7 +36,9 @@ def _rational_arg(text: str) -> Fraction:
     try:
         return rat(text)
     except ParseError:
-        raise argparse.ArgumentTypeError("not an exact rational: %r" % text)
+        raise argparse.ArgumentTypeError(
+            "not an exact rational of at most %d bits: %r"
+            % (MAX_COEFF_BITS, text))
 
 
 def _direction_arg(text: str) -> tuple[int, ...]:

@@ -39,8 +39,8 @@ from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, Record, UsageError)
-from .rationals import (ParamPoly, Rational, RationalFunction, _int_primitive,
-                        poly_gcd, rat, rat_text, ratfun_reduce)
+from .rationals import (ParamPoly, Rational, RationalFunction, _int_gcd,
+                        positive_on_interval, rat, rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
@@ -95,8 +95,8 @@ class LocalizationScenario(Record):
         euler_den: IntPoly = (1,)
         bundle_dens: list[IntPoly] = [(1,)] * self.bundles
         for _, dens, den in parts:
-            euler_den = _ipoly_lcm(euler_den, den, self.param)
-            bundle_dens = [_ipoly_lcm(a, b, self.param)
+            euler_den = _ipoly_lcm(euler_den, den)
+            bundle_dens = [_ipoly_lcm(a, b)
                            for a, b in zip(bundle_dens, dens)]
         table = []
         for alpha, bundle_den in enumerate(bundle_dens):
@@ -111,8 +111,8 @@ class LocalizationScenario(Record):
             row = []
             den = euler_den
             for total in sums:
-                row.append(ratfun_reduce(_param_poly(total, self.param),
-                                         _param_poly(den, self.param)))
+                row.append(ratfun_reduce(ParamPoly.create(self.param, total),
+                                         ParamPoly.create(self.param, den)))
                 den = _ipoly_mul(den, bundle_den)
             table.append(tuple(row))
         return tuple(table)
@@ -203,7 +203,7 @@ def _dense(cls: EquivariantClass, table: MonomialTable,
             cleared.append((i, _cleared(f)))
     den: IntPoly = (1,)
     for _, (_, d) in cleared:
-        den = _ipoly_lcm(den, d, param)
+        den = _ipoly_lcm(den, d)
     out: list[IntPoly] = [()] * len(table.monomials)
     for i, (n, d) in cleared:
         out[i] = _ipoly_mul(n, _ipoly_quo(den, d))
@@ -282,19 +282,13 @@ def _ipoly_quo(a: IntPoly, b: IntPoly) -> IntPoly:
     return tuple(quot)
 
 
-def _ipoly_lcm(a: IntPoly, b: IntPoly, param: str) -> IntPoly:
+def _ipoly_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
     """Least common multiple in Z[param], up to sign."""
     if len(a) == 1 and len(b) == 1:
         return (math.lcm(a[0], b[0]),)
-    _, g = _int_primitive(poly_gcd(_param_poly(a, param),
-                                   _param_poly(b, param)))
     content = math.gcd(math.gcd(*a), math.gcd(*b))
-    return _ipoly_mul(a, _ipoly_quo(b, tuple(content * int(x)
-                                             for x in g.coeffs)))
-
-
-def _param_poly(a: IntPoly, param: str) -> ParamPoly:
-    return ParamPoly(param, tuple(Fraction(x) for x in a))
+    return _ipoly_mul(a, _ipoly_quo(b, tuple(content * x
+                                             for x in _int_gcd(a, b))))
 
 
 class ValidationReport(Record):
@@ -480,8 +474,6 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
     bundle's volume is required on the open validity interval, matching the
     ampleness window the scenario declares.
     """
-    from .analysis import positive_on_interval  # deferred: analysis builds on this module
-
     messages: list[str] = []
     if scn.dimension < 1:
         messages.append("ambient dimension must be positive")

@@ -32,8 +32,8 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
-from .rationals import (ParamPoly, RationalFunction, interpolate, rat,
-                        rat_text, sample_values)
+from .rationals import (ParamPoly, RationalFunction, interpolate,
+                        positive_on_interval, rat, rat_text, sample_values)
 
 Vector = tuple[Fraction, ...]
 
@@ -522,7 +522,6 @@ def _positive_inside(slack: list[int], interval: tuple[Fraction, Fraction],
         return all(slack[0] * x.denominator
                    + (slack[1] * x.numerator if len(slack) == 2 else 0) >= 0
                    for x in interval)
-    from .analysis import positive_on_interval  # deferred: analysis builds on this module
     return positive_on_interval(
         ParamPoly(param, tuple(Fraction(a) for a in slack)), interval)
 

@@ -5,10 +5,13 @@ Rational numbers are fractions.Fraction throughout (arbitrary precision,
 always canonical).  A ParamPoly stores its coefficients densely, ascending by
 degree, with no trailing zeros; the zero polynomial is the empty tuple.  A
 RationalFunction is a gcd-reduced quotient whose denominator is monic, so
-structural equality coincides with mathematical equality.  UnitKernel reads
-the sign of a polynomial, and of its Sturm chain, at dyadic points of a
-bracket in integer arithmetic; root isolation and the rational-root search
-both run on it.
+structural equality coincides with mathematical equality.
+
+One primitive remainder sequence over the integers serves both the gcd and
+the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
+Sturm chain, at dyadic points of a bracket in integer arithmetic; root
+counting, the positivity test, root isolation and the rational-root search
+all run on it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ Rational = Fraction
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Build an exact rational from an int, a Fraction, or a string like '-1/2'."""
+    """Build an exact rational from an int, a Fraction, or a string like '-1/2'
+    whose numerator and denominator have at most MAX_COEFF_BITS bits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -31,10 +35,20 @@ def rat(value: int | str | Fraction) -> Fraction:
     text = str(value).strip()
     for bad, good in _NORMALIZE.items():
         text = text.replace(bad, good)
+    mantissa, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        # a nonzero mantissa of m characters times 10^k stays within
+        # MAX_COEFF_BITS in lowest terms only if |k| <= m + MAX_COEFF_BITS;
+        # a zero one is refused too, so 10^k is never built for a larger k
+        q = None if e and abs(int(exponent)) > len(mantissa) + MAX_COEFF_BITS \
+            else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("bad rational %r" % str(value).strip()) from exc
+    if q is None or max(q.numerator.bit_length(),
+                        q.denominator.bit_length()) > MAX_COEFF_BITS:
+        raise ParseError("rational %r exceeds the limit of %d bits"
+                         % (str(value).strip(), MAX_COEFF_BITS))
+    return q
 
 
 def rat_text(q: Fraction) -> str:
@@ -183,27 +197,60 @@ def poly_divmod(a: ParamPoly, b: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 
 
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic polynomial gcd by a primitive remainder sequence over Z: each
-    pseudo-remainder is divided by its content, which keeps the coefficients
-    small where Euclid's over Fraction grow."""
+    """Monic gcd, from the last term of the integer remainder sequence."""
     _same_param(a, b)
     if a.is_zero() and b.is_zero():
         raise ComputationError("gcd of two zero polynomials is undefined")
-    x, y = (_clear_denominators(p)[1] for p in (a, b))
-    if len(x) < len(y):
-        x, y = y, x
-    while y:
-        r = x  # pseudo-remainder: lead(y)^k * x reduced modulo y
-        while len(r) >= len(y):
-            q, shift = r[-1], len(r) - len(y)
-            r = [y[-1] * co for co in r]
+    g = _int_gcd(_clear_denominators(a)[1], _clear_denominators(b)[1])
+    return ParamPoly(a.param, tuple(Fraction(co, g[-1]) for co in g))
+
+
+def _remainder_sequence(x: Sequence[int],
+                        y: Sequence[int]) -> list[Sequence[int]]:
+    """x, y and the negated primitive pseudo-remainders after them, down to
+    the last nonzero one; len(x) >= len(y) > 0.
+
+    A pseudo-remainder multiplies by |lead(y)|, never by a negative number,
+    and is divided by its content, so each term is a positive multiple of
+    the one Euclid's algorithm over Fraction gives, with small coefficients:
+    for y = x' the terms form the Sturm sequence of x, and the last term is
+    gcd(x, y) up to a nonzero factor.
+    """
+    seq = [x, y]
+    while True:
+        r, lead, sign = x, abs(y[-1]), (1 if y[-1] > 0 else -1)
+        while len(r) >= len(y):  # r <- |lead| r - sign lead(r) y x^shift
+            q, shift = sign * r[-1], len(r) - len(y)
+            r = [lead * co for co in r]
             for i, co in enumerate(y):
                 r[shift + i] -= q * co
             while r and r[-1] == 0:
                 r.pop()
-        content = math.gcd(*r) or 1
-        x, y = y, [co // content for co in r]
-    return ParamPoly(a.param, tuple(Fraction(co, x[-1]) for co in x))
+        if not r:
+            return seq
+        x, y = y, [-co for co in _primitive(r)]
+        seq.append(y)
+
+
+def _primitive(x: Sequence[int]) -> list[int]:
+    """x divided by its positive content; x nonzero."""
+    content = math.gcd(*x)
+    return [co // content for co in x]
+
+
+def _int_gcd(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """Primitive gcd, up to sign, of two integer polynomials (ascending
+    coefficients), not both zero."""
+    if len(x) < len(y):
+        x, y = y, x
+    return _primitive(_remainder_sequence(x, y)[-1] if y else x)
+
+
+def _int_sturm(x: Sequence[int]) -> list[Sequence[int]]:
+    """Sturm sequence of a nonzero integer polynomial, each term a positive
+    multiple of the classical one with integer coefficients."""
+    dx = [i * co for i, co in enumerate(x)][1:]
+    return _remainder_sequence(_primitive(x), _primitive(dx)) if dx else [x]
 
 
 def poly_text(p: ParamPoly) -> str:
@@ -335,29 +382,42 @@ def squarefree_part(p: ParamPoly) -> ParamPoly:
     """p divided by gcd(p, p'), made monic."""
     if p.degree() < 1:
         return p.monic()
-    g = poly_gcd(p, p.derivative())
-    if g.degree() == 0:
-        return p.monic()
-    q, _ = poly_divmod(p, g)
-    return q.monic()
+    return poly_divmod(p, poly_gcd(p, p.derivative()))[0].monic()
 
 
 def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
-    chain = [p, p.derivative()]
-    while chain[-1].degree() >= 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if r.is_zero():
-            break
-        chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+    """The Sturm sequence of p, each term scaled by a positive rational to
+    primitive integer coefficients; empty for the zero polynomial."""
+    if p.is_zero():
+        return []
+    return [ParamPoly(p.param, tuple(map(Fraction, q)))
+            for q in _int_sturm(_clear_denominators(p)[1])]
+
+
+def count_roots_open(p: ParamPoly,
+                     interval: tuple[Fraction, Fraction]) -> int:
+    """Number of distinct real roots strictly inside the interval."""
+    lo, hi = interval
+    if not lo < hi:
+        raise UsageError("empty interval")
+    s = squarefree_part(p)
+    return UnitKernel(s, lo, hi).count(0, 0) if s.degree() >= 1 else 0
+
+
+def positive_on_interval(p: ParamPoly,
+                         interval: tuple[Fraction, Fraction]) -> bool:
+    """True when p > 0 on the whole open interval."""
+    return (not p.is_zero() and count_roots_open(p, interval) == 0
+            and p.eval((interval[0] + interval[1]) / 2) > 0)
 
 
 class UnitKernel:
     """A nonzero squarefree polynomial on a bracket, read at dyadic points.
 
-    The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t, and the
-    substituted polynomial and its Sturm chain are scaled by positive
-    rationals to integer coefficients, which keeps every sign.  The sign at
+    The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t, and
+    the substituted polynomial and its Sturm chain, from the integer
+    remainder sequence, are positive multiples of the classical ones with
+    integer coefficients, which keeps every sign.  The sign at
     t = k/2^j is then the sign of the homogeneous form
     sum c_i k^i 2^(j(d-i)), evaluated by Horner's rule in integers with
     power-of-two shifts: no Fraction and no gcd.  Points are named (k, j).
@@ -370,8 +430,8 @@ class UnitKernel:
         for co in reversed(p.coeffs):  # Horner in t: q <- q*(a + span*t) + co
             q = [co + a * q[0]] + [a * q[i] + self.span * q[i - 1]
                                    for i in range(1, len(q))]
-        self.chain = [_positive_integer_coeffs(r)
-                      for r in sturm_chain(ParamPoly(p.param, _trim(q)))]
+        self.chain = _int_sturm(
+            _clear_denominators(ParamPoly(p.param, tuple(q)))[1])
 
     def point(self, k: int, j: int) -> Fraction:
         """The bracket point x at t = k/2^j."""
@@ -395,14 +455,7 @@ class UnitKernel:
         return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _positive_integer_coeffs(p: ParamPoly) -> tuple[int, ...]:
-    """Integer coefficients of a positive rational multiple of p."""
-    scale, prim = _int_primitive(p)
-    sign = 1 if scale > 0 else -1
-    return tuple(sign * int(x) for x in prim.coeffs)
-
-
-def _dyadic_sign(coeffs: tuple[int, ...], k: int, j: int) -> int:
+def _dyadic_sign(coeffs: Sequence[int], k: int, j: int) -> int:
     """Sign of the integer polynomial at k/2^j, times 2^(j*degree) > 0."""
     acc = 0
     shift = 0
@@ -443,13 +496,18 @@ def _rational_root_factors(p: ParamPoly) -> tuple[list[ParamPoly], ParamPoly]:
     _, rest = _int_primitive(p)
     for root in _rational_roots(rest):
         lin = ParamPoly.create(p.param, [-root.numerator, root.denominator])
-        while True:
-            quot, rem = poly_divmod(rest, lin)
-            if not rem.is_zero():
-                break
+        for _ in range(_root_multiplicity(rest, root)):
             factors.append(lin)
-            _, rest = _int_primitive(quot)
+            _, rest = _int_primitive(poly_divmod(rest, lin)[0])
     return factors, rest
+
+
+def _root_multiplicity(p: ParamPoly, root: Fraction) -> int:
+    """The number of p, p', p'', ... that vanish at the root; p is nonzero."""
+    mult = 0
+    while p.eval(root) == 0:
+        mult, p = mult + 1, p.derivative()
+    return mult
 
 
 def _rational_roots(p: ParamPoly) -> list[Fraction]:
@@ -534,6 +592,9 @@ def sample_values(interval: tuple[Fraction, Fraction],
     """Equispaced interior sample abscissae x_j = lo + j (hi-lo)/(count+1)."""
     if count < 1:
         raise UsageError("need at least one sample")
+    if count > MAX_SAMPLES:
+        raise UsageError("%d samples exceed the limit %d"
+                         % (count, MAX_SAMPLES))
     lo, hi = interval
     return [lo + Fraction(j, count + 1) * (hi - lo) for j in range(1, count + 1)]
 
@@ -549,8 +610,11 @@ MAX_EXPONENT = 100
 # "((c+1)^100)^100" fail at once instead of multiplying out
 MAX_DEGREE = 100
 # largest coefficient size in bits (_coeff_bits) of any power or product met
-# while parsing, checked the same way: "((2^100)^100)^100" fails at once
+# while parsing, checked the same way: "((2^100)^100)^100" fails at once; it
+# also bounds the numerator and denominator of every rational read by rat
 MAX_COEFF_BITS = 1024
+# largest sample count; verify realizes every polytope at each sample
+MAX_SAMPLES = 1000
 
 _NORMALIZE = {
     "−": "-",  # unicode minus
@@ -693,11 +757,10 @@ class _ExprParser:
             raise ParseError("unexpected end of expression %r" % self.text)
         kind, val = self.take()
         if kind == "num":
-            try:
-                return ParamPoly.const(self.param, rat(val))
-            except ParseError:
+            if val == ".":  # the only token of digits and one dot rat rejects
                 raise ParseError("malformed number %r in expression %r"
-                                 % (val, self.text)) from None
+                                 % (val, self.text))
+            return ParamPoly.const(self.param, rat(val))
         if kind == "name":
             if val != self.param:
                 raise ParseError(

@@ -34,7 +34,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a scenario from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise ParseError("invalid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise ParseError("scenario file must be a JSON object")
@@ -80,9 +80,8 @@ def _parse_fraction(text, where: str) -> Fraction:
         raise ParseError("%s: expected an exact rational string" % where)
     try:
         return rat(text)
-    except ParseError:
-        raise ParseError("%s: not an exact rational: %r"
-                         % (where, text)) from None
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (where, exc)) from None
 
 
 def _parse_expr(text, param: str, where: str) -> ParamPoly:

@@ -28,8 +28,6 @@ from coupledfut import (
 from coupledfut.analysis import (
     RootRecord,
     _decimal_of_fraction,
-    _multiplicity_bracket,
-    _multiplicity_rational,
     _quadratic_surds,
     _surd_value_vs,
 )
@@ -138,6 +136,24 @@ class TestSturm:
     def test_chain_shape(self):
         chain = sturm_chain(c("112c^2-112c+23"))
         assert [p.degree() for p in chain] == [2, 1, 0]
+
+    def test_terms_are_positive_multiples_of_the_classical_chain(self):
+        # sparse polynomials make degree gaps, where a pseudo-remainder by a
+        # negative leading coefficient would flip a sign
+        rng = random.Random(11312)
+        polys = [c("c^5-3c^2+1"), c("-c^4+2c+1")] + [
+            ParamPoly.create("c", [F(rng.randint(-6, 6), rng.randint(1, 4))
+                                   if rng.random() < 0.5 else 0
+                                   for _ in range(rng.randint(2, 7))]
+                             + [rng.choice([-3, -1, F(1, 2), 2])])
+            for _ in range(150)]
+        for p in polys:
+            chain, ref = sturm_chain(p), _ref_sturm_chain(p)
+            assert len(chain) == len(ref), p
+            for q, r in zip(chain, ref):
+                assert q.degree() == r.degree()
+                ratio = q.leading() / r.leading()
+                assert ratio > 0 and q == r.scale(ratio), p
 
     def test_counts_distinct_roots_only(self):
         assert count_roots_open(c("112c^2-112c+23"), (F(0), F(1))) == 2
@@ -374,15 +390,64 @@ class TestCrossValidate:
 
 # ---------------------------------------------------------------------------
 # Fraction references for the integer root kernel: Sturm bisection over
-# Fractions and the rational-root search by divisor enumeration, as the
-# engine computed them before the kernel replaced both.  Like the engine,
+# Fractions, with the chain, gcd and squarefree part from Euclid's algorithm
+# over Fraction, and the rational-root search by divisor enumeration, as the
+# engine computed them before the kernel replaced them.  Like the engine,
 # the bisection goes on halving an irrational root's bracket while it holds
-# an exact root.
+# an exact root.  None of it calls the integer remainder sequence.
+
+
+def _ref_gcd(a, b):
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a.monic()
+
+
+def _ref_squarefree(p):
+    return poly_divmod(p, _ref_gcd(p, p.derivative()))[0].monic()
+
+
+def _ref_sturm_chain(p):
+    chain = [p, p.derivative()]
+    while chain[-1].degree() >= 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-r)
+    return [q for q in chain if not q.is_zero()]
 
 
 def _ref_sign_changes(chain, x):
     signs = [1 if v > 0 else -1 for v in (q.eval(x) for q in chain) if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_count(p, a, b):
+    """Distinct roots in (a, b] of a squarefree p."""
+    chain = _ref_sturm_chain(p)
+    return _ref_sign_changes(chain, a) - _ref_sign_changes(chain, b)
+
+
+def _ref_multiplicity_at(p, root):
+    mult = 0
+    while not p.is_zero() and p.eval(root) == 0:
+        mult += 1
+        p = p.derivative()
+    return mult
+
+
+def _ref_multiplicity_inside(p, rest, a, b):
+    """Multiplicity in p of the one root of the squarefree rest in (a, b):
+    the number of derivatives of p, p itself first, whose gcd with rest
+    keeps a root there."""
+    mult = 0
+    while not p.is_zero():
+        g = _ref_gcd(p, rest)
+        if g.degree() < 1 or _ref_count(g, a, b) == 0:
+            break
+        mult += 1
+        p = p.derivative()
+    return mult
 
 
 def _ref_divisors(n):
@@ -428,21 +493,20 @@ def _ref_decimal_of_simple_root(p, a, b):
 def _ref_isolate_roots(p, interval, width):
     lo, hi = interval
     records = []
-    linears, rest = _ref_rational_root_factors(squarefree_part(p))
+    linears, rest = _ref_rational_root_factors(_ref_squarefree(p))
     for lin in linears:
         root = -lin.coeff(0) / lin.coeff(1)
         if lo < root < hi:
             records.append(RootRecord(root, root, root, None,
                                       _decimal_of_fraction(root),
-                                      _multiplicity_rational(p, root)))
+                                      _ref_multiplicity_at(p, root)))
     exact = list(records)
     if rest.degree() >= 1:
-        chain = sturm_chain(rest)
         surds = _quadratic_surds(rest) if rest.degree() == 2 else []
         stack = [(lo, hi)]
         while stack:
             a, b = stack.pop()
-            count = _ref_sign_changes(chain, a) - _ref_sign_changes(chain, b)
+            count = _ref_count(rest, a, b)
             if count == 0:
                 continue
             if count == 1 and b - a <= width and not any(
@@ -454,7 +518,7 @@ def _ref_isolate_roots(p, interval, width):
                         surd = cand
                 records.append(RootRecord(
                     a, b, None, surd, _ref_decimal_of_simple_root(rest, a, b),
-                    _multiplicity_bracket(p, rest, a, b)))
+                    _ref_multiplicity_inside(p, rest, a, b)))
                 continue
             mid = (a + b) / 2
             stack.append((a, mid))
@@ -524,3 +588,57 @@ class TestRootKernelEquivalence:
         assert rest == c("c^2-3")
         lin, rest = _rational_root_factors(c("(10^21+3)c^2-(3*10^20+7)"))
         assert lin == [] and rest == c("(10^21+3)c^2-(3*10^20+7)")
+
+
+def _sympy_factors(p):
+    """The irreducible factors of p over Q with their multiplicities."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("c")
+    poly = sympy.Poly([sympy.Rational(q.numerator, q.denominator)
+                       for q in reversed(p.coeffs)], x, domain="QQ")
+    return [(f, m) for f, m in poly.factor_list()[1]]
+
+
+def _seeded_powers(seed, count):
+    """Products of one to three distinct kernel factors, each raised to a
+    power from 1 to 3, on seeded intervals, with seeded bracket widths."""
+    rng = random.Random(seed)
+    out = [(product("100c-141", "100c-141", "c^2-2"), (F(1), F(2)), F(1, 2))]
+    while len(out) < count:
+        p = c(str(rng.choice([1, -2, F(3, 5)])))
+        for f in rng.sample(_KERNEL_FACTORS, rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):
+                p = p * c(f)
+        lo = F(rng.randint(-12, 4), rng.choice([1, 2, 3, 4]))
+        out.append((p, (lo, lo + F(rng.randint(1, 24), rng.choice([1, 2, 5]))),
+                    rng.choice([F(1, 2), F(1, 100), F(1, 10**6)])))
+    return out
+
+
+class TestRootMultiplicities:
+    def test_multiplicities_and_brackets_match_a_factorization(self):
+        seen = set()
+        for p, (lo, hi), width in _seeded_powers(5105, 80):
+            factors = _sympy_factors(p)
+            records = isolate_roots(p, (lo, hi), width)
+            # every distinct root strictly inside has one record
+            inside = sum(f.count_roots(lo, hi)
+                         - (f.eval(lo) == 0) - (f.eval(hi) == 0)
+                         for f, _ in factors)
+            assert len(records) == inside
+            for rec in records:
+                assert rec.hi - rec.lo <= width
+                # the closed bracket holds one root of one factor, no other
+                holding = [(f, m) for f, m in factors
+                           for _ in range(f.count_roots(rec.lo, rec.hi))]
+                assert len(holding) == 1, (p, rec)
+                factor, mult = holding[0]
+                assert rec.multiplicity == mult, (p, rec)
+                if rec.exact is not None:
+                    assert factor.degree() == 1 and factor.eval(rec.exact) == 0
+                    assert rec.lo == rec.hi == rec.exact
+                else:
+                    assert factor.degree() >= 2
+                seen.add((rec.exact is None, mult))
+        assert seen == {(irrational, m) for irrational in (False, True)
+                        for m in (1, 2, 3)}

@@ -63,6 +63,22 @@ class TestRat:
         with pytest.raises(ParseError):
             rat(bad)
 
+    def test_bounds_numerator_and_denominator(self):
+        assert rat("9e-304") == F(9, 10**304)  # 1010 bits
+        assert rat("%de-300" % 2**1023) == F(2**1023, 10**300)
+        for text in ("1e-309", "1e309", str(2**1024), "1/%d" % 2**1024):
+            with pytest.raises(ParseError, match="exceeds the limit of %d bits"
+                                                 % MAX_COEFF_BITS):
+                rat(text)
+
+    @pytest.mark.parametrize("text", ["1e-99999999999", "0e99999999999",
+                                      "1e" + "9" * 5000])
+    def test_rejects_a_huge_exponent_before_building_it(self, text):
+        start = time.process_time()
+        with pytest.raises(ParseError):
+            rat(text)
+        assert time.process_time() - start < 0.1
+
     def test_text_round_trip(self):
         rng = random.Random(101)
         for _ in range(200):

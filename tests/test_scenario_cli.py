@@ -76,9 +76,11 @@ class TestScenarioFiles:
         report = validate_scenario(load(name).localization)
         assert report.ok, report.messages
 
-    def test_invalid_json_is_a_parse_error(self):
+    @pytest.mark.parametrize("text", [
+        "{nope", '{"dimension": %s}' % ("9" * 5000)])  # too long to convert
+    def test_invalid_json_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_scenario("{nope")
+            parse_scenario(text)
 
     def test_unknown_ring_reference_is_located(self):
         bad = copy.deepcopy(scenario_to_dict(load("hultgren-c")))
@@ -501,6 +503,36 @@ STRUCTURED_GOLDEN = [
     ("verify", "hultgren-c-corrupt", 5,
      "637eb11ad94367b2c01fafbc4893e899e05d0eb06f17e9c3bf734f5fc819738b"),
 ]
+
+
+class TestCliOversizedInput:
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--samples=1e-5000"),
+        ("verify", "--samples=1e-5000"),
+        ("roots", "--root-width", "1e-10000"),
+        ("roots", "--root-width", "1e-30000"),
+    ])
+    def test_oversized_rational_is_a_parse_error(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--catalog", "hultgren-c",
+                             *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "--samples" in err or "--root-width" in err
+        assert "1024 bits" in err
+
+    def test_narrowest_benchmark_width_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "roots", "--catalog", "hultgren-c",
+                           "--root-width", "9e-304")
+        assert code == 0
+        assert "bracket width: at most 9/1" in out
+
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_sample_count_is_bounded(self, capsys, command):
+        code, out, err = run(capsys, command, "--catalog", "hultgren-c",
+                             "--samples", "1001")
+        assert (code, out) == (3, "")
+        assert "1001 samples exceed the limit 1000" in err
 
 
 class TestStructuredGolden:

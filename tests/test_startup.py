@@ -1,6 +1,8 @@
 """What importing the command line costs: the modules it loads, and the
-public names of the package."""
+names the package binds for its users and for the benchmark's tracer."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import coupledfut
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_cli_import_loads_no_code_generation_modules():
@@ -27,3 +30,17 @@ def test_every_public_name_resolves():
     assert len(set(coupledfut.__all__)) == len(coupledfut.__all__)
     for name in coupledfut.__all__:
         assert getattr(coupledfut, name) is not None, name
+
+
+def test_every_traced_name_resolves():
+    # perfbench/layertrace.py wraps these by name; a refactor that unbinds
+    # one would break the benchmark's trace
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    assert layertrace.TRACED
+    for module, name in layertrace.TRACED:
+        assert module in layertrace.MODULES, module
+        target = importlib.import_module("coupledfut." + module)
+        assert callable(getattr(target, name, None)), (module, name)
