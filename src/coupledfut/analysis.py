@@ -1,17 +1,18 @@
 """Root isolation and cross-validation.
 
-Roots of the invariant's numerator are located exactly.  Rational roots are
-split off first: every real root of the squarefree part is isolated inside
-its Cauchy bound, and the one candidate fraction per bracket is tested.
-The remaining squarefree factor has no rational roots; its roots are
-isolated on the integer root kernel of the rationals module, which maps the
-interval to [0, 1] once and reads signs at dyadic points in integers.  Sturm
-counts split the brackets until each holds one root, and a sign test per
-halving then refines it to the requested width.  Degree-two factors
+Roots of the invariant's numerator are read from its factorization in the
+rationals module: the rational roots are exact, each with its multiplicity,
+and the product of the irrational squarefree factors is isolated on the
+integer root kernel, which maps the interval to [0, 1] once and reads signs
+at dyadic points in integers.  Sturm counts split the brackets until each
+holds one root, and a sign test per halving then refines it to the
+requested width.  An irrational root's multiplicity is that of the one
+factor that changes sign across its bracket.  Degree-two factors
 additionally get closed-form surd descriptors (p + q*sqrt(D))/r, with square
 factors pulled out of D by bounded trial division only, so a very large D
-may be left unreduced.  Root counting and the positivity test live in the
-rationals module, on the same kernel; the irrational-pole check counts there.
+may be left unreduced.  Poles come from the denominator's factorization the
+same way.  Root counting and the positivity test live in the rationals
+module, on the same kernel.
 Cross-validation plays the localization engine against the polytope oracle:
 per-bundle volumes must agree up to the dimension factorial, the invariants
 must agree as rational functions, and the bundle polytopes must sum to the
@@ -28,12 +29,12 @@ from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
-from .rationals import (ParamPoly, RationalFunction, UnitKernel,
-                        _rational_root_factors, _root_multiplicity,
-                        count_roots_open, poly_gcd, rat, rat_text,
-                        ratfun_eval, sample_values, squarefree_part)
+from .rationals import (IntPoly, ParamPoly, RationalFunction, UnitKernel,
+                        _ipoly_prod, _sign_at, rat, rat_text, ratfun_eval,
+                        sample_values)
 # bound here too: perfbench/layertrace.py looks these up on this module
-from .rationals import positive_on_interval, sturm_chain  # noqa: F401
+from .rationals import (count_roots_open, poly_gcd,  # noqa: F401
+                        positive_on_interval, sturm_chain)
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 DECIMAL_DIGITS = 18
@@ -88,31 +89,17 @@ def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
         k, j = _refine(kernel, k, j, j + 1)
 
 
-def _surd_value_vs(p: int, q: int, d: int, r: int, x: Fraction) -> int:
-    """Sign of (p + q*sqrt(d))/r - x for r > 0."""
-    rhs = r * x - p  # compare q*sqrt(d) with rhs
-    lhs_sq = Fraction(q * q * d)
-    rhs_sq = rhs * rhs
-    if q >= 0 and rhs < 0:
-        return 1
-    if q <= 0 and rhs > 0:
-        return -1
-    if q >= 0:  # both sides nonnegative
-        return -1 if lhs_sq < rhs_sq else (0 if lhs_sq == rhs_sq else 1)
-    # both sides nonpositive
-    return -1 if lhs_sq > rhs_sq else (0 if lhs_sq == rhs_sq else 1)
+def _quadratic_surds(quad: IntPoly) -> list[tuple[int, int, int, int]]:
+    """Closed forms (p, q, d, r), smaller root first, for a quadratic with
+    irrational real roots.
 
-
-def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
-    """Closed forms (p, q, d, r) for a quadratic with irrational real roots.
-
-    quad is primitive with integer coefficients and a positive leading one,
-    as _rational_root_factors leaves it, so r = 2a is positive.  Square
+    quad is an integer polynomial with a positive leading coefficient, as
+    the factorization leaves it, so r = 2a is positive.  Square
     factors f^2 of the discriminant are pulled out of d by trial division
     for f up to SURD_SQUARE_FACTOR_LIMIT only, so a d above the square of
     that limit may keep a square factor; the closed form is exact either way.
     """
-    a, b, c = (int(quad.coeff(2)), int(quad.coeff(1)), int(quad.coeff(0)))
+    c, b, a = quad
     disc = b * b - 4 * a * c
     if disc <= 0:
         return []
@@ -129,27 +116,6 @@ def _quadratic_surds(quad: ParamPoly) -> list[tuple[int, int, int, int]]:
     g = math.gcd(math.gcd(abs(p), q_mag), r)
     p, q_mag, r = p // g, q_mag // g, r // g
     return [(p, -q_mag, core, r), (p, q_mag, core, r)]
-
-
-def _multiplicity_bracket(p: ParamPoly, rest: ParamPoly, a: Fraction,
-                          b: Fraction) -> int:
-    """Multiplicity in p of the one root of rest inside (a, b).
-
-    rest is squarefree, is nonzero at a and b, and has exactly one root
-    inside, so a factor of rest vanishes at that root exactly when it
-    changes sign over the bracket.  The root has multiplicity e in p when it
-    is a root of p, p', ..., p^(e-1) but not of p^(e); other roots of p in
-    the bracket, rational ones included, are never counted.
-    """
-    mult = 0
-    cur = p
-    while not cur.is_zero():
-        g = poly_gcd(cur, rest)
-        if g.eval(a) * g.eval(b) >= 0:
-            break
-        mult += 1
-        cur = cur.derivative()
-    return mult
 
 
 def _halvings_to_width(span: Fraction, width: Fraction) -> int:
@@ -190,22 +156,17 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
         raise UsageError("width must be positive")
     if p.is_zero():
         raise UsageError("cannot isolate roots of the zero polynomial")
-    s = squarefree_part(p)
-    records: list[RootRecord] = []
-    linears, rest = _rational_root_factors(s)
-    for lin in linears:
-        root = -lin.coeff(0) / lin.coeff(1)
-        if lo < root < hi:
-            records.append(RootRecord(root, root, root, None,
-                                      _decimal_of_fraction(root),
-                                      _root_multiplicity(p, root)))
-    exact = list(records)
-    if rest.degree() >= 1:
+    fac = p.factorization
+    records = [RootRecord(root, root, root, None, _decimal_of_fraction(root),
+                          mult) for root, mult in fac.roots if lo < root < hi]
+    exact = [rec.exact for rec in records]
+    rest = _ipoly_prod(g for g, _ in fac.factors)
+    if len(rest) > 1:
         kernel = UnitKernel(rest, lo, hi)
         if kernel.sign(0, 0) == 0 or kernel.sign(1, 0) == 0:
             # cannot happen: rest has no rational roots
             raise UsageError("endpoint is a root of an irrational factor")
-        surds = _quadratic_surds(rest) if rest.degree() == 2 else []
+        surds = _quadratic_surds(rest) if len(rest) == 3 else []
         fine = _halvings_to_width(hi - lo, width)
         stack = [(0, 0)]
         while stack:
@@ -216,18 +177,19 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
             if count == 1:
                 k, j = _refine(kernel, k, j, fine)
                 # halve on until the bracket holds no exact root, ends included
-                while any(kernel.point(k, j) <= rec.exact
-                          <= kernel.point(k + 1, j) for rec in exact):
+                while any(kernel.point(k, j) <= x <= kernel.point(k + 1, j)
+                          for x in exact):
                     k, j = _refine(kernel, k, j, j + 1)
                 a, b = kernel.point(k, j), kernel.point(k + 1, j)
-                surd = None
-                for cand in surds:
-                    if (_surd_value_vs(*cand, a) > 0
-                            and _surd_value_vs(*cand, b) < 0):
-                        surd = cand
+                # a quadratic rest, leading coefficient positive, falls
+                # through its smaller root and rises through the larger
+                surd = surds[kernel.sign(k, j) < 0] if surds else None
+                # the factors are coprime: one changes sign across (a, b)
+                mult = next(m for g, m in fac.factors
+                            if _sign_at(g, a) != _sign_at(g, b))
                 records.append(RootRecord(
                     a, b, None, surd, _decimal_of_simple_root(kernel, k, j),
-                    _multiplicity_bracket(p, rest, a, b)))
+                    mult))
                 continue
             if kernel.sign(2 * k + 1, j + 1) == 0:
                 # unreachable: rest has no rational roots
@@ -269,12 +231,11 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
     roots = isolate_roots(f.num, interval, width)
     poles: list[Fraction] = []
     if f.den.degree() >= 1:
-        lin, rest = _rational_root_factors(f.den)
-        for fac in lin:
-            root = -fac.coeff(0) / fac.coeff(1)
-            if interval[0] < root < interval[1]:
-                poles.append(root)
-        if rest.degree() >= 1 and count_roots_open(rest, interval) > 0:
+        fac = f.den.factorization
+        # a pole is listed once per unit of its multiplicity
+        poles = [root for root, mult in fac.roots for _ in range(mult)
+                 if interval[0] < root < interval[1]]
+        if any(UnitKernel(g, *interval).count(0, 0) for g, _ in fac.factors):
             messages.append("irrational poles inside the interval")
     if poles:
         messages.append("poles inside the validity interval: %s"

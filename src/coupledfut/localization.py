@@ -39,8 +39,10 @@ from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, Record, UsageError)
-from .rationals import (ParamPoly, Rational, RationalFunction, _int_gcd,
-                        positive_on_interval, rat, rat_text, ratfun_reduce)
+from .rationals import (IntPoly, ParamPoly, Rational, RationalFunction,
+                        _clear_denominators, _ipoly_add, _ipoly_lcm,
+                        _ipoly_mul, _ipoly_quo, positive_on_interval, rat,
+                        rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
@@ -120,10 +122,6 @@ class LocalizationScenario(Record):
 
 # ---------------------------------------------------------------------------
 # the residue table over integer polynomials
-
-# integer coefficients, ascending by degree, no trailing zeros; () is zero
-IntPoly = tuple[int, ...]
-
 
 def _component_residues(comp: FixedComponent, param: str, bundles: int,
                         powers: int
@@ -236,59 +234,8 @@ def _pair(x: list[IntPoly], y: list[IntPoly], table: MonomialTable) -> IntPoly:
 
 def _cleared(f: RationalFunction) -> tuple[IntPoly, IntPoly]:
     """Integer polynomials n and d with f = n / d."""
-    q = 1
-    for x in f.num.coeffs + f.den.coeffs:
-        q = math.lcm(q, x.denominator)
-    return (tuple(x.numerator * (q // x.denominator) for x in f.num.coeffs),
-            tuple(x.numerator * (q // x.denominator) for x in f.den.coeffs))
-
-
-def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _ipoly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    if len(a) == 1:
-        return tuple(a[0] * y for y in b)
-    if len(b) == 1:
-        return tuple(x * b[0] for x in a)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _ipoly_quo(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b where b divides a in Z[param]."""
-    if len(b) == 1:
-        return tuple(x // b[0] for x in a)
-    rem = list(a)
-    shift = len(b) - 1
-    quot = [0] * (len(a) - shift)
-    for i in range(len(quot) - 1, -1, -1):
-        q = quot[i] = rem[i + shift] // b[-1]
-        for j, y in enumerate(b):
-            rem[i + j] -= q * y
-    return tuple(quot)
-
-
-def _ipoly_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Least common multiple in Z[param], up to sign."""
-    if len(a) == 1 and len(b) == 1:
-        return (math.lcm(a[0], b[0]),)
-    content = math.gcd(math.gcd(*a), math.gcd(*b))
-    return _ipoly_mul(a, _ipoly_quo(b, tuple(content * x
-                                             for x in _int_gcd(a, b))))
+    ints = _clear_denominators(f.num.coeffs + f.den.coeffs)[1]
+    return tuple(ints[:len(f.num.coeffs)]), tuple(ints[len(f.num.coeffs):])
 
 
 class ValidationReport(Record):

@@ -5,13 +5,17 @@ Rational numbers are fractions.Fraction throughout (arbitrary precision,
 always canonical).  A ParamPoly stores its coefficients densely, ascending by
 degree, with no trailing zeros; the zero polynomial is the empty tuple.  A
 RationalFunction is a gcd-reduced quotient whose denominator is monic, so
-structural equality coincides with mathematical equality.
+structural equality coincides with mathematical equality.  Integer
+polynomials (IntPoly) are plain tuples in the same layout.
 
 One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
 Sturm chain, at dyadic points of a bracket in integer arithmetic; root
 counting, the positivity test, root isolation and the rational-root search
-all run on it.
+all run on it.  Each ParamPoly is factored once, on first use: its content,
+then Yun's squarefree decomposition over the integers, then one rational-root
+search on the squarefree part.  Every root multiplicity, pole and factored
+form is read from that factorization.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cached_property, reduce
 
 from .errors import ComputationError, ParseError, PoleError, Record, UsageError
 
@@ -165,6 +170,11 @@ class ParamPoly(Record):
     def text(self) -> str:
         return poly_text(self)
 
+    @cached_property
+    def factorization(self) -> "Factorization":
+        """This polynomial's factorization, computed on first use."""
+        return _factorize(self.coeffs)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ParamPoly(%s)" % poly_text(self)
 
@@ -201,7 +211,8 @@ def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     _same_param(a, b)
     if a.is_zero() and b.is_zero():
         raise ComputationError("gcd of two zero polynomials is undefined")
-    g = _int_gcd(_clear_denominators(a)[1], _clear_denominators(b)[1])
+    g = _int_gcd(_clear_denominators(a.coeffs)[1],
+                 _clear_denominators(b.coeffs)[1])
     return ParamPoly(a.param, tuple(Fraction(co, g[-1]) for co in g))
 
 
@@ -238,19 +249,86 @@ def _primitive(x: Sequence[int]) -> list[int]:
     return [co // content for co in x]
 
 
-def _int_gcd(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """Primitive gcd, up to sign, of two integer polynomials (ascending
-    coefficients), not both zero."""
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator L of the coefficients, and L times each."""
+    lcm = math.lcm(*[x.denominator for x in coeffs])
+    return lcm, [x.numerator * (lcm // x.denominator) for x in coeffs]
+
+
+def _int_gcd(x: Sequence[int], y: Sequence[int]) -> IntPoly:
+    """Primitive gcd, with a positive leading coefficient, of two integer
+    polynomials (ascending coefficients), not both zero."""
     if len(x) < len(y):
         x, y = y, x
-    return _primitive(_remainder_sequence(x, y)[-1] if y else x)
+    g = _primitive(_remainder_sequence(x, y)[-1] if y else x)
+    return tuple(g) if g[-1] > 0 else tuple(-co for co in g)
 
 
 def _int_sturm(x: Sequence[int]) -> list[Sequence[int]]:
     """Sturm sequence of a nonzero integer polynomial, each term a positive
     multiple of the classical one with integer coefficients."""
-    dx = [i * co for i, co in enumerate(x)][1:]
+    dx = _ipoly_derivative(x)
     return _remainder_sequence(_primitive(x), _primitive(dx)) if dx else [x]
+
+
+# integer coefficients, ascending by degree, no trailing zeros; () is zero
+IntPoly = tuple[int, ...]
+
+
+def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _ipoly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return ()
+    if len(a) == 1:
+        return tuple(a[0] * y for y in b)
+    if len(b) == 1:
+        return tuple(x * b[0] for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _ipoly_quo(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b where b divides a in Z[param]."""
+    if len(b) == 1:
+        return tuple(x // b[0] for x in a)
+    rem = list(a)
+    shift = len(b) - 1
+    quot = [0] * (len(a) - shift)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + shift] // b[-1]
+        for j, y in enumerate(b):
+            rem[i + j] -= q * y
+    return tuple(quot)
+
+
+def _ipoly_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Least common multiple in Z[param], up to sign."""
+    if len(a) == 1 and len(b) == 1:
+        return (math.lcm(a[0], b[0]),)
+    content = math.gcd(math.gcd(*a), math.gcd(*b))
+    return _ipoly_mul(a, _ipoly_quo(b, tuple(content * x
+                                             for x in _int_gcd(a, b))))
+
+
+def _ipoly_derivative(x: Sequence[int]) -> IntPoly:
+    return tuple(i * co for i, co in enumerate(x))[1:]
+
+
+def _ipoly_prod(xs: Iterable[IntPoly]) -> IntPoly:
+    return reduce(_ipoly_mul, xs, (1,))
 
 
 def poly_text(p: ParamPoly) -> str:
@@ -391,7 +469,7 @@ def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
     if p.is_zero():
         return []
     return [ParamPoly(p.param, tuple(map(Fraction, q)))
-            for q in _int_sturm(_clear_denominators(p)[1])]
+            for q in _int_sturm(_clear_denominators(p.coeffs)[1])]
 
 
 def count_roots_open(p: ParamPoly,
@@ -401,7 +479,7 @@ def count_roots_open(p: ParamPoly,
     if not lo < hi:
         raise UsageError("empty interval")
     s = squarefree_part(p)
-    return UnitKernel(s, lo, hi).count(0, 0) if s.degree() >= 1 else 0
+    return UnitKernel(s.coeffs, lo, hi).count(0, 0) if s.degree() >= 1 else 0
 
 
 def positive_on_interval(p: ParamPoly,
@@ -412,7 +490,8 @@ def positive_on_interval(p: ParamPoly,
 
 
 class UnitKernel:
-    """A nonzero squarefree polynomial on a bracket, read at dyadic points.
+    """A nonzero squarefree polynomial's coefficients on a bracket, read at
+    dyadic points.
 
     The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t, and
     the substituted polynomial and its Sturm chain, from the integer
@@ -423,15 +502,15 @@ class UnitKernel:
     power-of-two shifts: no Fraction and no gcd.  Points are named (k, j).
     """
 
-    def __init__(self, p: ParamPoly, a: Fraction, b: Fraction):
+    def __init__(self, coeffs: Sequence[int | Fraction], a: Fraction,
+                 b: Fraction):
         self.a = a
         self.span = b - a
-        q = [Fraction(0)] * len(p.coeffs)
-        for co in reversed(p.coeffs):  # Horner in t: q <- q*(a + span*t) + co
+        q = [Fraction(0)] * len(coeffs)
+        for co in reversed(coeffs):  # Horner in t: q <- q*(a + span*t) + co
             q = [co + a * q[0]] + [a * q[i] + self.span * q[i - 1]
                                    for i in range(1, len(q))]
-        self.chain = _int_sturm(
-            _clear_denominators(ParamPoly(p.param, tuple(q)))[1])
+        self.chain = _int_sturm(_clear_denominators(q)[1])
 
     def point(self, k: int, j: int) -> Fraction:
         """The bracket point x at t = k/2^j."""
@@ -465,67 +544,86 @@ def _dyadic_sign(coeffs: Sequence[int], k: int, j: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial at x, homogenized as _dyadic_sign."""
+    acc, scale = 0, 1
+    for co in reversed(coeffs):
+        acc = acc * x.numerator + co * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
 # ---------------------------------------------------------------------------
-# factored text rendering
+# one factorization per polynomial
 
 
-def _clear_denominators(p: ParamPoly) -> tuple[int, list[int]]:
-    """The common denominator L of p's coefficients and those of L p."""
-    lcm = math.lcm(*[x.denominator for x in p.coeffs])
-    return lcm, [x.numerator * (lcm // x.denominator) for x in p.coeffs]
+class Factorization(Record):
+    """p = content * prod (v c - u)^m * prod f^m, over the rational roots u/v
+    of p (ascending, lowest terms, v > 0) and its irrational squarefree
+    factors f, each with its multiplicity m.  An f is primitive over Z with
+    a positive leading coefficient: the product of the irreducible factors
+    of degree >= 2 that share m.  Zero has content 0 and no factors."""
+
+    content: Fraction
+    roots: tuple[tuple[Fraction, int], ...]
+    factors: tuple[tuple[IntPoly, int], ...]
 
 
-def _int_primitive(p: ParamPoly) -> tuple[Fraction, ParamPoly]:
-    """Write p = scale * P with P integer, content 1, positive leading coeff."""
-    if p.is_zero():
-        return Fraction(0), p
-    lcm, ints = _clear_denominators(p)
-    g = -math.gcd(*ints) if ints[-1] < 0 else math.gcd(*ints)
-    prim = ParamPoly(p.param, tuple(Fraction(x // g) for x in ints))
-    return Fraction(g, lcm), prim
+def _factorize(coeffs: Sequence[Fraction]) -> Factorization:
+    """Content, then Yun's layers, then one rational-root search on their
+    product, the squarefree part; each root is divided out of its layer."""
+    if not coeffs:
+        return Factorization(Fraction(0), (), ())
+    lcm, ints = _clear_denominators(coeffs)
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    layers = _squarefree_layers(tuple(x // content for x in ints))
+    roots = []
+    for root in _rational_roots(_ipoly_prod(layers)):
+        i = next(i for i, a in enumerate(layers) if _sign_at(a, root) == 0)
+        layers[i] = _ipoly_quo(layers[i], (-root.numerator, root.denominator))
+        roots.append((root, i + 1))
+    return Factorization(Fraction(content, lcm), tuple(sorted(roots)),
+                         tuple((a, i + 1) for i, a in enumerate(layers)
+                               if len(a) > 1))
 
 
-def _rational_root_factors(p: ParamPoly) -> tuple[list[ParamPoly], ParamPoly]:
-    """Split off primitive linear factors (q*x - a) at rational roots of p.
-
-    Works up to a scalar: the returned factors multiply to the primitive
-    integer part of p, not to p itself.  The rational roots come from
-    _rational_roots; each is divided out as often as it divides.
+def _squarefree_layers(x: IntPoly) -> list[IntPoly]:
+    """Yun's squarefree decomposition (1976) of x, primitive over Z with a
+    positive leading coefficient: x = a_1 a_2^2 ... a_k^k, the a_i coprime,
+    squarefree and normalized as x is, a_i = (1,) if no root has
+    multiplicity i.  From c = x/gcd(x, x') and d = x'/gcd(x, x'), each step
+    takes d <- d - c', a_i = gcd(c, d), c <- c/a_i and d <- d/a_i.  Each
+    divisor is a primitive gcd dividing over Q, so by Gauss's lemma every
+    quotient is exact over Z.
     """
-    factors: list[ParamPoly] = []
-    _, rest = _int_primitive(p)
-    for root in _rational_roots(rest):
-        lin = ParamPoly.create(p.param, [-root.numerator, root.denominator])
-        for _ in range(_root_multiplicity(rest, root)):
-            factors.append(lin)
-            _, rest = _int_primitive(poly_divmod(rest, lin)[0])
-    return factors, rest
+    dx = _ipoly_derivative(x)
+    g = _int_gcd(x, dx)
+    c, d = _ipoly_quo(x, g), _ipoly_quo(dx, g)
+    layers = []
+    while len(c) > 1:
+        d = _ipoly_add(d, tuple(-co for co in _ipoly_derivative(c)))
+        a = _int_gcd(c, d)
+        c, d = _ipoly_quo(c, a), _ipoly_quo(d, a)
+        layers.append(a)
+    return layers
 
 
-def _root_multiplicity(p: ParamPoly, root: Fraction) -> int:
-    """The number of p, p', p'', ... that vanish at the root; p is nonzero."""
-    mult = 0
-    while p.eval(root) == 0:
-        mult, p = mult + 1, p.derivative()
-    return mult
-
-
-def _rational_roots(p: ParamPoly) -> list[Fraction]:
-    """Distinct rational roots of a nonzero primitive integer polynomial.
+def _rational_roots(s: IntPoly) -> list[Fraction]:
+    """Distinct rational roots of a squarefree primitive integer polynomial
+    with a positive leading coefficient.
 
     A rational root u/v in lowest terms has v dividing the leading
-    coefficient `lead` of the squarefree part, and two such roots lie at
-    least 1/lead^2 apart.  Every real root is isolated inside the Cauchy
-    bound to a bracket narrower than 1/(2 lead^2); the one candidate per
-    bracket is the fraction nearest its midpoint with denominator at most
-    lead, which is the root whenever the root is rational.  A dyadic
-    midpoint met on the way that is itself a root is taken directly.
+    coefficient `lead`, and two such roots lie at least 1/lead^2 apart.
+    Every real root is isolated inside the Cauchy bound to a bracket
+    narrower than 1/(2 lead^2); the one candidate per bracket is the
+    fraction nearest its midpoint with denominator at most lead, which is
+    the root whenever the root is rational.  A dyadic midpoint met on the
+    way that is itself a root is taken directly.
     """
-    if p.degree() < 1:
+    if len(s) < 2:
         return []
-    _, s = _int_primitive(squarefree_part(p))
-    lead = int(s.leading())
-    bound = 1 + -(-max(abs(int(x)) for x in s.coeffs[:-1]) // lead)
+    lead = s[-1]
+    bound = 1 + -(-max(map(abs, s[:-1])) // lead)
     kernel = UnitKernel(s, Fraction(-bound), Fraction(bound))
     # brackets at this level are 2*bound/2^level < 1/(2 lead^2) wide
     level = (4 * bound * lead * lead).bit_length()
@@ -539,7 +637,7 @@ def _rational_roots(p: ParamPoly) -> list[Fraction]:
         if count == 1 and j >= level:
             lo, hi = kernel.point(k, j), kernel.point(k + 1, j)
             cand = ((lo + hi) / 2).limit_denominator(lead)
-            if lo < cand < hi and s.eval(cand) == 0:
+            if lo < cand < hi and _sign_at(s, cand) == 0:
                 roots.append(cand)
             continue
         if kernel.sign(2 * k + 1, j + 1) == 0:
@@ -547,20 +645,6 @@ def _rational_roots(p: ParamPoly) -> list[Fraction]:
         stack.append((2 * k, j + 1))
         stack.append((2 * k + 1, j + 1))
     return roots
-
-
-def _render_factor_product(factors: list[ParamPoly]) -> str:
-    counted: list[tuple[str, int]] = []
-    for f in factors:
-        s = poly_text(f)
-        if counted and counted[-1][0] == s:
-            counted[-1] = (s, counted[-1][1] + 1)
-        else:
-            counted.append((s, 1))
-    out = []
-    for s, k in counted:
-        out.append("(%s)" % s if k == 1 else "(%s)^%d" % (s, k))
-    return "".join(out)
 
 
 def interpolate(param: str,
@@ -781,7 +865,7 @@ def _coeff_bits(p: ParamPoly) -> float:
 
     It bounds log2 of every numerator and denominator of p, and a product's
     is at most the sum of its factors'.  Zero counts 0."""
-    lcm, ints = _clear_denominators(p)
+    lcm, ints = _clear_denominators(p.coeffs)
     return math.log2(max(1, lcm * sum(map(abs, ints))))
 
 
@@ -795,35 +879,38 @@ def parse_poly(text: str, param: str) -> ParamPoly:
 def render_factored(f: RationalFunction) -> str:
     """Human-readable factored form, e.g. '-3(112c^2-112c+23)/((56c-3)(56c-53))'.
 
-    Numerator and denominator are split into an integer-primitive product of
-    linear factors at rational roots times an unfactored remainder; the overall
-    rational scale is printed in front.
+    Each side is its linear factors in root order times its irrational
+    factors multiplied out; the overall rational scale is printed in front.
     """
     if f.is_zero():
         return "0"
-    s_num, p_num = _int_primitive(f.num)
-    s_den, p_den = _int_primitive(f.den)
-    scale = s_num / s_den
-    lin_n, rest_n = _rational_root_factors(p_num)
-    lin_d, rest_d = _rational_root_factors(p_den)
-    by_root = lambda q: -q.coeff(0) / q.coeff(1)  # linear factors, root order
-    fac_n = sorted(lin_n, key=by_root) + (
-        [] if rest_n.degree() == 0 else [rest_n])
-    fac_d = sorted(lin_d, key=by_root) + (
-        [] if rest_d.degree() == 0 else [rest_d])
-
+    num, den = f.num.factorization, f.den.factorization
+    scale = num.content / den.content
+    fac_n = _factor_texts(num, f.num.param)
+    fac_d = _factor_texts(den, f.num.param)
     if not fac_n:
         num_txt = rat_text(scale)
     elif scale == 1:
-        num_txt = (poly_text(fac_n[0]) if len(fac_n) == 1
-                   else _render_factor_product(fac_n))
-    elif scale == -1:
-        num_txt = "-" + _render_factor_product(fac_n)
+        num_txt = _product_text(fac_n, bare=True)
     else:
-        num_txt = rat_text(scale) + _render_factor_product(fac_n)
-
+        num_txt = (("-" if scale == -1 else rat_text(scale))
+                   + _product_text(fac_n))
     if not fac_d:
         return num_txt
-    if len(fac_d) == 1:
-        return "%s/(%s)" % (num_txt, poly_text(fac_d[0]))
-    return "%s/(%s)" % (num_txt, _render_factor_product(fac_d))
+    return "%s/(%s)" % (num_txt, _product_text(fac_d, bare=True))
+
+
+def _factor_texts(fac: Factorization, param: str) -> list[tuple[str, int]]:
+    """(text, exponent) of each linear factor, then of the irrational rest."""
+    as_poly = lambda x: poly_text(ParamPoly(param, tuple(map(Fraction, x))))
+    out = [(as_poly((-r.numerator, r.denominator)), m) for r, m in fac.roots]
+    rest = _ipoly_prod(g for g, m in fac.factors for _ in range(m))
+    return out + [(as_poly(rest), 1)] if len(rest) > 1 else out
+
+
+def _product_text(texts: list[tuple[str, int]], bare: bool = False) -> str:
+    """'(a)(b)^2'; a lone factor of exponent 1 without parentheses if bare."""
+    if bare and len(texts) == 1 and texts[0][1] == 1:
+        return texts[0][0]
+    return "".join("(%s)" % s if k == 1 else "(%s)^%d" % (s, k)
+                   for s, k in texts)

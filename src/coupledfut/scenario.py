@@ -78,20 +78,18 @@ def _need_int(raw: dict, key: str, where: str) -> int:
 def _parse_fraction(text, where: str) -> Fraction:
     if not _is_int(text) and not isinstance(text, str):
         raise ParseError("%s: expected an exact rational string" % where)
-    try:
-        return rat(text)
-    except ParseError as exc:
+    try:  # an integer as text too, so that rat bounds its size
+        return rat(str(text))
+    except (ParseError, ValueError) as exc:  # str: over 4300 digits
         raise ParseError("%s: %s" % (where, exc)) from None
 
 
 def _parse_expr(text, param: str, where: str) -> ParamPoly:
-    if _is_int(text):
-        return ParamPoly.const(param, text)
-    if not isinstance(text, str):
+    if not _is_int(text) and not isinstance(text, str):
         raise ParseError("%s: expected an expression string" % where)
-    try:
-        return parse_poly(text, param)
-    except ParseError as exc:
+    try:  # an integer as text too, so that rat bounds its size
+        return parse_poly(str(text), param)
+    except (ParseError, ValueError) as exc:  # str: over 4300 digits
         raise ParseError("%s: %s" % (where, exc))
 
 

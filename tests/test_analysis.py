@@ -29,11 +29,9 @@ from coupledfut.analysis import (
     RootRecord,
     _decimal_of_fraction,
     _quadratic_surds,
-    _surd_value_vs,
 )
 from coupledfut.rationals import (
-    _int_primitive,
-    _rational_root_factors,
+    _squarefree_layers,
     poly_divmod,
 )
 
@@ -391,8 +389,10 @@ class TestCrossValidate:
 # ---------------------------------------------------------------------------
 # Fraction references for the integer root kernel: Sturm bisection over
 # Fractions, with the chain, gcd and squarefree part from Euclid's algorithm
-# over Fraction, and the rational-root search by divisor enumeration, as the
-# engine computed them before the kernel replaced them.  Like the engine,
+# over Fraction, the rational-root search by divisor enumeration, root
+# multiplicities from derivatives, and the surd closed form picked by
+# comparing its value with the bracket ends, as the engine computed them
+# before the kernel and the factorization replaced them.  Like the engine,
 # the bisection goes on halving an irrational root's bracket while it holds
 # an exact root.  None of it calls the integer remainder sequence.
 
@@ -456,9 +456,17 @@ def _ref_divisors(n):
                    for d in (i, n // i)})
 
 
+def _ref_primitive(p):
+    """p scaled to integer coefficients of content 1, leading one positive."""
+    lcm = math.lcm(*(x.denominator for x in p.coeffs))
+    ints = [int(x * lcm) for x in p.coeffs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return ParamPoly.create("c", [x // g for x in ints])
+
+
 def _ref_rational_root_factors(p):
     factors = []
-    _, rest = _int_primitive(p)
+    rest = _ref_primitive(p)
     while rest.degree() >= 1:
         found = None
         if rest.coeff(0) == 0:
@@ -474,8 +482,36 @@ def _ref_rational_root_factors(p):
         lin = ParamPoly.create("c", [-found.numerator, found.denominator])
         factors.append(lin)
         quot, _ = poly_divmod(rest, lin)
-        _, rest = _int_primitive(quot)
+        rest = _ref_primitive(quot)
     return factors, rest
+
+
+def _factored(p):
+    """p.factorization in the reference's shape: one primitive linear factor
+    per unit of multiplicity, and the product of the rest."""
+    fac = p.factorization
+    lin = [ParamPoly.create("c", [-r.numerator, r.denominator])
+           for r, m in fac.roots for _ in range(m)]
+    rest = ParamPoly.const("c", 1)
+    for g, m in fac.factors:
+        for _ in range(m):
+            rest = rest * ParamPoly.create("c", g)
+    return lin, rest
+
+
+def _ref_surd_value_vs(p, q, d, r, x):
+    """Sign of (p + q*sqrt(d))/r - x for r > 0."""
+    rhs = r * x - p  # compare q*sqrt(d) with rhs
+    lhs_sq = F(q * q * d)
+    rhs_sq = rhs * rhs
+    if q >= 0 and rhs < 0:
+        return 1
+    if q <= 0 and rhs > 0:
+        return -1
+    if q >= 0:  # both sides nonnegative
+        return -1 if lhs_sq < rhs_sq else (0 if lhs_sq == rhs_sq else 1)
+    # both sides nonpositive
+    return -1 if lhs_sq > rhs_sq else (0 if lhs_sq == rhs_sq else 1)
 
 
 def _ref_decimal_of_simple_root(p, a, b):
@@ -502,7 +538,8 @@ def _ref_isolate_roots(p, interval, width):
                                       _ref_multiplicity_at(p, root)))
     exact = list(records)
     if rest.degree() >= 1:
-        surds = _quadratic_surds(rest) if rest.degree() == 2 else []
+        surds = (_quadratic_surds(tuple(map(int, rest.coeffs)))
+                 if rest.degree() == 2 else [])
         stack = [(lo, hi)]
         while stack:
             a, b = stack.pop()
@@ -513,8 +550,8 @@ def _ref_isolate_roots(p, interval, width):
                     a <= rec.exact <= b for rec in exact):
                 surd = None
                 for cand in surds:
-                    if (_surd_value_vs(*cand, a) > 0
-                            and _surd_value_vs(*cand, b) < 0):
+                    if (_ref_surd_value_vs(*cand, a) > 0
+                            and _ref_surd_value_vs(*cand, b) < 0):
                         surd = cand
                 records.append(RootRecord(
                     a, b, None, surd, _ref_decimal_of_simple_root(rest, a, b),
@@ -574,7 +611,7 @@ class TestRootKernelEquivalence:
         polys += [c("22265600c^2-22660736c+7565853"), c("6c^2-c-1"),
                   c("c^3"), c("1024c^4-1")]
         for p in polys:
-            lin, rest = _rational_root_factors(p)
+            lin, rest = _factored(p)
             ref_lin, ref_rest = _ref_rational_root_factors(p)
             assert sorted(lin, key=by_root) == sorted(ref_lin, key=by_root)
             assert rest == ref_rest
@@ -582,11 +619,11 @@ class TestRootKernelEquivalence:
     def test_rational_roots_of_wide_coefficients(self):
         # the divisor search cannot finish here; the roots are known
         p = product("(10^12+39)c-(10^11+3)", "(10^9+7)c+1", "c^2-3")
-        lin, rest = _rational_root_factors(p)
+        lin, rest = _factored(p)
         assert sorted(-q.coeff(0) / q.coeff(1) for q in lin) == [
             F(-1, 10**9 + 7), F(10**11 + 3, 10**12 + 39)]
         assert rest == c("c^2-3")
-        lin, rest = _rational_root_factors(c("(10^21+3)c^2-(3*10^20+7)"))
+        lin, rest = _factored(c("(10^21+3)c^2-(3*10^20+7)"))
         assert lin == [] and rest == c("(10^21+3)c^2-(3*10^20+7)")
 
 
@@ -642,3 +679,46 @@ class TestRootMultiplicities:
                 seen.add((rec.exact is None, mult))
         assert seen == {(irrational, m) for irrational in (False, True)
                         for m in (1, 2, 3)}
+
+
+class TestFactorization:
+    def test_squarefree_layers_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("c")
+        rng = random.Random(5106)
+        powers = set()
+        for _ in range(150):
+            p = c(str(rng.choice([1, -2, F(3, 5)])))
+            for f in rng.sample(_KERNEL_FACTORS, rng.randint(1, 3)):
+                k = rng.randint(1, 4)
+                powers.add(k)
+                for _ in range(k):
+                    p = p * c(f)
+            prim = tuple(int(co) for co in _ref_primitive(p).coeffs)
+            layers = _squarefree_layers(prim)
+            ref = {}
+            for f, k in sympy.Poly(prim[::-1], x, domain="ZZ").sqf_list()[1]:
+                _, f = f.primitive()
+                co = tuple(int(a) for a in f.all_coeffs()[::-1])
+                ref[k] = co if co[-1] > 0 else tuple(-a for a in co)
+            assert {i + 1: a for i, a in enumerate(layers)
+                    if len(a) > 1} == ref, p
+            assert all(a[-1] > 0 for a in layers)
+        assert powers == {1, 2, 3, 4}
+
+    def test_factorization_multiplies_back(self):
+        for p, _ in _seeded_polynomials(5107, 100):
+            fac = p.factorization
+            back = ParamPoly.const("c", fac.content)
+            for root, m in fac.roots:
+                for _ in range(m):
+                    back = back * ParamPoly.create(
+                        "c", [-root.numerator, root.denominator])
+            for g, m in fac.factors:
+                assert g[-1] > 0 and math.gcd(*g) == 1
+                for _ in range(m):
+                    back = back * ParamPoly.create("c", g)
+            assert back == p
+            roots = [r for r, _ in fac.roots]
+            assert roots == sorted(set(roots))
+        assert p.factorization is fac  # computed once per polynomial

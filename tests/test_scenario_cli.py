@@ -167,6 +167,38 @@ class TestScenarioFiles:
         code, out, _ = run(capsys, "localize", "--scenario", str(path))
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("command,site,where", [
+        ("localize", ("components", 0, "bundles", 0, "hamiltonian"),
+         r"components\[0\]\.bundles\[0\]\.hamiltonian"),
+        ("localize", ("components", 0, "euler", "scalar"),
+         r"components\[0\]\.euler\.scalar"),
+        ("localize", ("parameter", "interval", 1),
+         r"parameter\.interval\[1\]"),
+        ("toric", ("toric", "polytopes", 0, "facets", 0, "offset"),
+         r"toric\.polytopes\[0\]\.facets\[0\]\.offset"),
+    ], ids=["hamiltonian", "euler-scalar", "interval", "offset"])
+    def test_json_integer_is_bounded_as_text_is(self, capsys, tmp_path,
+                                                command, site, where):
+        data = scenario_to_dict(load("cp1"))
+        node = data
+        for key in site[:-1]:
+            node = node[key]
+        node[site[-1]] = 2 ** 1023 - 1  # 308 digits, 1023 bits
+        scenario_from_dict(data)
+        node[site[-1]] = 10 ** 999
+        message = where + ": rational '10{999}' exceeds the limit of 1024 bits"
+        with pytest.raises(ParseError, match=message):
+            scenario_from_dict(data)
+        node[site[-1]] = 10 ** 5000  # past the interpreter's text limit
+        with pytest.raises(ParseError, match=where + ": [Ee]xceeds the limit"):
+            scenario_from_dict(data)
+        node[site[-1]] = 10 ** 999
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert re.search(message, err)
+
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A bundle-count mismatch parses fine; validate_scenario rejects it.
         bad = copy.deepcopy(scenario_to_dict(load("hultgren-c")))
@@ -283,6 +315,23 @@ class TestCliRoots:
             width = F(entry["hi"]) - F(entry["lo"])
             assert width <= F(1, 10**12)
         assert payload["roots"][0]["closed_form"] == "(14-sqrt(35))/28"
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
+    def test_each_polynomial_is_factored_once(self, capsys, monkeypatch, fmt):
+        from coupledfut import rationals
+
+        searched = []
+        search = rationals._rational_roots
+
+        def counting(s):
+            searched.append(s)
+            return search(s)
+
+        monkeypatch.setattr(rationals, "_rational_roots", counting)
+        code, _, _ = run(capsys, "roots", "--catalog", "hultgren-c",
+                         "--format", fmt)
+        assert code == 0
+        assert len(searched) == 2  # the numerator and the denominator
 
     def test_width_flag_is_parsed_exactly(self, capsys):
         code, out, _ = run(
