@@ -229,19 +229,19 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
         return RootReport(param, interval, width, f, (), (),
                           ("the invariant vanishes identically",))
     roots = isolate_roots(f.num, interval, width)
-    poles: list[Fraction] = []
+    poles: list[tuple[Fraction, int]] = []  # ascending, each once
     if f.den.degree() >= 1:
         fac = f.den.factorization
-        # a pole is listed once per unit of its multiplicity
-        poles = [root for root, mult in fac.roots for _ in range(mult)
+        poles = [(root, mult) for root, mult in fac.roots
                  if interval[0] < root < interval[1]]
         if any(UnitKernel(g, *interval).count(0, 0) for g, _ in fac.factors):
             messages.append("irrational poles inside the interval")
     if poles:
-        messages.append("poles inside the validity interval: %s"
-                        % ", ".join(rat_text(x) for x in sorted(poles)))
+        messages.append("poles inside the validity interval: %s" % ", ".join(
+            rat_text(x) + (" (multiplicity %d)" % m if m > 1 else "")
+            for x, m in poles))
     return RootReport(param, interval, width, f, roots,
-                      tuple(sorted(poles)), tuple(messages))
+                      tuple(x for x, _ in poles), tuple(messages))
 
 
 # ---------------------------------------------------------------------------

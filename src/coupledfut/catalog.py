@@ -8,19 +8,8 @@ offsets swap under c -> 1-c, inside a common ambient polytope.
 
 from __future__ import annotations
 
-import copy
-
 from .errors import UsageError
 from .scenario import Scenario, scenario_from_dict
-
-_SECTION_RING = {
-    "generators": [
-        {"name": "a", "order": 2, "degree": 2},
-        {"name": "b", "order": 3, "degree": 2},
-    ],
-    "top": {"a": 1, "b": 2},
-    "dimension": 3,
-}
 
 _FLAG_NORMALS = [
     [-1, -1, 0, 1],
@@ -38,17 +27,6 @@ def _flag_polytope(offsets: list[str]) -> dict:
                        for n, o in zip(_FLAG_NORMALS, offsets)]}
 
 
-_FLAG_TORIC = {
-    "ambient": 4,
-    "direction": [0, 0, 0, 1],
-    "polytopes": [
-        _flag_polytope(["1/2", "1/2", "1/2", "c", "c", "1/2", "1/2"]),
-        _flag_polytope(["1/2", "1/2", "1/2", "1-c", "1-c", "1/2", "1/2"]),
-    ],
-    "anticanonical": _flag_polytope(["1", "1", "1", "1", "1", "1", "1"]),
-}
-
-
 def _flagship(name: str, description: str, euler_lo: str, euler_hi: str,
               first_hamiltonian: str) -> dict:
     return {
@@ -59,7 +37,14 @@ def _flagship(name: str, description: str, euler_lo: str, euler_hi: str,
         "dimension": 4,
         "bundles": 2,
         "parameter": {"name": "c", "interval": ["1/4", "3/4"]},
-        "rings": {"section": copy.deepcopy(_SECTION_RING)},
+        "rings": {"section": {
+            "generators": [
+                {"name": "a", "order": 2, "degree": 2},
+                {"name": "b", "order": 3, "degree": 2},
+            ],
+            "top": {"a": 1, "b": 2},
+            "dimension": 3,
+        }},
         "components": [
             {
                 "label": "infinity-section",
@@ -88,7 +73,16 @@ def _flagship(name: str, description: str, euler_lo: str, euler_hi: str,
                 ],
             },
         ],
-        "toric": copy.deepcopy(_FLAG_TORIC),
+        "toric": {
+            "ambient": 4,
+            "direction": [0, 0, 0, 1],
+            "polytopes": [
+                _flag_polytope(["1/2", "1/2", "1/2", "c", "c", "1/2", "1/2"]),
+                _flag_polytope(["1/2", "1/2", "1/2", "1-c", "1-c", "1/2",
+                                "1/2"]),
+            ],
+            "anticanonical": _flag_polytope(["1"] * 7),
+        },
     }
 
 

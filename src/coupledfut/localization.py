@@ -22,11 +22,11 @@ bundle restriction u + c1, the two finite expansions
 
 give int (u + c1)^p / (s + N) = [sum_j C(p,j) u^(p-j) w_j] / s^(d+1) with
 w_j = sum_k s^(d-k) <c1^j, (-N)^k>, where <x, y> is the top coefficient of
-xy, read by pairing complementary monomials.  Each component clears its
-denominators once and works over integer polynomials in the parameter,
-with its classes stored as dense arrays over the monomials dividing the top
-one.  The scenario then sums every entry over one least common multiple of
-the component denominators and reduces it once.  power_sum,
+xy, read by pairing complementary monomials.  Each distinct class is cleared
+of denominators once, to integer polynomials in the parameter stored as a
+dense array over the monomials dividing the top one.  The scenario then
+sums every entry over one least common multiple of the component
+denominators, moved into u and w_j, and reduces it once.  power_sum,
 validate_scenario, volume_localized and fut_localized all read that table;
 component_integral keeps the direct ring arithmetic as the reference.
 """
@@ -61,11 +61,6 @@ class FixedComponent(Record):
     euler: EquivariantClass
     bundles: tuple[BundleRestriction, ...]
 
-    def restriction(self, alpha: int) -> EquivariantClass:
-        """The equivariant class u + c1 of bundle alpha on this component."""
-        b = self.bundles[alpha]
-        return EquivariantClass(b.hamiltonian, b.chern)
-
     def is_point(self) -> bool:
         return not self.ring.generators
 
@@ -86,30 +81,39 @@ class LocalizationScenario(Record):
     def residue_table(self) -> tuple[tuple[RationalFunction, ...], ...]:
         """Power sums indexed [bundle][power] for powers 0..dimension+1.
 
-        Each component gives integer numerators over B_alpha^p * S^(d+1)
+        Each component gives integer polynomials over S^(d+1) and B_alpha
         (_component_residues).  Entry (alpha, p) is summed over
         L_alpha^p * L, with L_alpha and L the least common multiples in
         Z[param] of the components' B_alpha and S^(d+1), and reduced once.
         """
         powers = self.dimension + 2
-        parts = [_component_residues(comp, self.param, self.bundles, powers)
+        cleared: dict = {}  # shared by the components, see _dense
+        parts = [_component_residues(comp, self.param, self.bundles, cleared)
                  for comp in self.components]
         euler_den: IntPoly = (1,)
         bundle_dens: list[IntPoly] = [(1,)] * self.bundles
-        for _, dens, den in parts:
+        for den, rows in parts:
             euler_den = _ipoly_lcm(euler_den, den)
-            bundle_dens = [_ipoly_lcm(a, b)
-                           for a, b in zip(bundle_dens, dens)]
+            bundle_dens = [_ipoly_lcm(a, row[2])
+                           for a, row in zip(bundle_dens, rows)]
         table = []
         for alpha, bundle_den in enumerate(bundle_dens):
             sums: list[IntPoly] = [()] * powers
-            for nums, dens, den in parts:
+            for den, rows in parts:
+                # scale ratio^p sum_j C(p,j) U^(p-j) W_j, with the scale and
+                # the ratio to the common denominators moved into U and W_j
+                u, w, b_den = rows[alpha]
                 scale = _ipoly_quo(euler_den, den)
-                ratio = _ipoly_quo(bundle_den, dens[alpha])
-                for power, num in enumerate(nums[alpha]):
-                    sums[power] = _ipoly_add(sums[power],
-                                             _ipoly_mul(scale, num))
+                ratio = _ipoly_quo(bundle_den, b_den)
+                u_pows = [(1,), _ipoly_mul(ratio, u)]
+                while len(u_pows) < powers:
+                    u_pows.append(_ipoly_mul(u_pows[-1], u_pows[1]))
+                for j, w_j in enumerate(w):
+                    w_j = _ipoly_mul(scale, w_j)
                     scale = _ipoly_mul(scale, ratio)
+                    for p in range(j, powers):
+                        sums[p] = _ipoly_add(sums[p], _ipoly_mul(
+                            (math.comb(p, j),), _ipoly_mul(u_pows[p - j], w_j)))
             row = []
             den = euler_den
             for total in sums:
@@ -124,15 +128,16 @@ class LocalizationScenario(Record):
 # the residue table over integer polynomials
 
 def _component_residues(comp: FixedComponent, param: str, bundles: int,
-                        powers: int
-                        ) -> tuple[list[list[IntPoly]], list[IntPoly], IntPoly]:
-    """One component's integrals of (u + c1)^p / euler for p < powers.
+                        cleared: dict
+                        ) -> tuple[IntPoly, list[tuple[IntPoly, list[IntPoly],
+                                                       IntPoly]]]:
+    """One component's integrals of (u + c1)^p / euler, as integer data.
 
-    Returns (nums, dens, den) with int (u_alpha + c1_alpha)^p / euler equal
-    to nums[alpha][p] / (dens[alpha]^p * den), every entry an integer
-    polynomial.  With the Euler class cleared to (S + N) / E and the bundle
-    class to (U + C) / B, nums[alpha][p] = E * sum_j C(p,j) U^(p-j) W_j and
-    den = S^(d+1), where W_j = sum_k S^(d-k) <C^j, (-N)^k>.
+    Returns (den, rows) with rows[alpha] = (U, W, B), so that
+    int (u_alpha + c1_alpha)^p / euler = sum_j C(p,j) U^(p-j) W[j] /
+    (B^p * den) for every p.  With the Euler class cleared to (S + N) / E
+    and the bundle class to (U + C) / B, den = S^(d+1) and
+    W[j] = E * sum_k S^(d-k) <C^j, (-N)^k> for j <= d.
     """
     if len(comp.bundles) != bundles:
         raise UsageError("component %r restricts %d bundles; scenario has %d"
@@ -144,40 +149,28 @@ def _component_residues(comp: FixedComponent, param: str, bundles: int,
     _check_param(ring.param, param)
     table = ring.monomial_table
     d = ring.dimension
-    euler, e_den = _dense(comp.euler, table, param)
+    euler, e_den = _dense(comp.euler.scalar, comp.euler.nilpotent, table,
+                          param, cleared)
     s = euler[0]
     neg_nil = [()] + [tuple(-x for x in co) for co in euler[1:]]
     neg_pows = _dense_powers(neg_nil, table, d)
     s_pows: list[IntPoly] = [(1,)]
     for _ in range(d + 1):
         s_pows.append(_ipoly_mul(s_pows[-1], s))
-    nums, dens = [], []
-    for alpha in range(bundles):
-        restriction = comp.restriction(alpha)
-        if restriction.ring != ring:
+    rows = []
+    for b in comp.bundles:
+        if b.chern.ring != ring:
             raise UsageError("classes live in different rings")
-        cls, b_den = _dense(restriction, table, param)
-        u, cls[0] = cls[0], ()
+        cls, b_den = _dense(b.hamiltonian, b.chern, table, param, cleared)
         w = []
-        for j, c1_j in enumerate(_dense_powers(cls, table, d)):
+        for j, c1_j in enumerate(_dense_powers([()] + cls[1:], table, d)):
             acc: IntPoly = ()
             for k in range(d - j + 1):
                 acc = _ipoly_add(acc, _ipoly_mul(
                     s_pows[d - k], _pair(c1_j, neg_pows[k], table)))
             w.append(_ipoly_mul(e_den, acc))
-        u_pows: list[IntPoly] = [(1,)]
-        for _ in range(powers - 1):
-            u_pows.append(_ipoly_mul(u_pows[-1], u))
-        row = []
-        for p in range(powers):
-            acc = ()
-            for j in range(min(p, d) + 1):
-                acc = _ipoly_add(acc, _ipoly_mul(
-                    (math.comb(p, j),), _ipoly_mul(u_pows[p - j], w[j])))
-            row.append(acc)
-        nums.append(row)
-        dens.append(b_den)
-    return nums, dens, s_pows[d + 1]
+        rows.append((cls[0], w, b_den))
+    return s_pows[d + 1], rows
 
 
 def _check_param(name: str, param: str) -> None:
@@ -186,16 +179,23 @@ def _check_param(name: str, param: str) -> None:
                          % (param, name))
 
 
-def _dense(cls: EquivariantClass, table: MonomialTable,
-           param: str) -> tuple[list[IntPoly], IntPoly]:
+def _dense(scalar: RationalFunction, nilpotent: NilpotentClass,
+           table: MonomialTable, param: str,
+           memo: dict) -> tuple[list[IntPoly], IntPoly]:
     """Integer numerators over the monomials of table, and their denominator.
 
     Index 0 holds the scalar part.  Terms that do not divide the top
     monomial never reach it and are dropped after their parameter check.
+    memo keeps the result, not to be modified, by the identities of the two
+    parts, which the scenario keeps alive, so each distinct pair is cleared
+    once.
     """
+    key = (id(scalar), id(nilpotent))
+    if key in memo:
+        return memo[key]
     cleared = []
-    for i, f in [(0, cls.scalar)] + [(table.index.get(e), f)
-                                     for e, f in cls.nilpotent.terms]:
+    for i, f in [(0, scalar)] + [(table.index.get(e), f)
+                                 for e, f in nilpotent.terms]:
         _check_param(f.param, param)
         if i is not None:
             cleared.append((i, _cleared(f)))
@@ -205,6 +205,7 @@ def _dense(cls: EquivariantClass, table: MonomialTable,
     out: list[IntPoly] = [()] * len(table.monomials)
     for i, (n, d) in cleared:
         out[i] = _ipoly_mul(n, _ipoly_quo(den, d))
+    memo[key] = out, den
     return out, den
 
 
@@ -254,7 +255,8 @@ def component_integral(comp: FixedComponent, alpha: int, power: int) -> Rational
         raise UsageError("bundle index %d out of range" % alpha)
     if power < 0:
         raise UsageError("negative power %d" % power)
-    integrand = (equiv_pow(comp.restriction(alpha), power)
+    b = comp.bundles[alpha]
+    integrand = (equiv_pow(EquivariantClass(b.hamiltonian, b.chern), power)
                  * invert_unit(comp.euler))
     return integrate(integrand)
 

@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: rationals, dense univariate polynomials in one
 formal parameter, and reduced rational functions.
 
-Rational numbers are fractions.Fraction throughout (arbitrary precision,
-always canonical).  A ParamPoly stores its coefficients densely, ascending by
+Rational numbers are fractions.Fraction (arbitrary precision, always
+canonical).  A ParamPoly stores its coefficients densely, ascending by
 degree, with no trailing zeros; the zero polynomial is the empty tuple.  A
 RationalFunction is a gcd-reduced quotient whose denominator is monic, so
 structural equality coincides with mathematical equality.  Integer
-polynomials (IntPoly) are plain tuples in the same layout.
+polynomials (IntPoly) are plain tuples in the same layout.  The expression
+parser works on IntPoly numerators over one positive denominator in lowest
+terms, and builds one ParamPoly at the end.
 
 One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
@@ -21,6 +23,7 @@ form is read from that factorization.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -37,9 +40,7 @@ def rat(value: int | str | Fraction) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    text = str(value).strip()
-    for bad, good in _NORMALIZE.items():
-        text = text.replace(bad, good)
+    text = str(value).strip().translate(_NORMALIZE)
     mantissa, e, exponent = text.lower().partition("e")
     try:
         # a nonzero mantissa of m characters times 10^k stays within
@@ -91,10 +92,6 @@ class ParamPoly(Record):
     @staticmethod
     def const(param: str, value: int | str | Fraction) -> "ParamPoly":
         return ParamPoly.create(param, [value])
-
-    @staticmethod
-    def variable(param: str) -> "ParamPoly":
-        return ParamPoly(param, (Fraction(0), Fraction(1)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -276,6 +273,8 @@ IntPoly = tuple[int, ...]
 
 
 def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not b or not a:
+        return a or b
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -287,12 +286,15 @@ def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def _ipoly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The product; a unit factor (1,) returns the other one unchanged."""
     if not a or not b:
         return ()
     if len(a) == 1:
-        return tuple(a[0] * y for y in b)
+        k = a[0]
+        return b if k == 1 else tuple([k * y for y in b])
     if len(b) == 1:
-        return tuple(x * b[0] for x in a)
+        k = b[0]
+        return a if k == 1 else tuple([x * k for x in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -367,7 +369,7 @@ class RationalFunction(Record):
 
     @staticmethod
     def from_poly(p: ParamPoly) -> "RationalFunction":
-        return RationalFunction(p, ParamPoly.const(p.param, 1))
+        return RationalFunction(p, ParamPoly(p.param, (Fraction(1),)))
 
     @property
     def param(self) -> str:
@@ -693,57 +695,58 @@ MAX_EXPONENT = 100
 # before the polynomial is expanded, so nested powers such as
 # "((c+1)^100)^100" fail at once instead of multiplying out
 MAX_DEGREE = 100
-# largest coefficient size in bits (_coeff_bits) of any power or product met
+# largest coefficient size in bits (_value_bits) of any power or product met
 # while parsing, checked the same way: "((2^100)^100)^100" fails at once; it
 # also bounds the numerator and denominator of every rational read by rat
 MAX_COEFF_BITS = 1024
 # largest sample count; verify realizes every polytope at each sample
 MAX_SAMPLES = 1000
 
-_NORMALIZE = {
-    "−": "-",  # unicode minus
-    "–": "-",
-    "·": "*",
-    "×": "*",
-}
+# unicode minus and en dash, middle dot and multiplication sign
+_NORMALIZE = str.maketrans("−–·×", "--**")
+
+
+# a number (digits with at most one dot), a name, an operator, or any other
+# character that is not whitespace, which is an error
+_TOKEN = re.compile(r"(\d+\.?\d*|\.\d*)|([^\W\d]\w*)|([-+*/^()])|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    for bad, good in _NORMALIZE.items():
-        text = text.replace(bad, good)
+    """(kind, text) of each token, kind "num", "name" or the operator, then
+    ("", "") to mark the end."""
+    text = text.translate(_NORMALIZE)
     tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            tokens.append(("num", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError("unexpected character %r in expression %r" % (ch, text))
+    for num, name, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError("unexpected character %r in expression %r"
+                             % (bad, text))
+        tokens.append(("num", num) if num else ("name", name) if name
+                      else (op, op))
+    tokens.append(("", ""))
     return tokens
 
 
+# a value while parsing: integer coefficients (an IntPoly) over a positive
+# denominator, in lowest terms, so zero is ((), 1)
+_Value = tuple[IntPoly, int]
+
+
+def _lowest(num: IntPoly, den: int) -> _Value:
+    g = math.gcd(den, *num) if den != 1 else 1
+    return (num, den) if g == 1 else (tuple(x // g for x in num), den // g)
+
+
+def _value_bits(value: _Value) -> float:
+    """log2 of den * |num|_1, 0 for zero.  It bounds log2 of every numerator
+    and denominator of the value, and a product's is at most the sum of its
+    factors'."""
+    num, den = value
+    return math.log2(max(1, den * sum(map(abs, num))))
+
+
 class _ExprParser:
-    """Recursive-descent parser producing a ParamPoly in a fixed parameter."""
+    """Recursive-descent parser over _Value, producing one ParamPoly in a
+    fixed parameter at the end."""
 
     def __init__(self, text: str, param: str):
         self.text = text
@@ -752,7 +755,7 @@ class _ExprParser:
         self.pos = 0
 
     def peek(self) -> str:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else ""
+        return self.tokens[self.pos][0]
 
     def take(self) -> tuple[str, str]:
         tok = self.tokens[self.pos]
@@ -760,23 +763,23 @@ class _ExprParser:
         return tok
 
     def parse(self) -> ParamPoly:
-        out = self.expr()
-        if self.pos != len(self.tokens):
+        num, den = self.expr()
+        if self.peek():
             raise ParseError("trailing input in expression %r" % self.text)
-        return out
+        return ParamPoly(self.param, tuple(Fraction(x, den) for x in num))
 
-    def expr(self) -> ParamPoly:
+    def expr(self) -> _Value:
         if self.peek() in ("+", "-"):
             kind, _ = self.take()
             acc = self.term()
             if kind == "-":
-                acc = -acc
+                acc = _negate(acc)
         else:
             acc = self.term()
         while self.peek() in ("+", "-"):
             kind, _ = self.take()
             rhs = self.term()
-            acc = acc + rhs if kind == "+" else acc - rhs
+            acc = _add(acc, rhs if kind == "+" else _negate(rhs))
         return acc
 
     def check_size(self, degree: int, bits: float) -> None:
@@ -787,13 +790,13 @@ class _ExprParser:
             raise ParseError("coefficient size %d bits exceeds the limit %d in %r"
                              % (math.ceil(bits), MAX_COEFF_BITS, self.text))
 
-    def product(self, acc: ParamPoly) -> ParamPoly:
+    def product(self, acc: _Value) -> _Value:
         rhs = self.factor()
-        self.check_size(acc.degree() + rhs.degree(),
-                        _coeff_bits(acc) + _coeff_bits(rhs))
-        return acc * rhs
+        self.check_size(len(acc[0]) + len(rhs[0]) - 2,
+                        _value_bits(acc) + _value_bits(rhs))
+        return _lowest(_ipoly_mul(acc[0], rhs[0]), acc[1] * rhs[1])
 
-    def term(self) -> ParamPoly:
+    def term(self) -> _Value:
         acc = self.factor()
         while True:
             nxt = self.peek()
@@ -802,55 +805,58 @@ class _ExprParser:
                 acc = self.product(acc)
             elif nxt == "/":
                 self.take()
-                div = self.factor()
-                q = div.constant_value()
-                if q is None:
+                q, q_den = self.factor()
+                if len(q) > 1:
                     raise ParseError(
                         "division by a non-constant in expression %r" % self.text)
-                if q == 0:
+                if not q:
                     raise ParseError("division by zero in expression %r" % self.text)
-                acc = acc.scale(1 / q)
+                sign = 1 if q[0] > 0 else -1
+                acc = _lowest(_ipoly_mul(acc[0], (sign * q_den,)),
+                              acc[1] * abs(q[0]))
             elif nxt in ("num", "name", "("):
                 acc = self.product(acc)  # implicit multiplication, e.g. "2c"
             else:
                 return acc
 
-    def factor(self) -> ParamPoly:
+    def factor(self) -> _Value:
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            return _negate(self.factor())
         base = self.atom()
         if self.peek() == "^":
             self.take()
-            kind, val = self.take() if self.pos < len(self.tokens) else ("", "")
+            kind, val = self.take()
             if kind != "num" or "." in val:
                 raise ParseError("exponent must be an integer in %r" % self.text)
             if int(val) > MAX_EXPONENT:
                 raise ParseError("exponent %s exceeds the limit %d in %r"
                                  % (val, MAX_EXPONENT, self.text))
-            self.check_size(base.degree() * int(val),
-                            _coeff_bits(base) * int(val))
-            out = ParamPoly.const(self.param, 1)
-            for _ in range(int(val)):
-                out = out * base
-            return out
+            k = int(val)
+            self.check_size((len(base[0]) - 1) * k, _value_bits(base) * k)
+            # a power of a value in lowest terms is in lowest terms
+            return _ipoly_prod([base[0]] * k), base[1] ** k
         return base
 
-    def atom(self) -> ParamPoly:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of expression %r" % self.text)
+    def atom(self) -> _Value:
         kind, val = self.take()
+        if not kind:
+            raise ParseError("unexpected end of expression %r" % self.text)
         if kind == "num":
             if val == ".":  # the only token of digits and one dot rat rejects
                 raise ParseError("malformed number %r in expression %r"
                                  % (val, self.text))
-            return ParamPoly.const(self.param, rat(val))
+            if "." in val or 10 * len(val) > 3 * MAX_COEFF_BITS:
+                q = rat(val)  # which bounds its size
+                return ((q.numerator,) if q else ()), q.denominator
+            n = int(val)  # below 10^(0.3 MAX_COEFF_BITS) < 2^MAX_COEFF_BITS
+            return ((n,) if n else ()), 1
         if kind == "name":
             if val != self.param:
                 raise ParseError(
                     "unknown symbol %r in expression %r (parameter is %r)"
                     % (val, self.text, self.param))
-            return ParamPoly.variable(self.param)
+            return (0, 1), 1
         if kind == "(":
             inner = self.expr()
             if self.peek() != ")":
@@ -860,13 +866,15 @@ class _ExprParser:
         raise ParseError("unexpected token %r in expression %r" % (val, self.text))
 
 
-def _coeff_bits(p: ParamPoly) -> float:
-    """log2 of L * |L p|_1, L the common denominator of p's coefficients.
+def _negate(value: _Value) -> _Value:
+    return tuple(-x for x in value[0]), value[1]
 
-    It bounds log2 of every numerator and denominator of p, and a product's
-    is at most the sum of its factors'.  Zero counts 0."""
-    lcm, ints = _clear_denominators(p.coeffs)
-    return math.log2(max(1, lcm * sum(map(abs, ints))))
+
+def _add(a: _Value, b: _Value) -> _Value:
+    (x, dx), (y, dy) = a, b
+    den = math.lcm(dx, dy)
+    return _lowest(_ipoly_add(_ipoly_mul(x, (den // dx,)),
+                              _ipoly_mul(y, (den // dy,))), den)
 
 
 def parse_poly(text: str, param: str) -> ParamPoly:

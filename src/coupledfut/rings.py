@@ -67,14 +67,20 @@ class Ring(Record):
         """The monomials dividing top, their products and complements."""
         monos = tuple(itertools.product(*(range(e + 1) for e in self.top)))
         index = {m: i for i, m in enumerate(monos)}
+        # in mixed-radix order an index is the exponents dotted with the
+        # strides, and a product's index is the sum of its factors'
+        strides = [1]
+        for e in reversed(self.top[1:]):
+            strides.insert(0, strides[0] * (e + 1))
         products = []
         for i, a in enumerate(monos[1:], 1):
-            for j, b in enumerate(monos[1:], 1):
-                k = index.get(tuple(x + y for x, y in zip(a, b)))
-                if k is not None:
-                    products.append((i, j, k))
-        pairs = tuple((i, index[tuple(t - e for t, e in zip(self.top, m))])
-                      for i, m in enumerate(monos))
+            # the monomials b with a * b dividing top, ascending
+            for j in map(sum, itertools.product(*(
+                    range(0, (t - e) * s + 1, s)
+                    for t, e, s in zip(self.top, a, strides)))):
+                if j:
+                    products.append((i, j, i + j))
+        pairs = tuple(enumerate(range(len(monos) - 1, -1, -1)))
         return MonomialTable(monos, index, tuple(products), pairs)
 
 
@@ -171,7 +177,7 @@ class NilpotentClass(Record):
                 raise UsageError("constant term belongs in the scalar part")
             if coeff.is_zero() or not ring.monomial_survives(exps):
                 continue
-            kept[exps] = kept.get(exps, RationalFunction.const(ring.param, 0)) + coeff
+            kept[exps] = kept[exps] + coeff if exps in kept else coeff
         items = tuple(sorted((e, c) for e, c in kept.items() if not c.is_zero()))
         return NilpotentClass(ring, items)
 

@@ -5,7 +5,8 @@ restrictions, Euler classes), the parameter's validity interval, and an
 optional toric block with the bundle polytopes, a preferred direction, and
 the ambient polytope.  Parsing is strict: unknown ring names, malformed
 expressions, and structural mismatches raise ParseError with the offending
-location; semantic problems are left to validate_scenario.
+location; semantic problems are left to validate_scenario.  Each distinct
+expression text is parsed once per load, and equal texts share one value.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from .errors import ParseError, Record
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
-from .rationals import (ParamPoly, RationalFunction, parse_poly, poly_text,
-                        rat, rat_text)
+from .rationals import RationalFunction, parse_poly, poly_text, rat, rat_text
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
@@ -84,16 +84,23 @@ def _parse_fraction(text, where: str) -> Fraction:
         raise ParseError("%s: %s" % (where, exc)) from None
 
 
-def _parse_expr(text, param: str, where: str) -> ParamPoly:
-    if not _is_int(text) and not isinstance(text, str):
+def _parse_expr(text, param: str, where: str,
+                memo: dict) -> RationalFunction:
+    """The polynomial an expression denotes, as a rational function, parsed
+    once per distinct text of a load (see scenario_from_dict)."""
+    if not isinstance(text, str) and not _is_int(text):
         raise ParseError("%s: expected an expression string" % where)
-    try:  # an integer as text too, so that rat bounds its size
-        return parse_poly(str(text), param)
-    except (ParseError, ValueError) as exc:  # str: over 4300 digits
-        raise ParseError("%s: %s" % (where, exc))
+    value = memo.get(text)
+    if value is None:
+        try:  # an integer as text too, so that rat bounds its size
+            value = RationalFunction.from_poly(parse_poly(str(text), param))
+        except (ParseError, ValueError) as exc:  # str: over 4300 digits
+            raise ParseError("%s: %s" % (where, exc))
+        memo[text] = value
+    return value
 
 
-def _parse_class(raw, ring: Ring, where: str) -> NilpotentClass:
+def _parse_class(raw, ring: Ring, where: str, memo: dict) -> NilpotentClass:
     if not isinstance(raw, dict):
         raise ParseError("%s: expected an object of monomial terms" % where)
     terms = {}
@@ -102,9 +109,14 @@ def _parse_class(raw, ring: Ring, where: str) -> NilpotentClass:
             exps = parse_monomial(ring, key)
         except ParseError as exc:
             raise ParseError("%s: %s" % (where, exc))
-        poly = _parse_expr(val, ring.param, "%s.%s" % (where, key))
-        terms[exps] = RationalFunction.from_poly(poly)
-    return NilpotentClass.create(ring, terms)
+        terms[exps] = _parse_expr(val, ring.param, "%s.%s" % (where, key),
+                                  memo)
+    # every value is now a str or an int, so the items can be a key
+    class_key = (id(ring), tuple(raw.items()))
+    cls = memo.get(class_key)
+    if cls is None:
+        cls = memo[class_key] = NilpotentClass.create(ring, terms)
+    return cls
 
 
 def _parse_ring(name: str, raw, param: str) -> Ring:
@@ -129,7 +141,8 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
     return ring_create(param, gens, top, _need_int(raw, "dimension", where))
 
 
-def _parse_polytope(raw, param: str, ambient: int, where: str) -> ParamPolytope:
+def _parse_polytope(raw, param: str, ambient: int, where: str,
+                    memo: dict) -> ParamPolytope:
     if not isinstance(raw, dict):
         raise ParseError("%s: expected an object" % where)
     facets_raw = _need(raw, "facets", where)
@@ -144,7 +157,8 @@ def _parse_polytope(raw, param: str, ambient: int, where: str) -> ParamPolytope:
         if (not isinstance(normal, list)
                 or not all(_is_int(x) for x in normal)):
             raise ParseError("%s.normal: expected a list of integers" % fw)
-        offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset")
+        offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset",
+                             memo).num
         facets.append((tuple(normal), offset))
     return ParamPolytope.create(param, ambient, facets)
 
@@ -175,6 +189,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     comps_raw = _need(raw, "components", "scenario")
     if not isinstance(comps_raw, list):
         raise ParseError("components: expected a list")
+    # the values built so far in this load: each expression by its text, each
+    # class by its ring and terms; equal texts share one object, and an error
+    # is never stored, so each bad occurrence reports its own location
+    memo: dict = {}
     components = []
     for i, c in enumerate(comps_raw):
         cw = "components[%d]" % i
@@ -189,11 +207,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         euler_raw = _need(c, "euler", cw)
         if not isinstance(euler_raw, dict):
             raise ParseError("%s.euler: expected an object" % cw)
-        euler_scalar = RationalFunction.from_poly(_parse_expr(
-            _need(euler_raw, "scalar", cw + ".euler"), param,
-            cw + ".euler.scalar"))
+        euler_scalar = _parse_expr(_need(euler_raw, "scalar", cw + ".euler"),
+                                   param, cw + ".euler.scalar", memo)
         euler_nil = _parse_class(euler_raw.get("classes", {}), ring,
-                                 cw + ".euler.classes")
+                                 cw + ".euler.classes", memo)
         euler = EquivariantClass(euler_scalar, euler_nil)
         bnd_raw = _need(c, "bundles", cw)
         if not isinstance(bnd_raw, list):
@@ -203,9 +220,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             bw = "%s.bundles[%d]" % (cw, j)
             if not isinstance(b, dict):
                 raise ParseError("%s: expected an object" % bw)
-            ham = RationalFunction.from_poly(_parse_expr(
-                _need(b, "hamiltonian", bw), param, bw + ".hamiltonian"))
-            chern = _parse_class(b.get("chern", {}), ring, bw + ".chern")
+            ham = _parse_expr(_need(b, "hamiltonian", bw), param,
+                              bw + ".hamiltonian", memo)
+            chern = _parse_class(b.get("chern", {}), ring, bw + ".chern",
+                                 memo)
             restrictions.append(BundleRestriction(ham, chern))
         components.append(FixedComponent(label, ring, codim, euler,
                                          tuple(restrictions)))
@@ -228,12 +246,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(polys_raw, list):
             raise ParseError("toric.polytopes: expected a list")
         pps = tuple(_parse_polytope(p, param, ambient,
-                                    "toric.polytopes[%d]" % i)
+                                    "toric.polytopes[%d]" % i, memo)
                     for i, p in enumerate(polys_raw))
         anti = None
         if t.get("anticanonical") is not None:
             anti = _parse_polytope(t["anticanonical"], param, ambient,
-                                   "toric.anticanonical")
+                                   "toric.anticanonical", memo)
         toric = ToricModel(param, ambient, tuple(direction), pps, anti)
     return Scenario(loc, toric)
 

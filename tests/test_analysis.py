@@ -222,6 +222,14 @@ class TestFutRoots:
         assert report.poles_inside == (F(1, 2),)
         assert report.messages == ("poles inside the validity interval: 1/2",)
 
+    def test_repeated_pole_is_listed_once_with_its_multiplicity(self):
+        report = fut_roots(ratfun_reduce(c("c-1/3"), product("2c-1", "2c-1")),
+                           (F(0), F(1)))
+        assert [r.exact for r in report.roots] == [F(1, 3)]
+        assert report.poles_inside == (F(1, 2),)
+        assert report.messages == (
+            "poles inside the validity interval: 1/2 (multiplicity 2)",)
+
     def test_zero_invariant(self):
         report = fut_roots(RationalFunction.const("c", 0), (F(0), F(1)))
         assert report.roots == ()

@@ -150,6 +150,13 @@ class TestParsePoly:
         ("(2^100)^11", "size 1100 bits exceeds the limit %d" % MAX_COEFF_BITS),
         ("(2^100)^10*2^25", "size 1025 bits exceeds the limit %d"
                             % MAX_COEFF_BITS),
+        # log2(2^16 + 1) * 64 is just over MAX_COEFF_BITS, at a power, at a
+        # product and through a denominator
+        ("(2^16+1)^64", "size 1025 bits exceeds the limit %d" % MAX_COEFF_BITS),
+        ("(2^16+1)^32*(2^16+1)^32", "size 1025 bits exceeds the limit %d"
+                                    % MAX_COEFF_BITS),
+        ("(c/(2^16+1))^64", "size 1025 bits exceeds the limit %d"
+                            % MAX_COEFF_BITS),
     ])
     def test_degree_limit(self, text, message):
         assert parse_poly("(c+1)^%d" % MAX_DEGREE, "c").degree() == MAX_DEGREE
@@ -158,6 +165,16 @@ class TestParsePoly:
         with pytest.raises(ParseError, match=message):
             parse_poly(text, "c")
         assert time.process_time() - start < 0.1
+
+    @pytest.mark.parametrize("text,value", [
+        # log2(2^16 - 1) * 64 is just under MAX_COEFF_BITS
+        ("(2^16-1)^64", ParamPoly.const("c", (2 ** 16 - 1) ** 64)),
+        ("(2^16-1)^32*(2^16-1)^32", ParamPoly.const("c", (2 ** 16 - 1) ** 64)),
+        ("(c/(2^16-1))^64", ParamPoly.create(
+            "c", [0] * 64 + [F(1, (2 ** 16 - 1) ** 64)])),
+    ])
+    def test_coefficient_size_just_under_the_limit(self, text, value):
+        assert parse_poly(text, "c") == value
 
     @pytest.mark.parametrize("text", [".", "c*.", "1+."])
     def test_rejects_a_lone_decimal_point(self, text):

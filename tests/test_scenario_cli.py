@@ -139,6 +139,64 @@ class TestScenarioFiles:
                 scenario_from_dict(data)
             assert time.process_time() - start < 0.1
 
+    @pytest.mark.parametrize("text,code", [
+        ("(2^16-1)^64", 0), ("(2^16+1)^64", 2),
+        ("(2^16-1)^32*(2^16-1)^32", 0), ("(2^16+1)^32*(2^16+1)^32", 2),
+    ])
+    def test_coefficient_size_limit_at_the_command_line(self, capsys, tmp_path,
+                                                        text, code):
+        data = scenario_to_dict(load("cp1"))
+        data["components"][1]["euler"]["scalar"] = text
+        path = tmp_path / "size.json"
+        path.write_text(json.dumps(data))
+        got, _, err = run(capsys, "localize", "--scenario", str(path))
+        message = ("components[1].euler.scalar: coefficient size 1025 bits "
+                   "exceeds the limit 1024 in %r" % text)
+        assert (got, message in err) == (code, code == 2)
+
+    def test_each_distinct_expression_is_parsed_once_per_load(
+            self, monkeypatch):
+        from coupledfut import scenario
+
+        # the vertices of the cube [-c, c]^4 as isolated fixed points with
+        # xi = (1, 1, 1, 1): 16 components, 5 distinct moment values
+        components = []
+        for k in range(16):
+            signs = [1 - 2 * (k >> i & 1) for i in range(4)]
+            euler = 1
+            for s in signs:
+                euler *= -s
+            components.append({
+                "label": "v%d" % k, "ring": "point", "codimension": 4,
+                "euler": {"scalar": str(euler), "classes": {}},
+                "bundles": [{"hamiltonian": "%dc" % sum(signs),
+                             "chern": {}}]})
+        data = {"name": "cube", "dimension": 4, "bundles": 1,
+                "parameter": {"name": "c", "interval": ["0", "1"]},
+                "rings": {"point": {"generators": [], "top": {},
+                                    "dimension": 0}},
+                "components": components}
+        texts = {b["hamiltonian"] for comp in components
+                 for b in comp["bundles"]}
+        texts |= {comp["euler"]["scalar"] for comp in components}
+        parsed = []
+        original = scenario.parse_poly
+
+        def counting(text, param):
+            parsed.append(text)
+            return original(text, param)
+
+        monkeypatch.setattr(scenario, "parse_poly", counting)
+        loc = scenario_from_dict(data).localization
+        assert sorted(parsed) == sorted(texts)
+        assert len(texts) == 7
+        # the six vertices with two signs of each kind all read "0c"
+        zero = [comp.bundles[0].hamiltonian for comp, raw
+                in zip(loc.components, components)
+                if raw["bundles"][0]["hamiltonian"] == "0c"]
+        assert len(zero) == 6 and all(h is zero[0] for h in zero)
+        assert validate_scenario(loc).ok
+
     @pytest.mark.parametrize("site,where", [
         (("parameter", "interval", 1), r"parameter\.interval\[1\]"),
         (("components", 0, "bundles", 0, "hamiltonian"),

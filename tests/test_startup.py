@@ -23,7 +23,7 @@ def test_cli_import_loads_no_code_generation_modules():
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     loaded = set(proc.stdout.split())
     assert "coupledfut.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"})
+    assert loaded.isdisjoint({"copy", "dataclasses", "inspect", "typing"})
 
 
 def test_every_public_name_resolves():
