@@ -5,18 +5,24 @@ roots (vanishing locus), verify (cross-validation), sample (exact values on
 a grid).  Scenarios come from the built-in catalog (--catalog) or a JSON
 file (--scenario).  Exit codes: 0 success, 2 parse errors, 3 validation
 failures, 4 computation errors, 5 cross-validation mismatch.
+
+One option table, OPTIONS, drives parsing, usage and -h/--help, by
+argparse's rules (--opt=value, unique prefixes, the last repeat wins, its
+error messages) but without its import cost, and with one change: the token
+after an option is always its value, so --param-value -1/2 works.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog
 from .analysis import cross_validate, fut_roots, sample_curve
-from .errors import (CrossValidationError, EngineError, ParseError,
+from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
 from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
@@ -29,69 +35,38 @@ from .report import (FORMATS, ObstructionReport, ToricReport,
 from .scenario import Scenario, load_scenario
 
 DEFAULT_SAMPLES = 5
+PROG = "coupledfut"
+DESCRIPTION = ("Exact computation of the coupled degeneracy invariant from "
+               "fixed-point data, cross-validated against a moment-polytope "
+               "oracle.")
 
 
+# a converter raises ValueError, whose message follows "argument --flag: "
 def _rational_arg(text: str) -> Fraction:
-    # argparse turns ArgumentTypeError into a usage error; ParseError escapes
     try:
         return rat(text)
     except ParseError:
-        raise argparse.ArgumentTypeError(
-            "not an exact rational of at most %d bits: %r"
-            % (MAX_COEFF_BITS, text))
+        raise ValueError("not an exact rational of at most %d bits: %r"
+                         % (MAX_COEFF_BITS, text)) from None
 
 
 def _direction_arg(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x.strip()) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "direction must be comma-separated integers: %r" % text)
+        raise ValueError("direction must be comma-separated integers: %r"
+                         % text) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coupledfut",
-        description="Exact computation of the coupled degeneracy invariant "
-                    "from fixed-point data, cross-validated against a "
-                    "moment-polytope oracle.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {name: sub.add_parser(name, help=text) for name, text in (
-        ("localize", "compute the invariant from fixed-point data"),
-        ("toric", "compute the invariant from the polytopes"),
-        ("roots", "isolate the zeros inside the interval"),
-        ("verify", "cross-validate the two computations"),
-        ("sample", "evaluate the invariant on a grid"))}
-    for p in commands.values():
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--catalog", metavar="NAME",
-                         help="built-in scenario (%s)" % ", ".join(
-                             catalog.catalog_names()))
-        src.add_argument("--scenario", metavar="PATH",
-                         help="scenario JSON file")
-        p.add_argument("--format", choices=FORMATS, default="text",
-                       help="output format (default text)")
-    for name in ("localize", "toric"):
-        commands[name].add_argument(
-            "--param-value", type=_rational_arg, metavar="RAT",
-            help="also evaluate at this parameter value")
-    commands["toric"].add_argument(
-        "--direction", type=_direction_arg, metavar="D1,..,Dn",
-        help="override the model's direction")
-    commands["roots"].add_argument(
-        "--root-width", type=_rational_arg, metavar="RAT",
-        default=Fraction(1, 10 ** 12),
-        help="maximal bracket width (default 1/10^12)")
-    for name in ("verify", "sample"):
-        commands[name].add_argument(
-            "--samples", default=str(DEFAULT_SAMPLES), metavar="N|X1,X2,..",
-            help="sample count, or comma-separated exact abscissae "
-                 "(default %d)" % DEFAULT_SAMPLES)
-    return parser
+def _format_arg(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError("invalid choice: %r (choose from %s)"
+                         % (text, ", ".join(map(repr, FORMATS))))
+    return text
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    if args.catalog:
+def _load(args: SimpleNamespace) -> Scenario:
+    if args.catalog is not None:
         return catalog.load(args.catalog)
     return load_scenario(args.scenario)
 
@@ -118,7 +93,7 @@ def _parse_samples(text: str, interval) -> list[Fraction]:
     return sample_values(interval, count)
 
 
-def _cmd_localize(args: argparse.Namespace) -> int:
+def _cmd_localize(args: SimpleNamespace) -> int:
     loc = _load(args).localization
     _validated(loc)
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
@@ -138,7 +113,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_toric(args: argparse.Namespace) -> int:
+def _cmd_toric(args: SimpleNamespace) -> int:
     scn = _load(args)
     loc = scn.localization
     _validated(loc)
@@ -168,7 +143,7 @@ def _cmd_toric(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_roots(args: argparse.Namespace) -> int:
+def _cmd_roots(args: SimpleNamespace) -> int:
     loc = _load(args).localization
     _validated(loc)
     if args.root_width <= 0:
@@ -178,7 +153,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     scn = _load(args)
     loc = scn.localization
     xs = _parse_samples(args.samples, loc.interval)
@@ -196,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: SimpleNamespace) -> int:
     loc = _load(args).localization
     _validated(loc)
     xs = _parse_samples(args.samples, loc.interval)
@@ -206,23 +181,179 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "localize": _cmd_localize,
-    "toric": _cmd_toric,
-    "roots": _cmd_roots,
-    "verify": _cmd_verify,
-    "sample": _cmd_sample,
+COMMANDS = {
+    "localize": (_cmd_localize, "compute the invariant from fixed-point data"),
+    "toric": (_cmd_toric, "compute the invariant from the polytopes"),
+    "roots": (_cmd_roots, "isolate the zeros inside the interval"),
+    "verify": (_cmd_verify, "cross-validate the two computations"),
+    "sample": (_cmd_sample, "evaluate the invariant on a grid"),
 }
 
 
+class Option(Record):
+    """A row of OPTIONS; convert is None for the -h/--help flag."""
+
+    name: str
+    commands: tuple
+    metavar: str
+    convert: object
+    default: object
+    help: str
+
+
+HELP = Option("--help", tuple(COMMANDS), "", None, None,
+              "show this help message and exit")
+# HELP first, then the two sources, of which exactly one is required
+OPTIONS = (
+    HELP,
+    Option("--catalog", HELP.commands, "NAME", str, None,
+           "built-in scenario (%s)" % ", ".join(catalog.catalog_names())),
+    Option("--scenario", HELP.commands, "PATH", str, None,
+           "scenario JSON file"),
+    Option("--format", HELP.commands, "{%s}" % ",".join(FORMATS), _format_arg,
+           "text", "output format (default text)"),
+    Option("--param-value", ("localize", "toric"), "RAT", _rational_arg, None,
+           "also evaluate at this parameter value"),
+    Option("--direction", ("toric",), "D1,..,Dn", _direction_arg, None,
+           "override the model's direction"),
+    Option("--root-width", ("roots",), "RAT", _rational_arg,
+           Fraction(1, 10 ** 12), "maximal bracket width (default 1/10^12)"),
+    Option("--samples", ("verify", "sample"), "N|X1,X2,..", str,
+           str(DEFAULT_SAMPLES), "sample count, or comma-separated exact "
+                                 "abscissae (default %d)" % DEFAULT_SAMPLES),
+)
+
+
+class ArgvExit(Exception):
+    """Ends the call before a subcommand runs; args are the exit code and its
+    text: 0 and the help for stdout, or 2 and the error for stderr."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: %s [-h] {%s} ..." % (PROG, ",".join(COMMANDS))
+    shown = ["%s %s" % (o.name, o.metavar) for o in OPTIONS[1:]
+             if command in o.commands]
+    return "usage: %s %s [-h] (%s) %s" % (PROG, command, " | ".join(
+        shown[:2]), " ".join("[%s]" % s for s in shown[2:]))
+
+
+def _help(command: str | None) -> str:
+    """The help of one subcommand, or of the program: the subcommands, then
+    every option, with the subcommands that take it unless all do."""
+    lines = [_usage(command), "", COMMANDS[command][1] if command else
+             DESCRIPTION, ""]
+    if command is None:
+        lines += ["subcommands:"] + ["  %-10s  %s" % (name, text) for name, (
+            _, text) in COMMANDS.items()] + [""]
+    lines.append("options:")
+    for o in OPTIONS:
+        if command in o.commands or command is None:
+            left = "-h, --help" if o is HELP else o.name + " " + o.metavar
+            where = "" if command or o.commands == HELP.commands else \
+                " [%s]" % ", ".join(o.commands)
+            lines.append("  %-22s  %s%s" % (left, o.help, where))
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command: str | None, message: str) -> ArgvExit:
+    prog = PROG + " " + command if command else PROG
+    return ArgvExit(2, "%s\n%s: error: %s\n" % (_usage(command), prog, message))
+
+
+def _help_exit(command: str | None, explicit: str | None) -> ArgvExit:
+    """-h/--help: the help, or an error when it was given a value."""
+    if explicit is None:
+        return ArgvExit(0, _help(command))
+    return _fail(command, "argument -h/--help: ignored explicit argument %r"
+                 % explicit)
+
+
+def _match(token: str, command: str | None, rows) -> tuple | None:
+    """(row, explicit value or None) when the token names an option: exactly,
+    by a unique prefix, or as -h in argparse's stacked forms (-hh, -hx, -h=x)."""
+    if token[:2] == "-h":  # -hh is -h; -hx, -h=x and -h= carry a value
+        if token == "-h=":
+            return HELP, ""
+        rest = token[3:] if token[2:3] == "=" else token[2:]
+        return HELP, rest.lstrip("h") or None
+    if token[:2] != "--" or token == "--":
+        return None
+    name, eq, value = token.partition("=")
+    hits = [o for o in rows if o.name == name] or \
+        [o for o in rows if o.name.startswith(name)]
+    if len(hits) > 1:
+        raise _fail(command, "ambiguous option: %s could match %s"
+                    % (token, ", ".join(o.name for o in hits)))
+    return (hits[0], value if eq else None) if hits else None
+
+
+def parse_argv(argv: list[str]) -> SimpleNamespace:
+    """The subcommand and the value of each of its options; raises ArgvExit
+    for -h/--help and for an argv that argparse rejects."""
+    extras = []  # unknown options, reported once all else is read
+    for i, token in enumerate(argv):
+        found = _match(token, None, (HELP,))
+        if found:
+            raise _help_exit(None, found[1])
+        # argparse's test for a value, not an option, before the subcommand
+        if token[:1] != "-" or token in ("-", "--") or " " in token \
+                or re.match(r"^-\d+$|^-\d*\.\d+$", token):
+            break
+        extras.append(token)
+    else:
+        raise _fail(None, "the following arguments are required: command")
+    command, tokens = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        raise _fail(None, "argument command: invalid choice: %r (choose "
+                          "from %s)" % (command, ", ".join(map(repr, COMMANDS))))
+    # pair each option with its value first: argparse refuses an ambiguous
+    # prefix before it reads any value
+    rows = [o for o in OPTIONS if command in o.commands]
+    pairs, rest = [], iter(tokens)
+    for token in rest:
+        found = _match(token, command, rows)
+        if found is None:
+            extras.append(token)
+            if token == "--":  # argparse reads no option after it
+                extras.extend(rest)
+        elif found[1] is None and found[0] is not HELP:
+            pairs.append((found[0], next(rest, None)))  # whatever it looks like
+        else:
+            pairs.append(found)
+    values = {o.name[2:].replace("-", "_"): o.default for o in rows[1:]}
+    source = None
+    for o, value in pairs:
+        if o is HELP:
+            raise _help_exit(command, value)
+        if value is None:
+            raise _fail(command, "argument %s: expected one argument" % o.name)
+        try:
+            values[o.name[2:].replace("-", "_")] = o.convert(value)
+        except ValueError as exc:
+            raise _fail(command, "argument %s: %s" % (o.name, exc)) from None
+        if o in OPTIONS[1:3]:
+            if source not in (None, o):
+                raise _fail(command, "argument %s: not allowed with argument "
+                                     "%s" % (o.name, source.name))
+            source = o
+    if source is None:
+        raise _fail(command,
+                    "one of the arguments --catalog --scenario is required")
+    if extras:
+        raise _fail(None, "unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(command=command, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except ArgvExit as exc:
+        code, text = exc.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
     try:
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except EngineError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code

@@ -814,6 +814,7 @@ class _ExprParser:
                 sign = 1 if q[0] > 0 else -1
                 acc = _lowest(_ipoly_mul(acc[0], (sign * q_den,)),
                               acc[1] * abs(q[0]))
+                self.check_size(len(acc[0]) - 1, _value_bits(acc))
             elif nxt in ("num", "name", "("):
                 acc = self.product(acc)  # implicit multiplication, e.g. "2c"
             else:

@@ -157,6 +157,11 @@ class TestParsePoly:
                                     % MAX_COEFF_BITS),
         ("(c/(2^16+1))^64", "size 1025 bits exceeds the limit %d"
                             % MAX_COEFF_BITS),
+        # a quotient is checked as a product is: the second division fails
+        ("c" + "/(2^100)^10" * 20, "size 2000 bits exceeds the limit %d in "
+                                   "'c/\\(2" % MAX_COEFF_BITS),
+        ("1/(2^100)^10/2^25", "size 1025 bits exceeds the limit %d"
+                              % MAX_COEFF_BITS),
     ])
     def test_degree_limit(self, text, message):
         assert parse_poly("(c+1)^%d" % MAX_DEGREE, "c").degree() == MAX_DEGREE
@@ -172,6 +177,8 @@ class TestParsePoly:
         ("(2^16-1)^32*(2^16-1)^32", ParamPoly.const("c", (2 ** 16 - 1) ** 64)),
         ("(c/(2^16-1))^64", ParamPoly.create(
             "c", [0] * 64 + [F(1, (2 ** 16 - 1) ** 64)])),
+        ("c/(2^100)^10", ParamPoly.create("c", [0, F(1, 2 ** 1000)])),
+        ("1/(2^100)^10/2^24", ParamPoly.const("c", F(1, 2 ** 1024))),
     ])
     def test_coefficient_size_just_under_the_limit(self, text, value):
         assert parse_poly(text, "c") == value

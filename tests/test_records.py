@@ -13,7 +13,7 @@ HIDDEN = {RealizedPolytope: ("polytope",)}
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 26
+    assert len(RECORDS) == 27
 
 
 @pytest.mark.parametrize("cls", [cls for cls in RECORDS if cls is not MonomialTable],

@@ -131,7 +131,8 @@ class TestScenarioFiles:
         assert (code, out) == (2, "")
         assert "exponent 99999999 exceeds the limit" in err
         for text, message in (("((c+1)^100)^100", "degree 10000"),
-                              ("((2^100)^100)^100", "size 10000 bits")):
+                              ("((2^100)^100)^100", "size 10000 bits"),
+                              ("c" + "/(2^100)^10" * 20, "size 2000 bits")):
             data["components"][1]["bundles"][0]["hamiltonian"] = text
             start = time.process_time()  # CPU time: other load does not count
             with pytest.raises(ParseError,
@@ -142,6 +143,7 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("text,code", [
         ("(2^16-1)^64", 0), ("(2^16+1)^64", 2),
         ("(2^16-1)^32*(2^16-1)^32", 0), ("(2^16+1)^32*(2^16+1)^32", 2),
+        ("1/(2^100)^10/2^24", 0), ("1/(2^100)^10/2^25", 2),
     ])
     def test_coefficient_size_limit_at_the_command_line(self, capsys, tmp_path,
                                                         text, code):
@@ -678,10 +680,24 @@ class TestCliArgumentHandling:
         code, _, err = run(capsys, "localize")
         assert code == 2
 
-    def test_unknown_catalog_name(self, capsys):
-        code, _, err = run(capsys, "localize", "--catalog", "nope")
+    @pytest.mark.parametrize("name", ["nope", "", "--", "-h"])
+    def test_unknown_catalog_name(self, capsys, name):
+        code, _, err = run(capsys, "localize", "--catalog", name)
         assert code == 3
-        assert "unknown catalog scenario" in err
+        assert "unknown catalog scenario %r" % name in err
+
+    @pytest.mark.parametrize("argv,code,shown", [
+        (("toric", "--catalog", "hultgren-c-true", "--direction", "-1,0,0,1"),
+         0, "direction: -1,0,0,1"),
+        (("localize", "--catalog", "cp1", "--param-value", "-1/2"), 0, "-1/2"),
+        (("roots", "--catalog", "cp1", "--root-width", "-1/2"), 3,
+         "error: --root-width must be positive"),
+    ])
+    def test_a_dash_value_reaches_the_subcommand(self, capsys, argv, code,
+                                                 shown):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert shown in (out if code == 0 else err)
 
     def test_missing_scenario_file(self, capsys):
         code, _, err = run(capsys, "localize", "--scenario", "/does/not/exist.json")

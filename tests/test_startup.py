@@ -8,13 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import coupledfut
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def test_cli_import_loads_no_code_generation_modules():
+def cli_import_modules():
     # -S: no site packages, so nothing but coupledfut decides what is loaded
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
@@ -23,7 +25,39 @@ def test_cli_import_loads_no_code_generation_modules():
         env=dict(os.environ, PYTHONPATH=str(SRC)))
     loaded = set(proc.stdout.split())
     assert "coupledfut.cli" in loaded
-    assert loaded.isdisjoint({"copy", "dataclasses", "inspect", "typing"})
+    return loaded
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    assert cli_import_modules().isdisjoint(
+        {"copy", "dataclasses", "inspect", "typing"})
+
+
+def test_cli_import_loads_no_argparse():
+    # the option table replaces argparse, which also loads gettext and locale
+    assert cli_import_modules().isdisjoint({"argparse", "gettext", "locale"})
+
+
+COMMON_OPTIONS = ["--help", "--catalog", "--scenario", "--format"]
+
+
+@pytest.mark.parametrize("argv,shown,hidden", [
+    (["--help"], COMMON_OPTIONS + [
+        "--param-value", "--direction", "--root-width", "--samples",
+        "localize", "toric", "roots", "verify", "sample"], []),
+    (["localize", "--help"], COMMON_OPTIONS + ["--param-value"],
+     ["--direction", "--root-width", "--samples"]),
+])
+def test_help_lists_every_option(argv, shown, hidden):
+    proc = subprocess.run([sys.executable, "-m", "coupledfut.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: coupledfut ")
+    for name in shown:
+        assert name in proc.stdout, name
+    for name in hidden:
+        assert name not in proc.stdout, name
 
 
 def test_every_public_name_resolves():
