@@ -248,13 +248,25 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
 # sampling and cross-validation
 
 
+def _sample_points(interval: tuple[Fraction, Fraction],
+                   samples: int | list[Fraction]) -> list[Fraction]:
+    """A count's equispaced interior grid, or the listed abscissae, which
+    must lie inside the open interval."""
+    if isinstance(samples, int):
+        return sample_values(interval, samples)
+    xs = [rat(x) for x in samples]
+    for x in xs:
+        if not interval[0] < x < interval[1]:
+            raise UsageError("sample %s is outside the validity interval"
+                             % rat_text(x))
+    return xs
+
+
 def sample_curve(f: RationalFunction, interval: tuple[Fraction, Fraction],
                  samples: int | list[Fraction]) -> list[tuple[Fraction, Fraction | None]]:
     """Evaluate exactly at the samples; a pole yields None for that abscissa."""
-    xs = sample_values(interval, samples) if isinstance(samples, int) else [
-        rat(x) for x in samples]
     out: list[tuple[Fraction, Fraction | None]] = []
-    for x in xs:
+    for x in _sample_points(interval, samples):
         d = f.den.eval(x)
         out.append((x, f.num.eval(x) / d if d else None))
     return out
@@ -300,12 +312,7 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     if len(model.polytopes) != scn.bundles:
         raise UsageError("model has %d polytopes for %d bundles"
                          % (len(model.polytopes), scn.bundles))
-    xs = sample_values(scn.interval, samples) if isinstance(samples, int) \
-        else [rat(x) for x in samples]
-    for x in xs:
-        if not scn.interval[0] < x < scn.interval[1]:
-            raise UsageError("sample %s is outside the validity interval"
-                             % rat_text(x))
+    xs = _sample_points(scn.interval, samples)
     messages: list[str] = []
     validation = validate_scenario(scn)
     if not validation.ok:

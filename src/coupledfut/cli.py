@@ -14,7 +14,9 @@ after an option is always its value, so --param-value -1/2 works.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -359,5 +361,28 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
 
 
+def run() -> int:
+    """The process entry point: main(), then the heap frozen.
+
+    main() leaves the process as it found it, for in-process callers.  Here
+    the call is over: freezing moves every object into the permanent
+    generation, which the interpreter's collections at exit skip, while
+    atexit handlers and the flush of stdout and stderr still run.  An
+    output that cannot be written, such as a full disk or a closed pipe,
+    ends in one error line and exit 1; fd 1 then points at os.devnull, so
+    the flush at exit does not report it again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write("error: cannot write output: %s\n"
+                         % (exc.strerror or exc))
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,16 +2,18 @@
 
 A parametric polytope is cut out by integer facet normals with polynomial
 offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend
-on the parameter is computed once per polytope: the boundedness verdict of
-the normals, the integer inverse of every nonsingular square subsystem, and
-the rank of the normals tight on each face, which gives the face's
-dimension.  Realizing at a rational parameter value evaluates the offsets,
-multiplies them by each inverse and keeps the feasible solutions as
+on the parameter depends on the normals alone, so it is computed once per
+fan, shared by the polytopes with the same normals: the boundedness
+verdict, the integer inverse of every nonsingular square subsystem, the rank
+of the normals tight on each face, which gives the face's dimension, and the
+star triangulations.  Realizing at a rational parameter value evaluates the
+offsets, multiplies them by each inverse and keeps the feasible solutions as
 vertices, all in exact integer arithmetic; each value is realized once and
 kept on the polytope.  One pass over a recursive star triangulation gives
 the volume and the whole first-moment vector of a realization.  The
 triangulation in vertex indices depends only on the vertex-facet
-incidences, so it is reused by every realization with the same ones.
+incidences and the normals, so it is reused by every realization in the fan
+with the same incidences.
 
 Curves in the parameter are computed on a certified chamber, at degree+1
 abscissae.  The polytope is realized once, at the midpoint of the interval,
@@ -99,23 +101,6 @@ def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
     return len(_reduce([list(row) for row in rows], width)[0])
 
 
-def _kernel(rows: Sequence[tuple[int, ...]]) -> list[int] | None:
-    """A nonzero integer vector orthogonal to n-1 integer vectors in n
-    dimensions, their generalized cross product up to sign; None when the
-    vectors are dependent."""
-    n = len(rows) + 1
-    m = [list(row) for row in rows]
-    pivots, d = _reduce(m, n)
-    if len(pivots) < n - 1:
-        return None
-    free = next(j for j in range(n) if j not in pivots)
-    ray = [0] * n
-    ray[free] = d
-    for row, col in zip(m, pivots):
-        ray[col] = -row[free]
-    return ray
-
-
 # ---------------------------------------------------------------------------
 # parametric and realized polytopes
 
@@ -125,22 +110,88 @@ class Facet(Record):
     offset: ParamPoly
 
 
-class ParamPolytope(Record):
+class Fan:
+    """Facet normals, and what depends on them alone, each computed on first
+    use: the boundedness verdict, the inverses of the square subsystems, the
+    face ranks, and the star triangulation of each incidence pattern."""
+
+    def __init__(self, normals: tuple[tuple[int, ...], ...]):
+        self.normals = normals
+        self.ambient = len(normals[0])
+        self.ranks: dict[frozenset[int], int] = {}
+        self.stars: dict[tuple[frozenset[int], ...],
+                         tuple[tuple[int, ...], ...]] = {}
+
+    @cached_property
+    def inverses(self) -> dict[tuple[int, ...],
+                               tuple[tuple[tuple[int, ...], ...], int]]:
+        """(adjugate, determinant) of every nonsingular n-subset of normals,
+        signed so the determinant is positive: the vertex cut out by the
+        subset is adjugate . offsets / determinant."""
+        n = self.ambient
+        out = {}
+        for subset in itertools.combinations(range(len(self.normals)), n):
+            rows = [self.normals[i] for i in subset]
+            # Bareiss stops at the first column without a pivot, where the
+            # Gauss-Jordan pass on [A | I] would go on: most n-subsets of a
+            # cube's normals are singular
+            if _int_det([list(row) for row in rows]) == 0:
+                continue
+            m = [list(row) + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(rows)]
+            _, d = _reduce(m, n)
+            # d A^-1 is the adjugate of A up to the sign of d = +-det A
+            sign = 1 if d > 0 else -1
+            out[subset] = (tuple(tuple(sign * x for x in row[n:]) for row in m),
+                           abs(d))
+        return out
+
+    @cached_property
+    def unbounded(self) -> str | None:
+        """Why every realization is unbounded, or None when none is."""
+        if not self.inverses:
+            return "normals span a proper subspace; the polytope is unbounded"
+        # the recession cone { d : <normal, d> <= 0 } is then pointed, so it
+        # has a ray exactly when an extreme ray is orthogonal to n-1
+        # independent normals; with one more normal they form a basis, whose
+        # adjugate column for that normal is minus the ray
+        for adjugate, _ in self.inverses.values():
+            for col in zip(*adjugate):
+                if all(sum(a * x for a, x in zip(normal, col)) >= 0
+                       for normal in self.normals):
+                    return "unbounded: recession ray %s" % (
+                        tuple(-x for x in col),)
+        return None
+
+    def face_dim(self, tight: frozenset[int]) -> int:
+        """Dimension of a nonempty face, from the facets tight at all of its
+        vertices: n minus the rank of their normals."""
+        rank = self.ranks.get(tight)
+        if rank is None:
+            rank = self.ranks[tight] = _rank(
+                [self.normals[i] for i in tight], self.ambient)
+        return self.ambient - rank
+
+
+class ParamPolytope(Record, hidden=("fan",)):
     """Intersection of half-spaces <normal_i, y> <= offset_i(parameter).
 
-    The parameter-independent data (boundedness, the inverses of the square
-    subsystems, the face ranks), the realizations made so far, their
-    triangulations and the certified chambers are kept on the instance, each
-    computed on first use.
+    fan holds what the normals alone determine.  The realizations made so
+    far and the certified chambers are kept on the instance, each computed
+    on first use.
     """
 
     param: str
     ambient: int
     facets: tuple[Facet, ...]
+    fan: Fan
 
     @staticmethod
     def create(param: str, ambient: int,
-               facets: list[tuple[tuple[int, ...], ParamPoly]]) -> "ParamPolytope":
+               facets: list[tuple[tuple[int, ...], ParamPoly]],
+               fans: dict | None = None) -> "ParamPolytope":
+        """The polytope, checked; polytopes created with one fans dict share
+        a fan when their normals are the same, in the same order."""
         if ambient < 1:
             raise ValidationError("ambient dimension must be positive")
         if len(facets) < ambient + 1:
@@ -157,68 +208,14 @@ class ParamPolytope(Record):
             if offset.param != param:
                 raise ValidationError("offset parameter mismatch")
             built.append(Facet(normal, offset))
-        return ParamPolytope(param, ambient, tuple(built))
-
-    @cached_property
-    def _unbounded(self) -> str | None:
-        """Why every realization is unbounded, or None when none is."""
-        n = self.ambient
-        normals = [f.normal for f in self.facets]
-        if _rank(normals, n) < n:
-            return "normals span a proper subspace; the polytope is unbounded"
-        # the recession cone { d : <normal, d> <= 0 } is pointed, so it has a
-        # ray exactly when one is orthogonal to n-1 independent normals
-        for rows in itertools.combinations(normals, n - 1):
-            ray = _kernel(rows)
-            if ray is None:
-                continue
-            for direction in (ray, [-x for x in ray]):
-                if all(sum(a * d for a, d in zip(row, direction)) <= 0
-                       for row in normals):
-                    return "unbounded: recession ray %s" % (tuple(direction),)
-        return None
-
-    @cached_property
-    def _inverses(self) -> dict[tuple[int, ...],
-                                tuple[tuple[tuple[int, ...], ...], int]]:
-        """(adjugate, determinant) of every nonsingular n-subset of normals,
-        signed so the determinant is positive: the vertex cut out by the
-        subset is adjugate . offsets / determinant."""
-        n = self.ambient
-        out = {}
-        for subset in itertools.combinations(range(len(self.facets)), n):
-            rows = [self.facets[i].normal for i in subset]
-            if _int_det([list(row) for row in rows]) == 0:
-                continue
-            m = [list(row) + [int(i == j) for j in range(n)]
-                 for i, row in enumerate(rows)]
-            _, d = _reduce(m, n)
-            # d A^-1 is the adjugate of A up to the sign of d = +-det A
-            sign = 1 if d > 0 else -1
-            adjugate = tuple(tuple(sign * x for x in row[n:]) for row in m)
-            out[subset] = (adjugate, abs(d))
-        return out
-
-    @cached_property
-    def _ranks(self) -> dict[frozenset[int], int]:
-        return {}
-
-    def _face_dim(self, tight: frozenset[int]) -> int:
-        """Dimension of a nonempty face, from the facets tight at all of its
-        vertices: n minus the rank of their normals."""
-        rank = self._ranks.get(tight)
-        if rank is None:
-            rank = self._ranks[tight] = _rank(
-                [self.facets[i].normal for i in tight], self.ambient)
-        return self.ambient - rank
+        normals = tuple(f.normal for f in built)
+        fan = Fan(normals)
+        if fans is not None:
+            fan = fans.setdefault(normals, fan)
+        return ParamPolytope(param, ambient, tuple(built), fan)
 
     @cached_property
     def _realizations(self) -> dict[Fraction, "RealizedPolytope"]:
-        return {}
-
-    @cached_property
-    def _stars(self) -> dict[tuple[frozenset[int], ...],
-                             tuple[tuple[int, ...], ...]]:
         return {}
 
     @cached_property
@@ -230,8 +227,8 @@ class ParamPolytope(Record):
 class RealizedPolytope(Record, hidden=("polytope",)):
     """Vertex description of one realization, with facet incidence.
 
-    polytope is the parametric polytope realized; its face ranks and its
-    star triangulations serve every realization of it.
+    polytope is the parametric polytope realized; the face ranks and the
+    star triangulations of its fan serve every realization in the fan.
     """
 
     ambient: int
@@ -245,7 +242,7 @@ class RealizedPolytope(Record, hidden=("polytope",)):
         return all(len(inc) == self.ambient for inc in self.incidence)
 
     def is_full_dimensional(self) -> bool:
-        return self.polytope._face_dim(
+        return self.polytope.fan.face_dim(
             frozenset.intersection(*self.incidence)) == self.ambient
 
     def signature(self) -> frozenset[frozenset[int]]:
@@ -274,15 +271,16 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     known = pp._realizations.get(value)
     if known is not None:
         return known
-    if pp._unbounded is not None:
-        raise GeometryError(pp._unbounded)
+    fan = pp.fan
+    if fan.unbounded is not None:
+        raise GeometryError(fan.unbounded)
     n = pp.ambient
     offsets = [f.offset.eval(value) for f in pp.facets]
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
-    normals = [f.normal for f in pp.facets]
+    normals = fan.normals
     found: dict[Vector, frozenset[int]] = {}
-    for subset, (adjugate, det) in pp._inverses.items():
+    for subset, (adjugate, det) in fan.inverses.items():
         sub = [rhs[i] for i in subset]
         # the candidate vertex is y / (det * scale)
         y = [sum(a * b for a, b in zip(row, sub)) for row in adjugate]
@@ -306,7 +304,7 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     supported = []
     for i in range(len(normals)):
         face = [inc for inc in incidence if i in inc]
-        supported.append(bool(face) and pp._face_dim(
+        supported.append(bool(face) and fan.face_dim(
             frozenset.intersection(*face)) == n - 1)
     rp = RealizedPolytope(n, value, tuple(vertices), incidence,
                           tuple(supported), pp)
@@ -339,7 +337,7 @@ def _face_simplices(rp: RealizedPolytope, anchor: int, face: tuple[int, ...],
         if not sub or anchor in sub:
             continue
         sub_tight = frozenset.intersection(*(incidence[v] for v in sub))
-        if rp.polytope._face_dim(sub_tight) != dim - 1:
+        if rp.polytope.fan.face_dim(sub_tight) != dim - 1:
             continue
         # every facet tight on this facet of the face, a facet listed twice
         # among them, cuts out the same one
@@ -363,9 +361,9 @@ def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
 
 def _star(rp: RealizedPolytope) -> tuple[tuple[int, ...], ...]:
     """The star triangulation from the first vertex, shared by every
-    realization of the polytope with the same incidences: the incidences fix
-    the face lattice, and with it the triangulation."""
-    stars = rp.polytope._stars
+    realization in the fan with the same incidences: with the normals, the
+    incidences fix the face lattice, and with it the triangulation."""
+    stars = rp.polytope.fan.stars
     star = stars.get(rp.incidence)
     if star is None:
         star = stars[rp.incidence] = tuple(triangulate(rp))
@@ -477,10 +475,11 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
     offsets = [[x.numerator * (q // x.denominator) for x in f.offset.coeffs]
                + [0] * (degree + 1 - len(f.offset.coeffs)) for f in pp.facets]
     formulas = []
+    inverses = pp.fan.inverses
     for tight in rp.incidence:
         subset = next(s for s in itertools.combinations(sorted(tight), n)
-                      if s in pp._inverses)
-        adjugate, det = pp._inverses[subset]
+                      if s in inverses)
+        adjugate, det = inverses[subset]
         # the vertex is sum_k vertex[r][k] c^k / (det * q) in coordinate r
         vertex = [[sum(a * offsets[i][k] for a, i in zip(row, subset))
                    for k in range(degree + 1)] for row in adjugate]

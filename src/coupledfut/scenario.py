@@ -160,7 +160,7 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
         offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset",
                              memo).num
         facets.append((tuple(normal), offset))
-    return ParamPolytope.create(param, ambient, facets)
+    return ParamPolytope.create(param, ambient, facets, memo)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -190,8 +190,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(comps_raw, list):
         raise ParseError("components: expected a list")
     # the values built so far in this load: each expression by its text, each
-    # class by its ring and terms; equal texts share one object, and an error
-    # is never stored, so each bad occurrence reports its own location
+    # class by its ring and terms, each polytope fan by its normals; equal
+    # keys share one object, and an error is never stored, so each bad
+    # occurrence reports its own location
     memo: dict = {}
     components = []
     for i, c in enumerate(comps_raw):

@@ -383,9 +383,12 @@ class TestCrossValidate:
         assert len(built) == len(set(requested)) < len(requested)
         # one volume and one moment curve per polytope, each interpolated once
         assert len(interpolated) == 2 * len(model.polytopes)
-        # one star per incidence pattern, and at least one per polytope
-        patterns = {(id(rp.polytope), rp.incidence) for rp in triangulated}
-        assert len(model.polytopes) <= len(triangulated) == len(patterns)
+        # the bundle and ambient polytopes share their normals, so one fan
+        fans = {id(pp.fan) for pp in model.polytopes + (model.anticanonical,)}
+        assert len(fans) == 1
+        # one star per incidence pattern per fan
+        patterns = {(id(rp.polytope.fan), rp.incidence) for rp in triangulated}
+        assert 1 <= len(triangulated) == len(patterns)
         assert len(triangulated) < len(built)
 
     def test_sample_outside_interval_rejected(self):

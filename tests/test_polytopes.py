@@ -1,5 +1,7 @@
 """Parameterized polytopes: realization, measures, curves, the toric oracle."""
 
+import ast
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -122,6 +124,36 @@ class TestRealize:
         with pytest.raises(GeometryError, match="unbounded"):
             realize(wedge, F(1, 2))
 
+    def test_normals_in_a_proper_subspace_are_unbounded(self):
+        strip = ParamPolytope.create(
+            "c", 2, [((1, 0), c("1")), ((-1, 0), c("1")), ((2, 0), c("3"))]
+        )
+        with pytest.raises(GeometryError, match="proper subspace"):
+            realize(strip, F(1, 2))
+
+    def test_boundedness_agrees_with_a_kernel_reference(self):
+        rng = random.Random(2718)
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            m = rng.randint(n + 1, n + 3)
+            normals = []
+            while len(normals) < m:
+                normal = tuple(rng.randint(-2, 2) for _ in range(n))
+                if any(normal):
+                    normals.append(normal)
+            pp = ParamPolytope.create("c", n, [(a, c("1")) for a in normals])
+            expected = _reference_recession(normals)
+            verdict = pp.fan.unbounded
+            assert (verdict is None) == (expected is None), (normals, verdict)
+            if verdict is not None and "ray" in verdict:
+                ray = ast.literal_eval(verdict.partition("ray ")[2])
+                assert any(ray)
+                assert all(sum(a * d for a, d in zip(normal, ray)) <= 0
+                           for normal in normals)
+            verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
     def test_triangulation_apex_independence(self, model):
         rp = realize(model.polytopes[0], F(1, 2))
         volumes = {volume(rp, apex=v) for v in rp.vertices}
@@ -143,6 +175,67 @@ class TestRealize:
         assert linear_moment(moved, (1, 0, 0, 0)) == (
             linear_moment(base, (1, 0, 0, 0)) + 3 * volume(base)
         )
+
+
+def _fraction_rref(rows, n):
+    """Reduced row echelon form over Fractions: the rows and pivot columns."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        r = next((r for r in range(len(pivots), len(m)) if m[r][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        m[k], m[r] = m[r], m[k]
+        m[k] = [x / m[k][col] for x in m[k]]
+        for i in range(len(m)):
+            if i != k and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[k])]
+        pivots.append(col)
+    return m, pivots
+
+
+def _reference_recession(normals):
+    """A nonzero d with <a, d> <= 0 for every normal a, or None when the
+    polytope is bounded; by the kernel of each n-1 independent normals."""
+    n = len(normals[0])
+    if len(_fraction_rref(normals, n)[1]) < n:
+        return "proper subspace"
+    for rows in itertools.combinations(normals, n - 1):
+        m, pivots = _fraction_rref(rows, n)
+        if len(pivots) < n - 1:
+            continue
+        free = next(j for j in range(n) if j not in pivots)
+        ray = [F(0)] * n
+        ray[free] = F(1)
+        for row, col in zip(m, pivots):
+            ray[col] = -row[free]
+        for d in (ray, [-x for x in ray]):
+            if all(sum(a * x for a, x in zip(normal, d)) <= 0
+                   for normal in normals):
+                return d
+    return None
+
+
+class TestFans:
+    def test_one_fans_dict_shares_equal_normals(self):
+        fans = {}
+        small, large = (ParamPolytope.create(
+            "c", 2, [((1, 0), c(hi)), ((0, 1), c(hi)), ((-1, -1), c("0"))],
+            fans) for hi in ("1", "2"))
+        other = ParamPolytope.create(
+            "c", 2, [((0, 1), c("1")), ((1, 0), c("1")), ((-1, -1), c("0"))],
+            fans)
+        assert small.fan is large.fan
+        assert other.fan is not small.fan
+        assert box(2).fan is not box(2).fan
+        assert volume(realize(small, 0)) == 2
+        assert volume(realize(large, 0)) == 8
+        assert len(small.fan.stars) == 1
+
+    def test_catalog_polytopes_share_one_fan(self, model):
+        assert len({id(pp.fan) for pp in model.polytopes
+                    + (model.anticanonical,)}) == 1
 
 
 class TestCurves:
@@ -389,7 +482,7 @@ class TestCachedRealizations:
             for pw, pf in zip(warm.polytopes, fresh.polytopes):
                 rw, rf = realize(pw, x), realize(pf, x)
                 assert rw == rf
-                reused += rw.incidence in rw.polytope._stars
+                reused += rw.incidence in rw.polytope.fan.stars
                 assert volume(rw) == volume(rf)
                 for xi in directions:
                     assert linear_moment(rw, xi) == linear_moment(rf, xi)

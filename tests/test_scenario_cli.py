@@ -451,6 +451,17 @@ class TestCliSample:
         assert code == 0
         assert out == 'c,fut\n"5/16","-51/8236"\n"11/16","-51/8236"\n'
 
+    @pytest.mark.parametrize("command", ["sample", "verify"])
+    @pytest.mark.parametrize("samples,outside", [
+        ("-1/3,1/3", "-1/3"), ("1/2,3/4", "3/4"), ("1/4", "1/4")])
+    def test_abscissa_outside_the_interval_exits_3(self, capsys, command,
+                                                    samples, outside):
+        code, out, err = run(capsys, command, "--catalog", "hultgren-c",
+                             "--samples", samples)
+        assert (code, out) == (3, "")
+        assert err == ("error: sample %s is outside the validity interval\n"
+                       % outside)
+
 
 class TestCliVerify:
     @pytest.mark.parametrize(
@@ -654,6 +665,16 @@ class TestStructuredGolden:
         assert got == code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("command,name,code,digest", STRUCTURED_GOLDEN)
+    def test_the_process_entry_prints_the_same(self, command, name, code,
+                                               digest):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coupledfut.cli", command, "--catalog",
+             name, "--format", "structured"],
+            capture_output=True, env=checkout_env())
+        assert proc.returncode == code, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
     def test_every_subcommand_and_entry_is_pinned(self):
         pairs = {(cmd, name) for cmd, name, _, _ in STRUCTURED_GOLDEN}
         commands = ("localize", "toric", "roots", "sample", "verify")
@@ -761,6 +782,38 @@ class TestConsoleScript:
             env=checkout_env(),
         )
         assert proc.returncode == 5, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+class TestUnwritableOutput:
+    # buffered, the write fails in the flush after main(); unbuffered, in
+    # main() itself; either way the flush at exit must not report it again
+    ARGV = [sys.executable, "-m", "coupledfut.cli", "localize", "--catalog",
+            "cp1", "--format", "structured"]
+
+    def failing_call(self, stdout, unbuffered):
+        return subprocess.run(self.ARGV, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, env=dict(checkout_env(),
+                                                  PYTHONUNBUFFERED=unbuffered))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this system")
+    def test_full_device_is_one_error_line(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.failing_call(full, unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: cannot write output: No space left on "
+                               "device\n")
+
+    def test_closed_pipe_is_one_error_line(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.failing_call(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write output: Broken pipe\n"
 
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))

@@ -1,6 +1,8 @@
 """What importing the command line costs: the modules it loads, and the
-names the package binds for its users and for the benchmark's tracer."""
+names the package binds for its users and for the benchmark's tracer; and
+how a process enters the command line and ends."""
 
+import gc
 import importlib
 import importlib.util
 import os
@@ -78,3 +80,58 @@ def test_every_traced_name_resolves():
         assert module in layertrace.MODULES, module
         target = importlib.import_module("coupledfut." + module)
         assert callable(getattr(target, name, None)), (module, name)
+
+
+# a process that ran the entry point prints its exit code and whether the
+# heap was frozen: run() freezes it once main() has answered
+ENTRY_REPORT = ("except SystemExit as exc:\n"
+                "    import gc\n"
+                "    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+
+
+def declared_script():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["coupledfut"]
+
+
+@pytest.mark.parametrize("entry", ["script", "-m"])
+def test_every_process_entry_reaches_run(entry):
+    if entry == "script":
+        module, _, function = declared_script().partition(":")
+        assert (module, function) == ("coupledfut.cli", "run")
+        call = "from %s import %s\n    sys.exit(%s())\n" % (
+            module, function, function)
+    else:  # what python -m coupledfut.cli does
+        call = ("import runpy\n    runpy.run_module('coupledfut.cli', "
+                "run_name='__main__', alter_sys=True)\n")
+    wrapper = "import sys\ntry:\n    " + call + ENTRY_REPORT
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, "localize", "--catalog", "cp1"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert "scenario: cp1" in proc.stdout
+    assert proc.stderr == "0 True\n"
+
+
+def test_main_leaves_the_process_as_it_found_it(capsys):
+    from coupledfut.cli import main
+
+    assert main(["localize", "--catalog", "cp1"]) == 0
+    assert "scenario: cp1" in capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+def test_a_caller_of_main_keeps_its_exit_code_and_output():
+    wrapper = ("import sys\n"
+               "from coupledfut.cli import main\n"
+               "code = main(['localize', '--catalog', 'nope'])\n"
+               "print('after main', code)\n"
+               "sys.exit(code + 10)\n")
+    proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 13
+    assert proc.stdout == "after main 3\n"
+    assert "unknown catalog scenario" in proc.stderr
