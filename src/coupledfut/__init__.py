@@ -25,10 +25,10 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
                         moment_curve, realize, triangulate, volume,
                         volume_curve)
 from .rationals import (ParamPoly, Rational, RationalFunction,
-                        count_roots_open, interpolate, parse_poly, poly_divmod,
-                        poly_gcd, poly_text, positive_on_interval, rat,
-                        rat_text, ratfun_eval, ratfun_reduce, render_factored,
-                        sample_values, squarefree_part, sturm_chain)
+                        count_roots_open, interpolate, parse_poly, poly_gcd,
+                        poly_text, positive_on_interval, rat, rat_text,
+                        ratfun_eval, ratfun_reduce, render_factored,
+                        sample_values, sturm_chain)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, monomial_text,
                     parse_monomial, point_ring, ring_create)
@@ -43,7 +43,7 @@ __all__ = [
     # analysis
     "CrossValidationRecord", "RootRecord", "RootReport", "SampleComparison",
     "count_roots_open", "cross_validate", "fut_roots", "isolate_roots",
-    "positive_on_interval", "sample_curve", "squarefree_part", "sturm_chain",
+    "positive_on_interval", "sample_curve", "sturm_chain",
     # catalog
     "catalog_names", "load",
     # errors
@@ -63,7 +63,7 @@ __all__ = [
     "volume_curve",
     # rationals
     "ParamPoly", "Rational", "RationalFunction", "interpolate", "parse_poly",
-    "poly_divmod", "poly_gcd", "poly_text", "rat", "rat_text", "ratfun_eval",
+    "poly_gcd", "poly_text", "rat", "rat_text", "ratfun_eval",
     "ratfun_reduce", "render_factored", "sample_values",
     # rings
     "EquivariantClass", "Generator", "NilpotentClass", "Ring", "equiv_pow",

@@ -40,9 +40,8 @@ from functools import cached_property
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, Record, UsageError)
 from .rationals import (IntPoly, ParamPoly, Rational, RationalFunction,
-                        _clear_denominators, _ipoly_add, _ipoly_lcm,
-                        _ipoly_mul, _ipoly_quo, positive_on_interval, rat,
-                        rat_text, ratfun_reduce)
+                        _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
+                        positive_on_interval, rat, rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
@@ -117,8 +116,8 @@ class LocalizationScenario(Record):
             row = []
             den = euler_den
             for total in sums:
-                row.append(ratfun_reduce(ParamPoly.create(self.param, total),
-                                         ParamPoly.create(self.param, den)))
+                row.append(ratfun_reduce(ParamPoly.from_ints(self.param, total),
+                                         ParamPoly.from_ints(self.param, den)))
                 den = _ipoly_mul(den, bundle_den)
             table.append(tuple(row))
         return tuple(table)
@@ -197,8 +196,10 @@ def _dense(scalar: RationalFunction, nilpotent: NilpotentClass,
     for i, f in [(0, scalar)] + [(table.index.get(e), f)
                                  for e, f in nilpotent.terms]:
         _check_param(f.param, param)
-        if i is not None:
-            cleared.append((i, _cleared(f)))
+        if i is not None:  # f = (u ints) / (v ints') with u/v in lowest terms
+            q = f.num.content / f.den.content
+            cleared.append((i, (_ipoly_mul((q.numerator,), f.num.ints),
+                                _ipoly_mul((q.denominator,), f.den.ints))))
     den: IntPoly = (1,)
     for _, (_, d) in cleared:
         den = _ipoly_lcm(den, d)
@@ -231,12 +232,6 @@ def _pair(x: list[IntPoly], y: list[IntPoly], table: MonomialTable) -> IntPoly:
         if x[i] and y[j]:
             acc = _ipoly_add(acc, _ipoly_mul(x[i], y[j]))
     return acc
-
-
-def _cleared(f: RationalFunction) -> tuple[IntPoly, IntPoly]:
-    """Integer polynomials n and d with f = n / d."""
-    ints = _clear_denominators(f.num.coeffs + f.den.coeffs)[1]
-    return tuple(ints[:len(f.num.coeffs)]), tuple(ints[len(f.num.coeffs):])
 
 
 class ValidationReport(Record):

@@ -34,7 +34,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
-from .rationals import (ParamPoly, RationalFunction, interpolate,
+from .rationals import (ParamPoly, RationalFunction, _ipoly_mul, interpolate,
                         positive_on_interval, rat, rat_text, sample_values)
 
 Vector = tuple[Fraction, ...]
@@ -471,9 +471,10 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
     n = pp.ambient
     degree = max(0, max(f.offset.degree() for f in pp.facets))
     # offset_i(c) = sum_k offsets[i][k] c^k / q, integers
-    q = math.lcm(*(x.denominator for f in pp.facets for x in f.offset.coeffs))
-    offsets = [[x.numerator * (q // x.denominator) for x in f.offset.coeffs]
-               + [0] * (degree + 1 - len(f.offset.coeffs)) for f in pp.facets]
+    q = math.lcm(*(f.offset.content.denominator for f in pp.facets))
+    offsets = [list(_ipoly_mul(((f.offset.content * q).numerator,),
+                               f.offset.ints))
+               + [0] * (degree - f.offset.degree()) for f in pp.facets]
     formulas = []
     inverses = pp.fan.inverses
     for tight in rp.incidence:
@@ -513,16 +514,12 @@ def _positive_inside(slack: list[int], interval: tuple[Fraction, Fraction],
                      param: str) -> bool:
     """Whether a polynomial (integer coefficients, ascending), known to be
     positive at the midpoint, is positive on the whole open interval."""
-    while slack and slack[-1] == 0:
-        slack.pop()
-    if len(slack) <= 2:
+    p = ParamPoly.from_ints(param, slack)
+    if p.degree() <= 1:
         # a line positive at the midpoint is positive inside exactly when
         # it is not negative at either end
-        return all(slack[0] * x.denominator
-                   + (slack[1] * x.numerator if len(slack) == 2 else 0) >= 0
-                   for x in interval)
-    return positive_on_interval(
-        ParamPoly(param, tuple(Fraction(a) for a in slack)), interval)
+        return all(p.eval(x) >= 0 for x in interval)
+    return positive_on_interval(p, interval)
 
 
 def volume_curve(pp: ParamPolytope,

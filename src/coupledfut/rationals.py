@@ -1,23 +1,24 @@
 """Exact scalar arithmetic: rationals, dense univariate polynomials in one
 formal parameter, and reduced rational functions.
 
-Rational numbers are fractions.Fraction (arbitrary precision, always
-canonical).  A ParamPoly stores its coefficients densely, ascending by
-degree, with no trailing zeros; the zero polynomial is the empty tuple.  A
-RationalFunction is a gcd-reduced quotient whose denominator is monic, so
-structural equality coincides with mathematical equality.  Integer
-polynomials (IntPoly) are plain tuples in the same layout.  The expression
-parser works on IntPoly numerators over one positive denominator in lowest
-terms, and builds one ParamPoly at the end.
+Rational numbers are fractions.Fraction.  Integer polynomials (IntPoly) are
+tuples of coefficients, ascending by degree, with no trailing zeros.  A
+ParamPoly is one IntPoly, primitive with a positive leading coefficient,
+times one rational content that carries the sign, normalized once, on
+creation: structural equality is mathematical equality, sums run in
+integers with one gcd, and products need none (Gauss's lemma).  A
+RationalFunction is a gcd-reduced quotient of two, with a monic
+denominator.  The expression parser works on IntPoly numerators over one
+positive denominator in lowest terms, and builds one ParamPoly at the end.
 
 One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
 Sturm chain, at dyadic points of a bracket in integer arithmetic; root
 counting, the positivity test, root isolation and the rational-root search
-all run on it.  Each ParamPoly is factored once, on first use: its content,
-then Yun's squarefree decomposition over the integers, then one rational-root
-search on the squarefree part.  Every root multiplicity, pole and factored
-form is read from that factorization.
+all run on it.  Each ParamPoly is factored once, on first use: Yun's
+squarefree decomposition of its integer part, then one rational-root search
+on the squarefree part.  Every root multiplicity, pole and factored form is
+read from that factorization.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from functools import cached_property, reduce
 from .errors import ComputationError, ParseError, PoleError, Record, UsageError
 
 Rational = Fraction
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -64,105 +66,113 @@ def rat_text(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+# integer coefficients, ascending by degree, no trailing zeros; () is zero
+IntPoly = tuple[int, ...]
 
 
 class ParamPoly(Record):
-    """Dense univariate polynomial over Fraction in one named parameter."""
+    """content * ints in one named parameter: ints is primitive with a
+    positive leading coefficient, and the rational content carries the sign.
+    Zero is () with content 0."""
 
     param: str
-    coeffs: tuple[Fraction, ...]
+    ints: IntPoly
+    content: Fraction
 
-    def __init__(self, param: str, coeffs: tuple[Fraction, ...]):
+    def __init__(self, param: str, ints: IntPoly, content: Fraction):
         object.__setattr__(self, "param", param)  # hot: no generic init
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "content", content)
+
+    @staticmethod
+    def from_ints(param: str, ints: Sequence[int],
+                  scale: Fraction = _ONE) -> "ParamPoly":
+        """scale times an integer polynomial, in the normal form."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints or not scale:
+            return ParamPoly(param, (), _ZERO)
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        return ParamPoly(param, tuple(co // g for co in ints), scale * g)
 
     @staticmethod
     def create(param: str, coeffs: Iterable[int | str | Fraction]) -> "ParamPoly":
-        return ParamPoly(param, _trim([rat(x) for x in coeffs]))
+        qs = [rat(x) for x in coeffs]
+        den = math.lcm(*[q.denominator for q in qs])
+        return ParamPoly.from_ints(param, [q.numerator * (den // q.denominator)
+                                           for q in qs], Fraction(1, den))
 
     @staticmethod
     def zero(param: str) -> "ParamPoly":
-        return ParamPoly(param, ())
+        return ParamPoly(param, (), _ZERO)
 
     @staticmethod
     def const(param: str, value: int | str | Fraction) -> "ParamPoly":
-        return ParamPoly.create(param, [value])
+        q = rat(value)
+        return ParamPoly(param, (1,) if q else (), q)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, ascending; derived, for reading only."""
+        return tuple(self.content * co for co in self.ints)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.content * self.ints[-1] if self.ints else _ZERO
 
     def constant_value(self) -> Fraction | None:
         """The value if this polynomial is constant, else None."""
-        if len(self.coeffs) == 0:
-            return Fraction(0)
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        return None
+        return self.content if len(self.ints) < 2 else None
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         _same_param(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPoly(self.param, _trim([
-            self.coeff(i) + other.coeff(i) for i in range(n)]))
+        if not self.ints or not other.ints:
+            return other if not self.ints else self
+        a, b = self.content, other.content
+        den = math.lcm(a.denominator, b.denominator)
+        return ParamPoly.from_ints(self.param, _ipoly_add(
+            _ipoly_mul((a.numerator * (den // a.denominator),), self.ints),
+            _ipoly_mul((b.numerator * (den // b.denominator),), other.ints)),
+            Fraction(1, den))
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.param, tuple(-x for x in self.coeffs))
+        return ParamPoly(self.param, self.ints, -self.content)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         _same_param(self, other)
-        if not self.coeffs or not other.coeffs:
-            return ParamPoly(self.param, ())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return ParamPoly(self.param, _trim(out))
+        return ParamPoly(self.param, _ipoly_mul(self.ints, other.ints),
+                         self.content * other.content)
 
     def scale(self, q: int | str | Fraction) -> "ParamPoly":
         q = rat(q)
-        return ParamPoly(self.param, _trim([x * q for x in self.coeffs]))
+        return ParamPoly(self.param, self.ints if q else (), self.content * q)
 
     def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+        return self.content * self.ints[i] if 0 <= i < len(self.ints) else _ZERO
 
     def eval(self, x: int | str | Fraction) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation: Horner's rule in integers, then one division."""
         x = rat(x)
-        acc = Fraction(0)
-        for co in reversed(self.coeffs):
-            acc = acc * x + co
-        return acc
+        acc, scale = _homogeneous(self.ints, x)
+        return self.content * Fraction(acc * x.denominator, scale)
 
     def derivative(self) -> "ParamPoly":
-        return ParamPoly(self.param, _trim([
-            self.coeffs[i] * i for i in range(1, len(self.coeffs))]))
+        return ParamPoly.from_ints(self.param, _ipoly_derivative(self.ints),
+                                   self.content)
 
     def monic(self) -> "ParamPoly":
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return ParamPoly(self.param, tuple(x / lead for x in self.coeffs))
+        return ParamPoly(self.param, self.ints, Fraction(1, self.ints[-1])
+                         ) if self.ints else self
 
     def text(self) -> str:
         return poly_text(self)
@@ -170,7 +180,7 @@ class ParamPoly(Record):
     @cached_property
     def factorization(self) -> "Factorization":
         """This polynomial's factorization, computed on first use."""
-        return _factorize(self.coeffs)
+        return _factorize(self.ints)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "ParamPoly(%s)" % poly_text(self)
@@ -182,35 +192,13 @@ def _same_param(a: ParamPoly, b: ParamPoly) -> None:
             "mismatched parameter names: %r vs %r" % (a.param, b.param))
 
 
-def poly_divmod(a: ParamPoly, b: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
-    """Exact polynomial division with remainder; b must be nonzero."""
-    _same_param(a, b)
-    if b.is_zero():
-        raise ComputationError("polynomial division by zero")
-    rem = list(a.coeffs)
-    deg_b = b.degree()
-    lead_b = b.leading()
-    if a.degree() < deg_b:
-        return ParamPoly(a.param, ()), a
-    quot = [Fraction(0)] * (a.degree() - deg_b + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        idx = i + deg_b
-        if idx < len(rem) and rem[idx] != 0:
-            q = rem[idx] / lead_b
-            quot[i] = q
-            for j, y in enumerate(b.coeffs):
-                rem[i + j] -= q * y
-    return ParamPoly(a.param, _trim(quot)), ParamPoly(a.param, _trim(rem))
-
-
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Monic gcd, from the last term of the integer remainder sequence."""
     _same_param(a, b)
     if a.is_zero() and b.is_zero():
         raise ComputationError("gcd of two zero polynomials is undefined")
-    g = _int_gcd(_clear_denominators(a.coeffs)[1],
-                 _clear_denominators(b.coeffs)[1])
-    return ParamPoly(a.param, tuple(Fraction(co, g[-1]) for co in g))
+    g = _int_gcd(a.ints, b.ints)
+    return ParamPoly(a.param, g, Fraction(1, g[-1]))
 
 
 def _remainder_sequence(x: Sequence[int],
@@ -246,12 +234,6 @@ def _primitive(x: Sequence[int]) -> list[int]:
     return [co // content for co in x]
 
 
-def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The common denominator L of the coefficients, and L times each."""
-    lcm = math.lcm(*[x.denominator for x in coeffs])
-    return lcm, [x.numerator * (lcm // x.denominator) for x in coeffs]
-
-
 def _int_gcd(x: Sequence[int], y: Sequence[int]) -> IntPoly:
     """Primitive gcd, with a positive leading coefficient, of two integer
     polynomials (ascending coefficients), not both zero."""
@@ -266,10 +248,6 @@ def _int_sturm(x: Sequence[int]) -> list[Sequence[int]]:
     multiple of the classical one with integer coefficients."""
     dx = _ipoly_derivative(x)
     return _remainder_sequence(_primitive(x), _primitive(dx)) if dx else [x]
-
-
-# integer coefficients, ascending by degree, no trailing zeros; () is zero
-IntPoly = tuple[int, ...]
 
 
 def _ipoly_add(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -335,8 +313,6 @@ def _ipoly_prod(xs: Iterable[IntPoly]) -> IntPoly:
 
 def poly_text(p: ParamPoly) -> str:
     """Render descending, ASCII only: '112c^2-112c+23', '-30c+12', '0'."""
-    if p.is_zero():
-        return "0"
     parts: list[str] = []
     for i in range(p.degree(), -1, -1):
         co = p.coeff(i)
@@ -350,7 +326,7 @@ def poly_text(p: ParamPoly) -> str:
             var = p.param if i == 1 else "%s^%d" % (p.param, i)
             body = var if mag == 1 else rat_text(mag) + var
         parts.append(sign + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 class RationalFunction(Record):
@@ -365,11 +341,11 @@ class RationalFunction(Record):
 
     @staticmethod
     def const(param: str, value: int | str | Fraction) -> "RationalFunction":
-        return RationalFunction(ParamPoly.const(param, value), ParamPoly.const(param, 1))
+        return RationalFunction.from_poly(ParamPoly.const(param, value))
 
     @staticmethod
     def from_poly(p: ParamPoly) -> "RationalFunction":
-        return RationalFunction(p, ParamPoly(p.param, (Fraction(1),)))
+        return RationalFunction(p, ParamPoly(p.param, (1,), _ONE))
 
     @property
     def param(self) -> str:
@@ -382,9 +358,7 @@ class RationalFunction(Record):
         return self.den.degree() == 0
 
     def constant_value(self) -> Fraction | None:
-        if self.den.degree() != 0:
-            return None
-        return self.num.constant_value()
+        return self.num.constant_value() if self.den.degree() == 0 else None
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den == other.den:
@@ -418,11 +392,11 @@ class RationalFunction(Record):
             raise ComputationError(
                 "not a polynomial: (%s)/(%s)" % (poly_text(self.num),
                                                  poly_text(self.den)))
-        return self.num.scale(1 / self.den.coeff(0))
+        return self.num.scale(1 / self.den.content)
 
     def text(self) -> str:
         if self.is_polynomial():
-            return poly_text(self.num.scale(1 / self.den.coeff(0)))
+            return poly_text(self.to_poly())
         return "(%s)/(%s)" % (poly_text(self.num), poly_text(self.den))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -435,14 +409,15 @@ def ratfun_reduce(num: ParamPoly, den: ParamPoly) -> RationalFunction:
     if den.is_zero():
         raise ComputationError("zero denominator")
     if num.is_zero():
-        return RationalFunction(num, ParamPoly.const(num.param, 1))
-    if den.degree() > 0:  # a constant denominator has nothing to cancel
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-    lead = den.leading()
-    return RationalFunction(num.scale(1 / lead), den.scale(1 / lead))
+        return RationalFunction.from_poly(num)
+    n, d = num.ints, den.ints
+    if len(d) > 1:  # a constant denominator has nothing to cancel
+        g = _int_gcd(n, d)
+        if len(g) > 1:  # the quotients are primitive, by Gauss's lemma
+            n, d = _ipoly_quo(n, g), _ipoly_quo(d, g)
+    return RationalFunction(
+        ParamPoly(num.param, n, num.content / (den.content * d[-1])),
+        ParamPoly(num.param, d, Fraction(1, d[-1])))
 
 
 def ratfun_eval(f: RationalFunction, x: int | str | Fraction) -> Fraction:
@@ -458,20 +433,13 @@ def ratfun_eval(f: RationalFunction, x: int | str | Fraction) -> Fraction:
 # exact real roots in integers
 
 
-def squarefree_part(p: ParamPoly) -> ParamPoly:
-    """p divided by gcd(p, p'), made monic."""
-    if p.degree() < 1:
-        return p.monic()
-    return poly_divmod(p, poly_gcd(p, p.derivative()))[0].monic()
-
-
 def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
     """The Sturm sequence of p, each term scaled by a positive rational to
     primitive integer coefficients; empty for the zero polynomial."""
     if p.is_zero():
         return []
-    return [ParamPoly(p.param, tuple(map(Fraction, q)))
-            for q in _int_sturm(_clear_denominators(p.coeffs)[1])]
+    sign = _ONE if p.content > 0 else -_ONE
+    return [ParamPoly.from_ints(p.param, q, sign) for q in _int_sturm(p.ints)]
 
 
 def count_roots_open(p: ParamPoly,
@@ -480,39 +448,44 @@ def count_roots_open(p: ParamPoly,
     lo, hi = interval
     if not lo < hi:
         raise UsageError("empty interval")
-    s = squarefree_part(p)
-    return UnitKernel(s.coeffs, lo, hi).count(0, 0) if s.degree() >= 1 else 0
+    if p.degree() < 1:
+        return 0
+    return UnitKernel(_squarefree_split(p.ints)[0], lo, hi).count(0, 0)
 
 
 def positive_on_interval(p: ParamPoly,
                          interval: tuple[Fraction, Fraction]) -> bool:
     """True when p > 0 on the whole open interval."""
     return (not p.is_zero() and count_roots_open(p, interval) == 0
-            and p.eval((interval[0] + interval[1]) / 2) > 0)
+            and _sign_at(p.ints, (interval[0] + interval[1]) / 2)
+            * p.content > 0)
 
 
 class UnitKernel:
-    """A nonzero squarefree polynomial's coefficients on a bracket, read at
-    dyadic points.
+    """A nonzero squarefree integer polynomial on a bracket, read at dyadic
+    points.
 
-    The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t, and
-    the substituted polynomial and its Sturm chain, from the integer
-    remainder sequence, are positive multiples of the classical ones with
-    integer coefficients, which keeps every sign.  The sign at
-    t = k/2^j is then the sign of the homogeneous form
+    The bracket [a, b] is mapped to t in [0, 1] once, by x = a + (b-a)*t
+    homogenized as _sign_at does, and the substituted polynomial and its
+    Sturm chain, from the integer remainder sequence, are positive multiples
+    of the classical ones with integer coefficients, which keeps every sign.
+    The sign at t = k/2^j is then the sign of the homogeneous form
     sum c_i k^i 2^(j(d-i)), evaluated by Horner's rule in integers with
     power-of-two shifts: no Fraction and no gcd.  Points are named (k, j).
     """
 
-    def __init__(self, coeffs: Sequence[int | Fraction], a: Fraction,
-                 b: Fraction):
+    def __init__(self, coeffs: Sequence[int], a: Fraction, b: Fraction):
         self.a = a
-        self.span = b - a
-        q = [Fraction(0)] * len(coeffs)
-        for co in reversed(coeffs):  # Horner in t: q <- q*(a + span*t) + co
-            q = [co + a * q[0]] + [a * q[i] + self.span * q[i - 1]
-                                   for i in range(1, len(q))]
-        self.chain = _int_sturm(_clear_denominators(q)[1])
+        self.span = span = b - a
+        # x = (u + w t) / v; the coefficient c_i is weighted by v^(d-i)
+        u, w = a.numerator * span.denominator, span.numerator * a.denominator
+        v, scale = a.denominator * span.denominator, 1
+        q = [0] * len(coeffs)
+        for co in reversed(coeffs):  # Horner in t: q <- q*(u + w t) + co*scale
+            q = [co * scale + u * q[0]] + [u * q[i] + w * q[i - 1]
+                                           for i in range(1, len(q))]
+            scale *= v
+        self.chain = _int_sturm(q)
 
     def point(self, k: int, j: int) -> Fraction:
         """The bracket point x at t = k/2^j."""
@@ -548,11 +521,19 @@ def _dyadic_sign(coeffs: Sequence[int], k: int, j: int) -> int:
 
 def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
     """Sign of the integer polynomial at x, homogenized as _dyadic_sign."""
+    acc = _homogeneous(coeffs, x)[0]
+    return (acc > 0) - (acc < 0)
+
+
+def _homogeneous(coeffs: Sequence[int], x: Fraction) -> tuple[int, int]:
+    """(sum c_i u^i v^(d-i), v^(d+1)) for x = u/v and d the degree, by
+    Horner's rule in integers: the value at x is the first times v over the
+    second."""
     acc, scale = 0, 1
     for co in reversed(coeffs):
         acc = acc * x.numerator + co * scale
         scale *= x.denominator
-    return (acc > 0) - (acc < 0)
+    return acc, scale
 
 
 # ---------------------------------------------------------------------------
@@ -560,31 +541,29 @@ def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
 
 
 class Factorization(Record):
-    """p = content * prod (v c - u)^m * prod f^m, over the rational roots u/v
-    of p (ascending, lowest terms, v > 0) and its irrational squarefree
+    """p = p.content * prod (v c - u)^m * prod f^m, over the rational roots
+    u/v of p (ascending, lowest terms, v > 0) and its irrational squarefree
     factors f, each with its multiplicity m.  An f is primitive over Z with
     a positive leading coefficient: the product of the irreducible factors
-    of degree >= 2 that share m.  Zero has content 0 and no factors."""
+    of degree >= 2 that share m.  Zero has no factors."""
 
-    content: Fraction
     roots: tuple[tuple[Fraction, int], ...]
     factors: tuple[tuple[IntPoly, int], ...]
 
 
-def _factorize(coeffs: Sequence[Fraction]) -> Factorization:
-    """Content, then Yun's layers, then one rational-root search on their
-    product, the squarefree part; each root is divided out of its layer."""
-    if not coeffs:
-        return Factorization(Fraction(0), (), ())
-    lcm, ints = _clear_denominators(coeffs)
-    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-    layers = _squarefree_layers(tuple(x // content for x in ints))
+def _factorize(x: IntPoly) -> Factorization:
+    """Yun's layers of the integer part x, then one rational-root search on
+    their product, the squarefree part; each root is divided out of its
+    layer."""
+    if not x:
+        return Factorization((), ())
+    layers = _squarefree_layers(x)
     roots = []
     for root in _rational_roots(_ipoly_prod(layers)):
         i = next(i for i, a in enumerate(layers) if _sign_at(a, root) == 0)
         layers[i] = _ipoly_quo(layers[i], (-root.numerator, root.denominator))
         roots.append((root, i + 1))
-    return Factorization(Fraction(content, lcm), tuple(sorted(roots)),
+    return Factorization(tuple(sorted(roots)),
                          tuple((a, i + 1) for i, a in enumerate(layers)
                                if len(a) > 1))
 
@@ -598,9 +577,7 @@ def _squarefree_layers(x: IntPoly) -> list[IntPoly]:
     divisor is a primitive gcd dividing over Q, so by Gauss's lemma every
     quotient is exact over Z.
     """
-    dx = _ipoly_derivative(x)
-    g = _int_gcd(x, dx)
-    c, d = _ipoly_quo(x, g), _ipoly_quo(dx, g)
+    c, d = _squarefree_split(x)
     layers = []
     while len(c) > 1:
         d = _ipoly_add(d, tuple(-co for co in _ipoly_derivative(c)))
@@ -608,6 +585,14 @@ def _squarefree_layers(x: IntPoly) -> list[IntPoly]:
         c, d = _ipoly_quo(c, a), _ipoly_quo(d, a)
         layers.append(a)
     return layers
+
+
+def _squarefree_split(x: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """x/gcd(x, x') and x'/gcd(x, x'): the squarefree part of a nonzero x,
+    normalized as x is, and its cofactor."""
+    dx = _ipoly_derivative(x)
+    g = _int_gcd(x, dx)
+    return _ipoly_quo(x, g), _ipoly_quo(dx, g)
 
 
 def _rational_roots(s: IntPoly) -> list[Fraction]:
@@ -670,7 +655,7 @@ def interpolate(param: str,
             shifted[t] -= xs[i] * a
         shifted[0] += diffs[i]
         coeffs = shifted
-    return ParamPoly(param, _trim(coeffs))
+    return ParamPoly.create(param, coeffs)
 
 
 def sample_values(interval: tuple[Fraction, Fraction],
@@ -701,6 +686,12 @@ MAX_DEGREE = 100
 MAX_COEFF_BITS = 1024
 # largest sample count; verify realizes every polytope at each sample
 MAX_SAMPLES = 1000
+# largest dimension of a scenario and of each ring in it; the residue table
+# takes powers up to it, and the invariant's degree grows with it
+MAX_DIMENSION = 16
+# largest monomial table of a ring, the monomials dividing its top one; the
+# residue table multiplies over pairs of them.  (CP^1)^10 has 1024
+MAX_RING_MONOMIALS = 1024
 
 # unicode minus and en dash, middle dot and multiplication sign
 _NORMALIZE = str.maketrans("−–·×", "--**")
@@ -766,7 +757,7 @@ class _ExprParser:
         num, den = self.expr()
         if self.peek():
             raise ParseError("trailing input in expression %r" % self.text)
-        return ParamPoly(self.param, tuple(Fraction(x, den) for x in num))
+        return ParamPoly.from_ints(self.param, num, Fraction(1, den))
 
     def expr(self) -> _Value:
         if self.peek() in ("+", "-"):
@@ -894,7 +885,7 @@ def render_factored(f: RationalFunction) -> str:
     if f.is_zero():
         return "0"
     num, den = f.num.factorization, f.den.factorization
-    scale = num.content / den.content
+    scale = f.num.content / f.den.content
     fac_n = _factor_texts(num, f.num.param)
     fac_d = _factor_texts(den, f.num.param)
     if not fac_n:
@@ -911,7 +902,7 @@ def render_factored(f: RationalFunction) -> str:
 
 def _factor_texts(fac: Factorization, param: str) -> list[tuple[str, int]]:
     """(text, exponent) of each linear factor, then of the irrational rest."""
-    as_poly = lambda x: poly_text(ParamPoly(param, tuple(map(Fraction, x))))
+    as_poly = lambda x: poly_text(ParamPoly(param, x, _ONE))
     out = [(as_poly((-r.numerator, r.denominator)), m) for r, m in fac.roots]
     rest = _ipoly_prod(g for g, m in fac.factors for _ in range(m))
     return out + [(as_poly(rest), 1)] if len(rest) > 1 else out

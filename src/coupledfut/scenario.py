@@ -12,13 +12,15 @@ expression text is parsed once per load, and equal texts share one value.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import ParseError, Record
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
-from .rationals import RationalFunction, parse_poly, poly_text, rat, rat_text
+from .rationals import (MAX_DIMENSION, MAX_RING_MONOMIALS, RationalFunction,
+                        parse_poly, poly_text, rat, rat_text)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
@@ -138,7 +140,15 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
     if not isinstance(top, dict) or not all(
             _is_int(v) for v in top.values()):
         raise ParseError("%s.top: expected generator-to-exponent map" % where)
-    return ring_create(param, gens, top, _need_int(raw, "dimension", where))
+    ring = ring_create(param, gens, top, _need_int(raw, "dimension", where))
+    for what, size, limit in (
+            ("dimension", ring.dimension, MAX_DIMENSION),
+            ("monomial table size", math.prod(e + 1 for e in ring.top),
+             MAX_RING_MONOMIALS)):
+        if size > limit:
+            raise ParseError("%s: %s %d exceeds the limit %d"
+                             % (where, what, size, limit))
+    return ring
 
 
 def _parse_polytope(raw, param: str, ambient: int, where: str,
@@ -169,6 +179,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     description = raw.get("description", "")
     note = raw.get("note", "")
     dimension = _need_int(raw, "dimension", "scenario")
+    if dimension > MAX_DIMENSION:
+        raise ParseError("scenario: dimension %d exceeds the limit %d"
+                         % (dimension, MAX_DIMENSION))
     bundles = _need_int(raw, "bundles", "scenario")
     par = _need(raw, "parameter", "scenario")
     if not isinstance(par, dict):

@@ -16,7 +16,7 @@ from sympy.parsing.sympy_parser import (  # noqa: E402
     standard_transformations,
 )
 
-from coupledfut import parse_poly  # noqa: E402
+from coupledfut import ParamPoly, parse_poly  # noqa: E402
 
 TRANSFORMATIONS = standard_transformations + (implicit_multiplication,
                                               convert_xor, rationalize)
@@ -61,6 +61,14 @@ def reference(text):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(expressions(3))
-def test_parser_matches_sympy(text):
-    assert parse_poly(text, "c").coeffs == reference(text)
+@given(expressions(3), expressions(1))
+def test_parser_matches_sympy(text, other):
+    p = parse_poly(text, "c")
+    assert p.coeffs == reference(text)
+    # the normal form is canonical: the same polynomial built by the parser,
+    # by the constructor and by arithmetic is one record with one hash
+    q = parse_poly(other, "c")
+    built = [ParamPoly.create("c", reference(text)), (p + q) - q, (p - q) + q,
+             parse_poly("(%s)(%s)" % (text, other), "c") - p * q + p]
+    for r in built:
+        assert (r, hash(r)) == (p, hash(p))

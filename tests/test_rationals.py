@@ -13,11 +13,12 @@ from coupledfut import (
     PoleError,
     RationalFunction,
     UsageError,
+    count_roots_open,
     interpolate,
     parse_poly,
-    poly_divmod,
     poly_gcd,
     poly_text,
+    positive_on_interval,
     rat,
     rat_text,
     ratfun_eval,
@@ -29,6 +30,18 @@ from coupledfut.rationals import MAX_COEFF_BITS, MAX_DEGREE, MAX_EXPONENT
 
 def c(text):
     return parse_poly(text, "c")
+
+
+def ref_divmod(a, b):
+    """Long division over Fraction coefficients, b nonzero: the reference
+    the integer kernels are checked against, here and in test_analysis."""
+    rem, lead, shift = list(a.coeffs), b.leading(), b.degree()
+    quot = [F(0)] * max(0, a.degree() - shift + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        q = quot[i] = rem[i + shift] / lead
+        for j, y in enumerate(b.coeffs):
+            rem[i + j] -= q * y
+    return ParamPoly.create(a.param, quot), ParamPoly.create(a.param, rem)
 
 
 def rf(num, den="1"):
@@ -219,7 +232,7 @@ class TestPolyArith:
             assert (p - p).is_zero()
 
 
-class TestPolyDivmod:
+class TestRefDivmod:
     def test_identity_randomized(self):
         rng = random.Random(404)
         for _ in range(120):
@@ -227,13 +240,9 @@ class TestPolyDivmod:
             b = random_poly(rng, 3)
             if b.is_zero():
                 continue
-            q, r = poly_divmod(a, b)
+            q, r = ref_divmod(a, b)
             assert q * b + r == a
             assert r.is_zero() or r.degree() < b.degree()
-
-    def test_division_by_zero(self):
-        with pytest.raises(ComputationError, match="division by zero"):
-            poly_divmod(c("c"), ParamPoly.zero("c"))
 
 
 class TestPolyGcd:
@@ -260,7 +269,7 @@ class TestPolyGcd:
             assert g.leading() == 1
             for p in (a, b):
                 if not p.is_zero():
-                    _, rem = poly_divmod(p, g)
+                    _, rem = ref_divmod(p, g)
                     assert rem.is_zero()
 
 
@@ -268,7 +277,7 @@ def euclid_gcd(a, b):
     """Monic gcd by Euclid over Fraction coefficients: the reference."""
     x, y = a, b
     while not y.is_zero():
-        _, r = poly_divmod(x, y)
+        _, r = ref_divmod(x, y)
         x, y = y, r
     return x.monic()
 
@@ -300,7 +309,43 @@ class TestPolyGcdReference:
         assert time.process_time() - start < 0.2  # Euclid over Fraction: 0.7 s
         assert g.degree() >= 4
         for p in (a, b):
-            assert poly_divmod(p, g)[1].is_zero()
+            assert ref_divmod(p, g)[1].is_zero()
+
+
+class TestIntegerForm:
+    def test_fractions_built_do_not_grow_with_the_degree(self, monkeypatch):
+        # the kernels run on the integer part: reducing, counting roots and
+        # testing positivity build the same few Fractions at every degree
+        interval = (F(-1), F(2))
+        calls = [
+            lambda a, b: ratfun_reduce(a, b),
+            lambda a, b: count_roots_open(a * a, interval),
+            lambda a, b: positive_on_interval(a * a, interval),
+        ]
+
+        def built(call, degree):
+            a, b = with_common_factor(random.Random(degree), degree)
+            made = []
+            new = F.__new__
+            monkeypatch.setattr(F, "__new__", lambda cls, *args, **kwargs: (
+                made.append(args), new(cls, *args, **kwargs))[1])
+            call(a, b)
+            monkeypatch.undo()
+            return len(made)
+
+        for call in calls:
+            assert built(call, 10) == built(call, 40) <= 8
+
+    def test_normal_form(self):
+        p = ParamPoly.create("c", [F(-3, 4), 0, F(3, 2), 0])
+        assert (p.ints, p.content) == ((-1, 0, 2), F(3, 4))
+        assert (-p).content == F(-3, 4) and (-p).ints == p.ints
+        assert p.coeffs == (F(-3, 4), 0, F(3, 2))
+        zero = p - p
+        assert (zero.ints, zero.content) == ((), 0)
+        assert zero == ParamPoly.zero("c") == p.scale(0)
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
 
 
 class TestInterpolate:

@@ -3,6 +3,7 @@
 import pytest
 
 import coupledfut  # noqa: F401  defines every record class
+import coupledfut.cli  # noqa: F401  defines cli.Option
 from coupledfut.errors import Record
 from coupledfut.polytopes import ParamPolytope, RealizedPolytope
 from coupledfut.rationals import ParamPoly

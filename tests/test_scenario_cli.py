@@ -24,6 +24,7 @@ from coupledfut import (
     validate_scenario,
 )
 from coupledfut.cli import main
+from coupledfut.rationals import MAX_DIMENSION, MAX_RING_MONOMIALS
 
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
 
@@ -653,6 +654,35 @@ class TestCliOversizedInput:
                              "--samples", "1001")
         assert (code, out) == (3, "")
         assert "1001 samples exceed the limit 1000" in err
+
+    @pytest.mark.parametrize("site", ["scenario", "ring", "monomials"])
+    def test_dimension_and_ring_size_are_bounded(self, capsys, tmp_path,
+                                                 site):
+        data = scenario_to_dict(load("hultgren-c"))
+        if site == "scenario":
+            data["dimension"] = MAX_DIMENSION + 1
+            message = "scenario: dimension %d" % (MAX_DIMENSION + 1)
+        else:
+            # one generator of dimension MAX_DIMENSION + 1, or five whose top
+            # exponents 5, 4, 3, 2, 2 reach dimension 16 and give the
+            # smallest table above 1024 monomials: 6*5*4*3*3 = 1080
+            tops = ([MAX_DIMENSION + 1] if site == "ring" else [5, 4, 3, 2, 2])
+            data["rings"]["big"] = {
+                "generators": [{"name": "g%d" % i, "order": e + 1,
+                                "degree": 2} for i, e in enumerate(tops)],
+                "top": {"g%d" % i: e for i, e in enumerate(tops)},
+                "dimension": sum(tops)}
+            message = ("rings.big: dimension %d" % (MAX_DIMENSION + 1)
+                       if site == "ring" else
+                       "rings.big: monomial table size 1080")
+        assert MAX_DIMENSION == 16 and MAX_RING_MONOMIALS == 1024
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "localize", "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "%s exceeds the limit" % message in err
 
 
 class TestStructuredGolden:

@@ -80,6 +80,16 @@ def test_every_traced_name_resolves():
         assert module in layertrace.MODULES, module
         target = importlib.import_module("coupledfut." + module)
         assert callable(getattr(target, name, None)), (module, name)
+    # analysis rebinds these from rationals, and the tracer wraps both
+    from coupledfut import analysis, rationals
+    for name in ("poly_gcd", "sturm_chain", "count_roots_open",
+                 "positive_on_interval"):
+        assert getattr(analysis, name) is getattr(rationals, name), name
+    # the ratfun_reduce hook reads each coefficient's numerator and denominator
+    f = rationals.ratfun_reduce(rationals.parse_poly("c/2", "c"),
+                                rationals.parse_poly("3c+1", "c"))
+    assert [(co.numerator, co.denominator) for co in f.num.coeffs + f.den.coeffs
+            ] == [(0, 1), (1, 6), (1, 3), (1, 1)]
 
 
 # a process that ran the entry point prints its exit code and whether the
