@@ -2,12 +2,12 @@
 
 Roots of the invariant's numerator are read from its factorization in the
 rationals module: the rational roots are exact, each with its multiplicity,
-and the product of the irrational squarefree factors is isolated on the
-integer root kernel, which maps the interval to [0, 1] once and reads signs
-at dyadic points in integers.  Sturm counts split the brackets until each
-holds one root, and a sign test per halving then refines it to the
-requested width.  An irrational root's multiplicity is that of the one
-factor that changes sign across its bracket.  Degree-two factors
+and the product of the irrational squarefree factors is isolated by the
+root walk of the integer root kernel, which maps the interval to [0, 1]
+once and reads signs at dyadic points in integers: Sturm counts split the
+brackets until each holds one root, and one sign per halving then refines
+it to the requested width.  An irrational root's multiplicity is that of
+the one factor that changes sign across its bracket.  Degree-two factors
 additionally get closed-form surd descriptors (p + q*sqrt(D))/r, with square
 factors pulled out of D by bounded trial division only, so a very large D
 may be left unreduced.  Poles come from the denominator's factorization the
@@ -86,7 +86,9 @@ def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
         low = _decimal_of_fraction(kernel.point(k, j))
         if low == _decimal_of_fraction(kernel.point(k + 1, j)):
             return low
-        k, j = _refine(kernel, k, j, j + 1)
+        k, j, hit = kernel.refine(k, j, j + 1)
+        if hit:  # unreachable: the root is irrational
+            raise UsageError("bisection midpoint is a root")
 
 
 def _quadratic_surds(quad: IntPoly) -> list[tuple[int, int, int, int]]:
@@ -124,23 +126,6 @@ def _halvings_to_width(span: Fraction, width: Fraction) -> int:
     return (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
 
 
-def _refine(kernel: UnitKernel, k: int, j: int, fine: int) -> tuple[int, int]:
-    """Halve bracket (k, j), which holds one simple root, down to level fine.
-
-    The root lies in the half whose ends differ in sign; the sign at the
-    left end never changes, so one sign per step decides.
-    """
-    low_sign = kernel.sign(k, j)
-    while j < fine:
-        k, j = 2 * k, j + 1
-        mid_sign = kernel.sign(k + 1, j)
-        if mid_sign == 0:  # unreachable: the root is irrational
-            raise UsageError("bisection midpoint is a root")
-        if mid_sign == low_sign:
-            k += 1
-    return k, j
-
-
 def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
                   width: Fraction = DEFAULT_WIDTH) -> tuple[RootRecord, ...]:
     """Disjoint rational brackets, one distinct root each, inside the interval.
@@ -168,34 +153,28 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
             raise UsageError("endpoint is a root of an irrational factor")
         surds = _quadratic_surds(rest) if len(rest) == 3 else []
         fine = _halvings_to_width(hi - lo, width)
-        stack = [(0, 0)]
-        while stack:
-            k, j = stack.pop()
-            count = kernel.count(k, j)
-            if count == 0:
-                continue
-            if count == 1:
-                k, j = _refine(kernel, k, j, fine)
-                # halve on until the bracket holds no exact root, ends included
-                while any(kernel.point(k, j) <= x <= kernel.point(k + 1, j)
-                          for x in exact):
-                    k, j = _refine(kernel, k, j, j + 1)
-                a, b = kernel.point(k, j), kernel.point(k + 1, j)
-                # a quadratic rest, leading coefficient positive, falls
-                # through its smaller root and rises through the larger
-                surd = surds[kernel.sign(k, j) < 0] if surds else None
-                # the factors are coprime: one changes sign across (a, b)
-                mult = next(m for g, m in fac.factors
-                            if _sign_at(g, a) != _sign_at(g, b))
-                records.append(RootRecord(
-                    a, b, None, surd, _decimal_of_simple_root(kernel, k, j),
-                    mult))
-                continue
-            if kernel.sign(2 * k + 1, j + 1) == 0:
-                # unreachable: rest has no rational roots
+        hits, found = kernel.brackets()
+        if hits:  # cannot happen: rest has no rational roots
+            raise UsageError("bisection midpoint is a root")
+        for k, j in found:
+            k, j, hit = kernel.refine(k, j, fine)
+            # halve on until the bracket holds no exact root, ends included
+            while not hit and any(
+                    kernel.point(k, j) <= x <= kernel.point(k + 1, j)
+                    for x in exact):
+                k, j, hit = kernel.refine(k, j, j + 1)
+            if hit:  # cannot happen either
                 raise UsageError("bisection midpoint is a root")
-            stack.append((2 * k, j + 1))
-            stack.append((2 * k + 1, j + 1))
+            a, b = kernel.point(k, j), kernel.point(k + 1, j)
+            # a quadratic rest, leading coefficient positive, falls
+            # through its smaller root and rises through the larger
+            surd = surds[kernel.sign(k, j) < 0] if surds else None
+            # the factors are coprime: one changes sign across (a, b)
+            mult = next(m for g, m in fac.factors
+                        if _sign_at(g, a) != _sign_at(g, b))
+            records.append(RootRecord(
+                a, b, None, surd, _decimal_of_simple_root(kernel, k, j),
+                mult))
     records.sort(key=lambda rec: rec.lo)
     return tuple(records)
 

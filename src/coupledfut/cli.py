@@ -23,14 +23,13 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog
-from .analysis import cross_validate, fut_roots, sample_curve
+from .analysis import _sample_points, cross_validate, fut_roots, sample_curve
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
 from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import fut_toric, minkowski_check, volume_curve
-from .rationals import (MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval,
-                        sample_values)
+from .rationals import MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval
 from .report import (FORMATS, ObstructionReport, ToricReport,
                      emit_obstruction, emit_roots, emit_samples, emit_toric,
                      emit_validation, emit_verify)
@@ -81,18 +80,19 @@ def _validated(loc: LocalizationScenario) -> ValidationReport:
 
 
 def _parse_samples(text: str, interval) -> list[Fraction]:
-    """An integer is a sample count; anything else lists exact abscissae."""
+    """An integer is a sample count; anything else lists exact abscissae,
+    which must lie inside the interval."""
     try:
-        count = int(text)
+        samples = int(text)
     except ValueError:
         try:
-            xs = [rat(piece) for piece in text.split(",") if piece.strip()]
+            samples = [rat(piece) for piece in text.split(",")
+                       if piece.strip()]
         except ParseError as exc:
             raise ParseError("--samples: %s" % exc) from None
-        if not xs:
+        if not samples:
             raise UsageError("no sample abscissae given")
-        return xs
-    return sample_values(interval, count)
+    return _sample_points(interval, samples)
 
 
 def _cmd_localize(args: SimpleNamespace) -> int:

@@ -488,7 +488,8 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
             slack = [det * b - sum(a * v[k] for a, v in zip(f.normal, vertex))
                      for k, b in enumerate(offsets[i])]
             if (any(slack) if i in tight
-                    else not _positive_inside(slack, interval, pp.param)):
+                    else not positive_on_interval(
+                        ParamPoly.from_ints(pp.param, slack), interval)):
                 raise GeometryError(
                     "facet %d meets the vertices of the realization at %s = "
                     "%s differently elsewhere on the interval; the "
@@ -508,18 +509,6 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
         samples.append((x, _measure(n, points, common * q * den ** degree,
                                     star)))
     return samples
-
-
-def _positive_inside(slack: list[int], interval: tuple[Fraction, Fraction],
-                     param: str) -> bool:
-    """Whether a polynomial (integer coefficients, ascending), known to be
-    positive at the midpoint, is positive on the whole open interval."""
-    p = ParamPoly.from_ints(param, slack)
-    if p.degree() <= 1:
-        # a line positive at the midpoint is positive inside exactly when
-        # it is not negative at either end
-        return all(p.eval(x) >= 0 for x in interval)
-    return positive_on_interval(p, interval)
 
 
 def volume_curve(pp: ParamPolytope,

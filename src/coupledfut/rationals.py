@@ -13,9 +13,10 @@ positive denominator in lowest terms, and builds one ParamPoly at the end.
 
 One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
-Sturm chain, at dyadic points of a bracket in integer arithmetic; root
-counting, the positivity test, root isolation and the rational-root search
-all run on it.  Each ParamPoly is factored once, on first use: Yun's
+Sturm chain, at dyadic points of a bracket in integer arithmetic, and walks
+it: Sturm counts separate the roots, one sign per halving narrows each.
+Root counting, the positivity test, root isolation and the rational-root
+search all run on it.  Each ParamPoly is factored once, on first use: Yun's
 squarefree decomposition of its integer part, then one rational-root search
 on the squarefree part.  Every root multiplicity, pole and factored form is
 read from that factorization.
@@ -456,9 +457,14 @@ def count_roots_open(p: ParamPoly,
 def positive_on_interval(p: ParamPoly,
                          interval: tuple[Fraction, Fraction]) -> bool:
     """True when p > 0 on the whole open interval."""
-    return (not p.is_zero() and count_roots_open(p, interval) == 0
-            and _sign_at(p.ints, (interval[0] + interval[1]) / 2)
-            * p.content > 0)
+    lo, hi = interval
+    if p.degree() >= 2:
+        return (count_roots_open(p, interval) == 0
+                and _sign_at(p.ints, (lo + hi) / 2) * p.content > 0)
+    if not lo < hi:
+        raise UsageError("empty interval")
+    # a nonzero line is positive inside when it is not negative at the ends
+    return not p.is_zero() and min(p.eval(lo), p.eval(hi)) >= 0
 
 
 class UnitKernel:
@@ -503,6 +509,40 @@ class UnitKernel:
         """
         return (self._variations(k, j) - self._variations(k + 1, j)
                 - (self.sign(k + 1, j) == 0))
+
+    def brackets(self) -> tuple[list[Fraction], list[tuple[int, int]]]:
+        """The roots strictly inside, separated: the dyadic midpoints that
+        are roots, exactly, and brackets (k, j) holding one root each, with
+        a left end that is not a root.  Sturm counts split each bracket at
+        its midpoint, also a one-root bracket whose left end is a root."""
+        exact, found = [], []
+        stack = [(0, 0, self.sign(0, 0) == 0)]  # (k, j, left end is a root)
+        while stack:
+            k, j, at_root = stack.pop()
+            count = self.count(k, j)
+            if count == 1 and not at_root:
+                found.append((k, j))
+            elif count:
+                mid = self.sign(2 * k + 1, j + 1) == 0
+                if mid:
+                    exact.append(self.point(2 * k + 1, j + 1))
+                stack += [(2 * k, j + 1, at_root), (2 * k + 1, j + 1, mid)]
+        return exact, found
+
+    def refine(self, k: int, j: int, fine: int) -> tuple[int, int, bool]:
+        """Halve a bracket from brackets() down to level fine: (k, j, False),
+        or (k, j, True) at the first midpoint that is the root.  The root
+        lies in the half whose ends differ in sign; the sign at the left end
+        never changes, so one sign per step decides."""
+        low_sign = self.sign(k, j)
+        while j < fine:
+            k, j = 2 * k, j + 1
+            mid_sign = self.sign(k + 1, j)
+            if mid_sign == 0:
+                return k + 1, j, True
+            if mid_sign == low_sign:
+                k += 1
+        return k, j, False
 
     def _variations(self, k: int, j: int) -> int:
         signs = [s for s in (_dyadic_sign(q, k, j) for q in self.chain) if s]
@@ -601,11 +641,11 @@ def _rational_roots(s: IntPoly) -> list[Fraction]:
 
     A rational root u/v in lowest terms has v dividing the leading
     coefficient `lead`, and two such roots lie at least 1/lead^2 apart.
-    Every real root is isolated inside the Cauchy bound to a bracket
-    narrower than 1/(2 lead^2); the one candidate per bracket is the
-    fraction nearest its midpoint with denominator at most lead, which is
-    the root whenever the root is rational.  A dyadic midpoint met on the
-    way that is itself a root is taken directly.
+    Each real root inside the Cauchy bound is separated by Sturm counts,
+    then narrowed by one sign per halving below 1/(2 lead^2); the fraction
+    nearest the bracket's midpoint with denominator at most lead is the
+    root whenever the root is rational, and a midpoint that is a root is
+    taken directly.
     """
     if len(s) < 2:
         return []
@@ -614,23 +654,13 @@ def _rational_roots(s: IntPoly) -> list[Fraction]:
     kernel = UnitKernel(s, Fraction(-bound), Fraction(bound))
     # brackets at this level are 2*bound/2^level < 1/(2 lead^2) wide
     level = (4 * bound * lead * lead).bit_length()
-    roots: list[Fraction] = []
-    stack = [(0, 0)]
-    while stack:
-        k, j = stack.pop()
-        count = kernel.count(k, j)
-        if count == 0:
-            continue
-        if count == 1 and j >= level:
-            lo, hi = kernel.point(k, j), kernel.point(k + 1, j)
-            cand = ((lo + hi) / 2).limit_denominator(lead)
-            if lo < cand < hi and _sign_at(s, cand) == 0:
-                roots.append(cand)
-            continue
-        if kernel.sign(2 * k + 1, j + 1) == 0:
-            roots.append(kernel.point(2 * k + 1, j + 1))
-        stack.append((2 * k, j + 1))
-        stack.append((2 * k + 1, j + 1))
+    roots, found = kernel.brackets()
+    for k, j in found:
+        k, j, hit = kernel.refine(k, j, level)
+        lo, hi = kernel.point(k, j), kernel.point(k + 1, j)
+        cand = lo if hit else ((lo + hi) / 2).limit_denominator(lead)
+        if hit or (lo < cand < hi and _sign_at(s, cand) == 0):
+            roots.append(cand)
     return roots
 
 

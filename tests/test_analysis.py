@@ -29,7 +29,8 @@ from coupledfut.analysis import (
     _decimal_of_fraction,
     _quadratic_surds,
 )
-from coupledfut.rationals import _squarefree_layers, _squarefree_split
+from coupledfut.rationals import (UnitKernel, _factorize, _squarefree_layers,
+                                  _squarefree_split)
 from test_rationals import ref_divmod
 
 INTERVAL = (F(1, 4), F(3, 4))
@@ -194,6 +195,16 @@ class TestPositivity:
 
     def test_boundary_root_is_allowed(self):
         assert positive_on_interval(c("112c-6"), (F(3, 56), F(1)))
+
+    def test_lines_and_constants(self):
+        assert positive_on_interval(c("3"), INTERVAL)
+        assert not positive_on_interval(c("0"), INTERVAL)
+        assert not positive_on_interval(c("-3"), INTERVAL)
+        assert not positive_on_interval(c("4c-2"), INTERVAL)
+        assert positive_on_interval(c("4c-1"), INTERVAL)
+        for p in (c("0"), c("3"), c("4c-1"), c("c^2+1")):
+            with pytest.raises(UsageError, match="empty interval"):
+                positive_on_interval(p, (F(1), F(1)))
 
 
 class TestFutRoots:
@@ -617,12 +628,36 @@ class TestRootKernelEquivalence:
         by_root = lambda q: (-q.coeff(0) / q.coeff(1), q.coeffs)
         polys = [p for p, _ in _seeded_polynomials(5104, 120)]
         polys += [c("22265600c^2-22660736c+7565853"), c("6c^2-c-1"),
-                  c("c^3"), c("1024c^4-1")]
+                  c("c^3"), c("1024c^4-1"),
+                  # a root at the kernel's dyadic midpoint 0, and its
+                  # neighbour 1/1024 in the bracket that starts there
+                  product("c", "1024c-1", "c^2-2")]
         for p in polys:
             lin, rest = _factored(p)
             ref_lin, ref_rest = _ref_rational_root_factors(p)
             assert sorted(lin, key=by_root) == sorted(ref_lin, key=by_root)
             assert rest == ref_rest
+
+    def test_rational_root_search_is_bounded_by_root_separation(
+            self, monkeypatch):
+        # Sturm counts only separate the roots; the halvings down to the
+        # candidate's level, which grows with the leading coefficient, read
+        # one sign each
+        calls = []
+        count = UnitKernel.count
+
+        def counting(kernel, k, j):
+            calls.append((k, j))
+            return count(kernel, k, j)
+
+        monkeypatch.setattr(UnitKernel, "count", counting)
+        counts = []
+        for e in (3, 30):
+            calls.clear()
+            fac = _factorize(product("(10^%d+1)c-1" % e, "c^2-2").ints)
+            assert fac.roots == ((F(1, 10**e + 1), 1),)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_rational_roots_of_wide_coefficients(self):
         # the divisor search cannot finish here; the roots are known

@@ -453,12 +453,23 @@ class TestCliSample:
         assert out == 'c,fut\n"5/16","-51/8236"\n"11/16","-51/8236"\n'
 
     @pytest.mark.parametrize("command", ["sample", "verify"])
-    @pytest.mark.parametrize("samples,outside", [
-        ("-1/3,1/3", "-1/3"), ("1/2,3/4", "3/4"), ("1/4", "1/4")])
-    def test_abscissa_outside_the_interval_exits_3(self, capsys, command,
-                                                    samples, outside):
-        code, out, err = run(capsys, command, "--catalog", "hultgren-c",
-                             "--samples", samples)
+    @pytest.mark.parametrize("name,samples,outside", [
+        pytest.param("hultgren-c", "-1/3,1/3", "-1/3", id="-1/3,1/3--1/3"),
+        pytest.param("hultgren-c", "1/2,3/4", "3/4", id="1/2,3/4-3/4"),
+        pytest.param("hultgren-c", "1/4", "1/4", id="1/4-1/4"),
+        # cp1 without its toric model, on (0, 1)
+        pytest.param("no-toric", "5/4", "5/4", id="no-toric-5/4-5/4")])
+    def test_abscissa_outside_the_interval_exits_3(self, capsys, tmp_path,
+                                                    command, name, samples,
+                                                    outside):
+        source = ("--catalog", name)
+        if name == "no-toric":
+            data = scenario_to_dict(load("cp1"))
+            del data["toric"]
+            path = tmp_path / "no-toric.json"
+            path.write_text(json.dumps(data))
+            source = ("--scenario", str(path))
+        code, out, err = run(capsys, command, *source, "--samples", samples)
         assert (code, out) == (3, "")
         assert err == ("error: sample %s is outside the validity interval\n"
                        % outside)
