@@ -228,16 +228,17 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
 
 
 def _sample_points(interval: tuple[Fraction, Fraction],
-                   samples: int | list[Fraction]) -> list[Fraction]:
+                   samples: int | list[Fraction],
+                   what: str = "sample") -> list[Fraction]:
     """A count's equispaced interior grid, or the listed abscissae, which
-    must lie inside the open interval."""
+    must lie inside the open interval; what names one in the error."""
     if isinstance(samples, int):
         return sample_values(interval, samples)
     xs = [rat(x) for x in samples]
     for x in xs:
         if not interval[0] < x < interval[1]:
-            raise UsageError("sample %s is outside the validity interval"
-                             % rat_text(x))
+            raise UsageError("%s %s is outside the validity interval"
+                             % (what, rat_text(x)))
     return xs
 
 

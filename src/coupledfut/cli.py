@@ -95,14 +95,21 @@ def _parse_samples(text: str, interval) -> list[Fraction]:
     return _sample_points(interval, samples)
 
 
+def _value_at(args: SimpleNamespace, fut: RationalFunction,
+              interval) -> tuple[Fraction, Fraction] | None:
+    """The invariant at --param-value, which must lie inside the interval."""
+    if args.param_value is None:
+        return None
+    _sample_points(interval, [args.param_value], "--param-value")
+    return args.param_value, ratfun_eval(fut, args.param_value)
+
+
 def _cmd_localize(args: SimpleNamespace) -> int:
     loc = _load(args).localization
     _validated(loc)
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
     fut = fut_localized(loc)
-    value_at = None
-    if args.param_value is not None:
-        value_at = (args.param_value, ratfun_eval(fut, args.param_value))
+    value_at = _value_at(args, fut, loc.interval)
     note = (loc.note + " " if loc.note else "") + (
         "Normalization: the sum of per-bundle ratios is divided by the "
         "ambient dimension plus one (here %d)." % (loc.dimension + 1))
@@ -131,9 +138,7 @@ def _cmd_toric(args: SimpleNamespace) -> int:
         for pp in model.polytopes)
     scaled = tuple(v.scale(fact) for v in euclid)
     fut = fut_toric(model, loc.interval, direction)
-    value_at = None
-    if args.param_value is not None:
-        value_at = (args.param_value, ratfun_eval(fut, args.param_value))
+    value_at = _value_at(args, fut, loc.interval)
     mink = minkowski_check(model, loc.interval)
     rep = ToricReport(loc.name, loc.param, loc.interval, model.ambient,
                       tuple(direction), euclid, scaled, fut, mink.status,

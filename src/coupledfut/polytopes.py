@@ -4,16 +4,17 @@ A parametric polytope is cut out by integer facet normals with polynomial
 offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend
 on the parameter depends on the normals alone, so it is computed once per
 fan, shared by the polytopes with the same normals: the boundedness
-verdict, the integer inverse of every nonsingular square subsystem, the rank
-of the normals tight on each face, which gives the face's dimension, and the
+verdict, the integer inverse of every nonsingular square subsystem, and the
 star triangulations.  Realizing at a rational parameter value evaluates the
 offsets, multiplies them by each inverse and keeps the feasible solutions as
 vertices, all in exact integer arithmetic; each value is realized once and
-kept on the polytope.  One pass over a recursive star triangulation gives
+kept on the polytope.  The vertex-facet incidences fix the face lattice: a
+face's facets are the largest proper vertex sets it shares with the
+polytope's facets, and the realization is full-dimensional when no facet is
+tight at every vertex.  One pass over a recursive star triangulation gives
 the volume and the whole first-moment vector of a realization.  The
-triangulation in vertex indices depends only on the vertex-facet
-incidences and the normals, so it is reused by every realization in the fan
-with the same incidences.
+triangulation in vertex indices depends only on the incidences, so it is
+reused by every realization in the fan with the same incidences.
 
 Curves in the parameter are computed on a certified chamber, at degree+1
 abscissae.  The polytope is realized once, at the midpoint of the interval,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from fractions import Fraction
 
@@ -68,37 +69,29 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _reduce(m: list[list[int]], width: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination in place, pivoting in the first
-    width columns: Bareiss's exact divisions, applied above each pivot too.
-
-    Returns the pivot columns, one per leading row, and the last pivot d.
-    Each leading row then holds d in its own pivot column and 0 in the other
-    pivot columns, so a nonsingular A next to the identity ends as
-    [d I | d A^-1], with d = +-det A.
-    """
-    prev, pivots = 1, []
-    for col in range(width):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
+def _adjugate(rows: Sequence[Sequence[int]]
+              ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Adjugate and determinant of a nonsingular square integer matrix A,
+    signed so the determinant is positive, by fraction-free Gauss-Jordan
+    elimination on [A | I]: Bareiss's exact divisions, applied above each
+    pivot too, end at [d I | d A^-1] with d = +-det A."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        # A is nonsingular, so column k has a pivot at or below row k
+        swap = next(r for r in range(k, n) if m[r][k])
+        m[k], m[swap] = m[swap], m[k]
+        top = m[k]
+        p = top[k]
         for r, row in enumerate(m):
-            if r != rank:
-                f = row[col]
+            if r != k:
+                f = row[k]
                 m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         prev = p
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    return pivots, prev
-
-
-def _rank(rows: Sequence[Sequence[int]], width: int) -> int:
-    return len(_reduce([list(row) for row in rows], width)[0])
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), abs(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +105,12 @@ class Facet(Record):
 
 class Fan:
     """Facet normals, and what depends on them alone, each computed on first
-    use: the boundedness verdict, the inverses of the square subsystems, the
-    face ranks, and the star triangulation of each incidence pattern."""
+    use: the boundedness verdict, the inverses of the square subsystems, and
+    the star triangulation of each incidence pattern."""
 
     def __init__(self, normals: tuple[tuple[int, ...], ...]):
         self.normals = normals
         self.ambient = len(normals[0])
-        self.ranks: dict[frozenset[int], int] = {}
         self.stars: dict[tuple[frozenset[int], ...],
                          tuple[tuple[int, ...], ...]] = {}
 
@@ -132,18 +124,11 @@ class Fan:
         out = {}
         for subset in itertools.combinations(range(len(self.normals)), n):
             rows = [self.normals[i] for i in subset]
-            # Bareiss stops at the first column without a pivot, where the
-            # Gauss-Jordan pass on [A | I] would go on: most n-subsets of a
-            # cube's normals are singular
+            # Bareiss stops at the first column without a pivot: most
+            # n-subsets of a cube's normals are singular
             if _int_det([list(row) for row in rows]) == 0:
                 continue
-            m = [list(row) + [int(i == j) for j in range(n)]
-                 for i, row in enumerate(rows)]
-            _, d = _reduce(m, n)
-            # d A^-1 is the adjugate of A up to the sign of d = +-det A
-            sign = 1 if d > 0 else -1
-            out[subset] = (tuple(tuple(sign * x for x in row[n:]) for row in m),
-                           abs(d))
+            out[subset] = _adjugate(rows)
         return out
 
     @cached_property
@@ -162,15 +147,6 @@ class Fan:
                     return "unbounded: recession ray %s" % (
                         tuple(-x for x in col),)
         return None
-
-    def face_dim(self, tight: frozenset[int]) -> int:
-        """Dimension of a nonempty face, from the facets tight at all of its
-        vertices: n minus the rank of their normals."""
-        rank = self.ranks.get(tight)
-        if rank is None:
-            rank = self.ranks[tight] = _rank(
-                [self.normals[i] for i in tight], self.ambient)
-        return self.ambient - rank
 
 
 class ParamPolytope(Record, hidden=("fan",)):
@@ -227,8 +203,10 @@ class ParamPolytope(Record, hidden=("fan",)):
 class RealizedPolytope(Record, hidden=("polytope",)):
     """Vertex description of one realization, with facet incidence.
 
-    polytope is the parametric polytope realized; the face ranks and the
-    star triangulations of its fan serve every realization in the fan.
+    incidence lists the facets tight at each vertex; every face, its
+    dimension and the realization's own are read from it.  polytope is the
+    parametric polytope realized; the star triangulations of its fan serve
+    every realization in the fan.
     """
 
     ambient: int
@@ -242,8 +220,9 @@ class RealizedPolytope(Record, hidden=("polytope",)):
         return all(len(inc) == self.ambient for inc in self.incidence)
 
     def is_full_dimensional(self) -> bool:
-        return self.polytope.fan.face_dim(
-            frozenset.intersection(*self.incidence)) == self.ambient
+        # an inequality tight at every vertex holds with equality on the
+        # whole polytope, and a lower-dimensional one always has such
+        return not frozenset.intersection(*self.incidence)
 
     def signature(self) -> frozenset[frozenset[int]]:
         """Vertex-facet incidence pattern, independent of vertex order."""
@@ -253,8 +232,6 @@ class RealizedPolytope(Record, hidden=("polytope",)):
     def measures(self) -> tuple[Fraction, Vector]:
         """Volume and moment vector (the integral of y) in one pass, over the
         star triangulation from the first vertex."""
-        if not self.is_full_dimensional():
-            return Fraction(0), (Fraction(0),) * self.ambient
         return _measure(self.ambient, *_integer_points(self.vertices),
                         _star(self))
 
@@ -301,13 +278,15 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
                             % (pp.param, rat_text(value)))
     vertices = sorted(found)
     incidence = tuple(found[v] for v in vertices)
-    supported = []
-    for i in range(len(normals)):
-        face = [inc for inc in incidence if i in inc]
-        supported.append(bool(face) and fan.face_dim(
-            frozenset.intersection(*face)) == n - 1)
-    rp = RealizedPolytope(n, value, tuple(vertices), incidence,
-                          tuple(supported), pp)
+    cuts = _vertex_sets(incidence, len(normals))
+    largest = set(_maximal(cuts))
+    # the normals tight at every vertex cut out the affine hull: one line of
+    # them leaves codimension 1, and more leave no face of dimension n-1
+    flat = [normals[i] for i in frozenset.intersection(*incidence)]
+    codim_one = all(a * y == b * x for g in flat[1:] for (a, b), (x, y)
+                    in itertools.combinations(zip(flat[0], g), 2))
+    supported = tuple(cut in largest and codim_one for cut in cuts)
+    rp = RealizedPolytope(n, value, tuple(vertices), incidence, supported, pp)
     pp._realizations[value] = rp
     return rp
 
@@ -316,35 +295,17 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
 # volume and first moments by recursive star triangulation
 
 
-def _face_simplices(rp: RealizedPolytope, anchor: int, face: tuple[int, ...],
-                    tight: frozenset[int], dim: int) -> list[tuple[int, ...]]:
-    """Triangulate one face into dim-simplices coned from its vertex anchor.
+def _vertex_sets(incidence: tuple, facets: int) -> list[frozenset[int]]:
+    """The vertices at which each facet inequality is tight."""
+    return [frozenset(v for v, inc in enumerate(incidence) if g in inc)
+            for g in range(facets)]
 
-    The face is given by its vertex indices in ascending order and the
-    facets tight at all of them; dim is its dimension.  Its own facets are
-    coned from their first vertices in turn.
-    """
-    if dim == 0:
-        return [(anchor,)]
-    incidence = rp.incidence
-    simplices: list[tuple[int, ...]] = []
-    done = set(tight)
-    for g in range(len(rp.supported)):
-        if g in done:
-            continue
-        sub = tuple(v for v in face if g in incidence[v])
-        # the cone from the anchor over a facet through it is flat
-        if not sub or anchor in sub:
-            continue
-        sub_tight = frozenset.intersection(*(incidence[v] for v in sub))
-        if rp.polytope.fan.face_dim(sub_tight) != dim - 1:
-            continue
-        # every facet tight on this facet of the face, a facet listed twice
-        # among them, cuts out the same one
-        done |= sub_tight
-        for s in _face_simplices(rp, sub[0], sub, sub_tight, dim - 1):
-            simplices.append((anchor,) + s)
-    return simplices
+
+def _maximal(sets: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct nonempty sets contained in no other, in the order in
+    which they first appear."""
+    distinct = list(dict.fromkeys(s for s in sets if s))
+    return [s for s in distinct if not any(s < t for t in distinct)]
 
 
 def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
@@ -353,16 +314,35 @@ def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
     Each simplex lists n+1 indices into rp.vertices: the apex, then one
     vertex per face dimension, so the simplices depend only on the
     incidences.  Every vertex as apex yields the same volume and moments;
-    the default is the first.
+    the default is the first.  A realization that is not full-dimensional
+    has none.
     """
-    return _face_simplices(rp, apex, tuple(range(len(rp.vertices))),
-                           frozenset.intersection(*rp.incidence), rp.ambient)
+    if not rp.is_full_dimensional():
+        return []
+    cuts = _vertex_sets(rp.incidence, len(rp.supported))
+    facets: dict[frozenset[int], list[frozenset[int]]] = {}
+
+    # the simplices of a face coned from its vertex anchor; its facets, the
+    # largest proper vertex sets it shares with the polytope's, are coned
+    # from their first vertices in turn
+    def cone(face: frozenset[int], anchor: int) -> list[tuple[int, ...]]:
+        if len(face) == 1:
+            return [(anchor,)]
+        subs = facets.get(face)
+        if subs is None:
+            subs = facets[face] = _maximal(face & cut for cut in cuts
+                                           if not face <= cut)
+        # the cone from the anchor over a facet through it is flat
+        return [(anchor,) + s for sub in subs if anchor not in sub
+                for s in cone(sub, min(sub))]
+
+    return cone(frozenset(range(len(rp.vertices))), apex)
 
 
 def _star(rp: RealizedPolytope) -> tuple[tuple[int, ...], ...]:
     """The star triangulation from the first vertex, shared by every
-    realization in the fan with the same incidences: with the normals, the
-    incidences fix the face lattice, and with it the triangulation."""
+    realization in the fan with the same incidences: the incidences fix the
+    face lattice, and with it the triangulation."""
     stars = rp.polytope.fan.stars
     star = stars.get(rp.incidence)
     if star is None:
@@ -496,7 +476,7 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
                     "combinatorial type changes inside it"
                     % (i, pp.param, rat_text(rp.value)))
         formulas.append((vertex, det))
-    star = _star(rp) if rp.is_full_dimensional() else ()
+    star = _star(rp)
     common = math.lcm(*(det for _, det in formulas))
     scaled = [[[a * (common // det) for a in coord] for coord in vertex]
               for vertex, det in formulas]

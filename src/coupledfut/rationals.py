@@ -478,9 +478,15 @@ class UnitKernel:
     The sign at t = k/2^j is then the sign of the homogeneous form
     sum c_i k^i 2^(j(d-i)), evaluated by Horner's rule in integers with
     power-of-two shifts: no Fraction and no gcd.  Points are named (k, j).
+    The chain's cost grows steeply with the degree, which may be at most
+    MAX_DEGREE, the bound of a parsed expression.
     """
 
     def __init__(self, coeffs: Sequence[int], a: Fraction, b: Fraction):
+        if len(coeffs) - 1 > MAX_DEGREE:
+            raise UsageError("a polynomial of degree %d exceeds the limit %d "
+                             "of exact root finding"
+                             % (len(coeffs) - 1, MAX_DEGREE))
         self.a = a
         self.span = span = b - a
         # x = (u + w t) / v; the coefficient c_i is weighted by v^(d-i)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coupledfut import (
     GeometryError,
@@ -215,6 +216,32 @@ def _reference_recession(normals):
                    for normal in normals):
                 return d
     return None
+
+
+def _affine_dim(points):
+    """Dimension of the affine hull of the points, by Fraction elimination."""
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
+    return len(_fraction_rref(rows, len(points[0]))[1])
+
+
+@st.composite
+def flattened_polytopes(draw):
+    """A box around the origin in dimension 1-4, cut by random facets, which
+    may be redundant, and possibly one repeated facet, in random order; the
+    box's pinned pairs of opposite offsets are 0, which flattens it to any
+    codimension."""
+    n = draw(st.integers(1, 4))
+    pinned = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    facets = []
+    for i in range(n):
+        for sign in (1, -1):
+            facets.append((tuple(sign * int(j == i) for j in range(n)),
+                           0 if i in pinned else draw(st.integers(1, 3))))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    facets += draw(st.lists(st.tuples(normals, st.integers(0, 6)), max_size=4))
+    facets += draw(st.lists(st.sampled_from(facets), max_size=1))
+    return ParamPolytope.create("c", n, [(a, c(str(b))) for a, b in
+                                         draw(st.permutations(facets))])
 
 
 class TestFans:
@@ -430,19 +457,30 @@ class TestRandomizedGeometry:
             axis = tuple(1 if i == 0 else 0 for i in range(dim))
             assert linear_moment(rp, axis) == F(lo + hi, 2) * F(side) ** dim
 
-    def test_triangulation_independence_randomized(self, model):
-        rng = random.Random(10330)
-        pp = model.polytopes[0]
-        checked = 0
-        while checked < 100:
-            x = F(rng.randint(260, 740), 1000)
-            rp = realize(pp, x)
-            expected_vol = volume(rp)
-            expected_mom = linear_moment(rp, (0, 0, 0, 1))
-            for v in rng.sample(list(rp.vertices), 4):
-                assert volume(rp, apex=v) == expected_vol
-                assert linear_moment(rp, (0, 0, 0, 1), apex=v) == expected_mom
-                checked += 1
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(pp=flattened_polytopes(), x=st.integers(260, 740),
+           apexes=st.sets(st.integers(0, 11), min_size=2, max_size=2))
+    def test_triangulation_independence_randomized(self, model, pp, x,
+                                                   apexes):
+        rp = realize(pp, F(1, 2))
+        n = rp.ambient
+        # the flags against the dimensions of the faces' vertex sets
+        assert rp.is_full_dimensional() == (_affine_dim(rp.vertices) == n)
+        faces = [[v for v, inc in zip(rp.vertices, rp.incidence) if i in inc]
+                 for i in range(len(pp.facets))]
+        assert list(rp.supported) == [bool(face) and _affine_dim(face) == n - 1
+                                      for face in faces]
+        xi = tuple(range(1, n + 1))
+        expected = volume(rp), linear_moment(rp, xi)
+        for v in rp.vertices:
+            assert (volume(rp, apex=v), linear_moment(rp, xi, apex=v)) == expected
+        # the flagship has 12 vertices inside its interval
+        rp = realize(model.polytopes[0], F(x, 1000))
+        expected = volume(rp), linear_moment(rp, (0, 0, 0, 1))
+        for v in (rp.vertices[i] for i in apexes):
+            assert (volume(rp, apex=v),
+                    linear_moment(rp, (0, 0, 0, 1), apex=v)) == expected
 
 
 def laplace_det(rows):

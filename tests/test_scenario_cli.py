@@ -288,12 +288,16 @@ class TestCliLocalize:
         assert code == 0
         assert "value at c = 1/2: -3/125" in out
 
-    def test_pole_value_exits_with_computation_error(self, capsys):
-        code, _, err = run(
-            capsys, "localize", "--catalog", "hultgren-c", "--param-value", "3/56"
+    @pytest.mark.parametrize("command", ["localize", "toric"])
+    @pytest.mark.parametrize("value", ["3/56", "9/10", "2", "1/4"])
+    def test_value_outside_the_interval_exits_3(self, capsys, command, value):
+        # 3/56 is a pole of the invariant, and the polytopes are empty at 2
+        code, out, err = run(
+            capsys, command, "--catalog", "hultgren-c", "--param-value", value
         )
-        assert code == 4
-        assert "pole at c = 3/56" in err
+        assert (code, out) == (3, "")
+        assert err == ("error: --param-value %s is outside the validity "
+                       "interval\n" % value)
 
     def test_structured_output_is_deterministic(self, capsys):
         first = run(capsys, "localize", "--catalog", "hultgren-c", "--format", "structured")
@@ -695,6 +699,35 @@ class TestCliOversizedInput:
         assert (code, out) == (2, "")
         assert "%s exceeds the limit" % message in err
 
+    @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
+    def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
+        # two isolated points at dimension 16: a Hamiltonian of degree k
+        # gives a first bundle volume of degree 16k, which the positivity
+        # check hands to the root kernel first
+        data = scenario_to_dict(load("cp1-coupled"))
+        del data["toric"]
+        data["dimension"] = 16
+        first, second = data["components"]
+        first["euler"]["scalar"], second["euler"]["scalar"] = "1", "-1"
+        for comp, hamiltonians in ((first, ("2", "-(2c+1)/3+c^%d-1" % k)),
+                                   (second, ("1", "1/2"))):
+            comp["codimension"] = 16
+            for bundle, h in zip(comp["bundles"], hamiltonians):
+                bundle["hamiltonian"] = h
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        got, out, err = run(capsys, "localize", "--scenario", str(path),
+                            "--format", "structured")
+        assert got == code
+        if code == 0:
+            assert hashlib.sha256(out.encode()).hexdigest() == (
+                "6c4e5df9a0d177c3a6d9d6d151ef55abcd07d1c5455d0cca6699001e850c6926")
+        else:
+            assert time.perf_counter() - start < 1
+            assert err == ("error: a polynomial of degree %d exceeds the limit "
+                           "100 of exact root finding\n" % (16 * k))
+
 
 class TestStructuredGolden:
     @pytest.mark.parametrize("command,name,code,digest", STRUCTURED_GOLDEN)
@@ -751,7 +784,8 @@ class TestCliArgumentHandling:
     @pytest.mark.parametrize("argv,code,shown", [
         (("toric", "--catalog", "hultgren-c-true", "--direction", "-1,0,0,1"),
          0, "direction: -1,0,0,1"),
-        (("localize", "--catalog", "cp1", "--param-value", "-1/2"), 0, "-1/2"),
+        (("localize", "--catalog", "cp1", "--param-value", "-1/2"), 3,
+         "error: --param-value -1/2 is outside the validity interval"),
         (("roots", "--catalog", "cp1", "--root-width", "-1/2"), 3,
          "error: --root-width must be positive"),
     ])
