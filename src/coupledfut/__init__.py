@@ -12,10 +12,8 @@ from .errors import (ComputationError, CrossValidationError,
                      InconsistentResidueError, ParseError, PoleError,
                      UsageError, ValidationError)
 from .localization import (BundleRestriction, FixedComponent,
-                           IsolatedPoint, IsolatedPointData,
                            LocalizationScenario, ValidationReport,
                            component_integral, fut_isolated, fut_localized,
-                           isolated_data, isolated_point,
                            make_point_component, power_sum,
                            shift_hamiltonians, validate_scenario,
                            volume_localized)
@@ -51,10 +49,9 @@ __all__ = [
     "EngineError", "GeometryError", "InconsistentResidueError", "ParseError",
     "PoleError", "UsageError", "ValidationError",
     # localization
-    "BundleRestriction", "FixedComponent", "IsolatedPoint",
-    "IsolatedPointData", "LocalizationScenario", "ValidationReport",
-    "component_integral", "fut_isolated", "fut_localized", "isolated_data",
-    "isolated_point", "make_point_component", "power_sum",
+    "BundleRestriction", "FixedComponent", "LocalizationScenario",
+    "ValidationReport", "component_integral", "fut_isolated",
+    "fut_localized", "make_point_component", "power_sum",
     "shift_hamiltonians", "validate_scenario", "volume_localized",
     # polytopes
     "Facet", "MinkowskiReport", "ParamPolytope", "RealizedPolytope",

@@ -28,7 +28,9 @@ dense array over the monomials dividing the top one.  The scenario then
 sums every entry over one least common multiple of the component
 denominators, moved into u and w_j, and reduces it once.  power_sum,
 validate_scenario, volume_localized and fut_localized all read that table;
-component_integral keeps the direct ring arithmetic as the reference.
+component_integral keeps a reference that shares neither expansion: the
+ring arithmetic's product, inverse by Newton's iteration and power by
+repeated squaring.
 """
 
 from __future__ import annotations
@@ -297,79 +299,40 @@ def fut_localized(scn: LocalizationScenario) -> RationalFunction:
     return total.scale(Fraction(1, m + 1))
 
 
-class IsolatedPoint(Record):
-    """One isolated fixed point: k moment values and the Jacobian determinant
-    of the generating vector field at the point."""
+def fut_isolated(scn: LocalizationScenario) -> RationalFunction:
+    """The invariant of a scenario whose components are all isolated points,
+    by pure scalar arithmetic.
 
-    label: str
-    hamiltonians: tuple[RationalFunction, ...]
-    jacobian: RationalFunction
-
-
-class IsolatedPointData(Record):
-    """Fixed-point data for an action whose fixed locus is discrete."""
-
-    param: str
-    bundles: int
-    points: tuple[IsolatedPoint, ...]
-
-
-def isolated_point(param: str, label: str,
-                   hamiltonians: tuple[Rational | int | str | RationalFunction, ...],
-                   jacobian: Rational | int | str | RationalFunction) -> IsolatedPoint:
-    """Convenience constructor coercing plain rationals to rational functions."""
-    def coerce(v: Rational | int | str | RationalFunction) -> RationalFunction:
-        if isinstance(v, RationalFunction):
-            return v
-        return RationalFunction.const(param, rat(v))
-
-    return IsolatedPoint(label, tuple(coerce(u) for u in hamiltonians),
-                         coerce(jacobian))
-
-
-def isolated_data(scn: LocalizationScenario) -> IsolatedPointData:
-    """Extract the point data from a scenario whose components are all points."""
+    With each point's moment values u and Euler scalar e, computes
+    (1/(m+1)) sum over bundles of [sum u^(m+1)/e] / [sum u^m/e]; neither the
+    ring arithmetic nor the residue table is involved, so this is an
+    independent check of the general engine on point scenarios.
+    """
+    m = scn.dimension
+    if m < 1:
+        raise UsageError("ambient dimension must be positive")
+    if not scn.components:
+        raise UsageError("no fixed points")
     bad = [comp.label for comp in scn.components if not comp.is_point()]
     if bad:
         raise UsageError("components %r are not isolated points" % (bad,))
-    points = tuple(
-        IsolatedPoint(comp.label,
-                      tuple(b.hamiltonian for b in comp.bundles),
-                      comp.euler.scalar)
-        for comp in scn.components)
-    return IsolatedPointData(scn.param, scn.bundles, points)
-
-
-def fut_isolated(data: IsolatedPointData, m: int) -> RationalFunction:
-    """The invariant over a discrete fixed locus, by pure scalar arithmetic.
-
-    Computes (1/(m+1)) sum over bundles of
-    [sum_p u^(m+1)/jac] / [sum_p u^m/jac]; no ring arithmetic is involved, so
-    this is an independent check of the general engine on point scenarios.
-    """
-    if m < 1:
-        raise UsageError("ambient dimension must be positive")
-    if not data.points:
-        raise UsageError("no fixed points")
-    for p in data.points:
-        if len(p.hamiltonians) != data.bundles:
-            raise UsageError("point %r restricts %d bundles; data set has %d"
-                             % (p.label, len(p.hamiltonians), data.bundles))
-        if p.jacobian.is_zero():
+    for comp in scn.components:
+        if len(comp.bundles) != scn.bundles:
+            raise UsageError("point %r restricts %d bundles; scenario has %d"
+                             % (comp.label, len(comp.bundles), scn.bundles))
+        if comp.euler.scalar.is_zero():
             raise DegenerateDatumError(
-                "point %r has vanishing Jacobian determinant" % p.label)
-    total = RationalFunction.const(data.param, 0)
-    one = RationalFunction.const(data.param, 1)
-    for alpha in range(data.bundles):
-        num = RationalFunction.const(data.param, 0)
-        den = RationalFunction.const(data.param, 0)
-        for p in data.points:
-            u = p.hamiltonians[alpha]
-            u_m = one
+                "point %r has vanishing Jacobian determinant" % comp.label)
+    total = RationalFunction.const(scn.param, 0)
+    for alpha in range(scn.bundles):
+        num = den = RationalFunction.const(scn.param, 0)
+        for comp in scn.components:
+            u = comp.bundles[alpha].hamiltonian
+            u_m = RationalFunction.const(scn.param, 1)
             for _ in range(m):
                 u_m = u_m * u
-            den = den + u_m / p.jacobian
-            num = num + u_m * u / p.jacobian
+            den = den + u_m / comp.euler.scalar
+            num = num + u_m * u / comp.euler.scalar
         if den.is_zero():
             raise ComputationError(
                 "zero volume sum for bundle %d; the ratio is undefined" % alpha)

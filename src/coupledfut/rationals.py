@@ -728,6 +728,10 @@ MAX_DIMENSION = 16
 # largest monomial table of a ring, the monomials dividing its top one; the
 # residue table multiplies over pairs of them.  (CP^1)^10 has 1024
 MAX_RING_MONOMIALS = 1024
+# largest count of facet subsets of a polytope's ambient size, C(facets,
+# ambient), each a candidate vertex and cone whose set-up the polytope route
+# pays.  The 6-cube has 924; the 7-cube's 3432 take seconds
+MAX_FACET_SUBSETS = 1000
 
 # unicode minus and en dash, middle dot and multiplication sign
 _NORMALIZE = str.maketrans("−–·×", "--**")
@@ -909,7 +913,10 @@ def parse_poly(text: str, param: str) -> ParamPoly:
     """Parse an exact polynomial expression in one named parameter."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty polynomial expression")
-    return _ExprParser(text, param).parse()
+    try:
+        return _ExprParser(text, param).parse()
+    except RecursionError:  # the parser descends once per "(" and "-"
+        raise ParseError("expression nested too deeply") from None
 
 
 def render_factored(f: RationalFunction) -> str:

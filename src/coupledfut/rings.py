@@ -5,10 +5,11 @@ A ring is presented by nilpotent generators (each with a truncation order and
 an even real degree), a distinguished top monomial, and the component's
 complex dimension.  A monomial counts degree/2 per generator factor, so the
 top monomial must reach the dimension exactly.  Integration extracts the
-coefficient of the top monomial.  An
-equivariant class splits as scalar part plus nilpotent part; units are exactly
-the classes with nonzero scalar part, inverted through a finite geometric
-series that terminates by nilpotency.
+coefficient of the top monomial.  An equivariant class splits as scalar part
+plus nilpotent part; units are exactly the classes with nonzero scalar part.
+Powers (repeated squaring) and inverses (Newton's iteration) use the ring's
+product, sum and difference alone, so this reference shares no expansion
+with the residue table of the localization module.
 
 Each ring also keeps, built once, a dense index of the monomials dividing its
 top monomial, with their products and complementary pairs; the residue
@@ -18,7 +19,6 @@ table of the localization module integrates on it.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from collections.abc import Mapping
 from functools import cached_property
@@ -329,55 +329,36 @@ class EquivariantClass(Record):
 
 
 def equiv_pow(x: EquivariantClass, k: int) -> EquivariantClass:
-    """k-th power via the binomial expansion; nilpotent powers terminate."""
+    """k-th power by repeated squaring."""
     if k < 0:
         raise UsageError("negative power %d; invert the unit first" % k)
-    ring = x.ring
-    if k == 0:
-        return EquivariantClass.one(ring)
-    # nilpotent part to the j-th power vanishes once j exceeds the dimension
-    max_j = min(k, ring.dimension)
-    nil_pows = [NilpotentClass.zero(ring)]
-    cur = x.nilpotent
-    for j in range(1, max_j + 1):
-        nil_pows.append(cur)
-        if j < max_j:
-            cur = cur * x.nilpotent
-    scalar_pows = [RationalFunction.const(ring.param, 1)]
-    for _ in range(k):
-        scalar_pows.append(scalar_pows[-1] * x.scalar)
-    out_scalar = scalar_pows[k]
-    out_nil = NilpotentClass.zero(ring)
-    for j in range(1, max_j + 1):
-        coeff = RationalFunction.const(ring.param, math.comb(k, j)) * scalar_pows[k - j]
-        out_nil = out_nil + nil_pows[j].scale(coeff)
-    return EquivariantClass(out_scalar, out_nil)
+    out = EquivariantClass.one(x.ring)
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 def invert_unit(x: EquivariantClass) -> EquivariantClass:
-    """Inverse of a class with nonzero scalar part.
+    """Inverse of a class s + N with nonzero scalar part s.
 
-    Writes x = s(1 + n/s) and expands the geometric series, which terminates
-    because n is nilpotent of index at most the dimension plus one.
+    Newton's iteration y <- y(2 - xy) from y = 1/s squares the error 1 - xy,
+    which starts as -N/s.  After bit_length(d) steps it is a multiple of
+    N^(d+1), since 2^bit_length(d) > d, and N^(d+1) vanishes on a ring of
+    dimension d.
     """
-    ring = x.ring
     if x.scalar.is_zero():
         raise DegenerateDatumError(
             "equivariant Euler class with zero scalar part is not invertible")
-    inv_s = RationalFunction.const(ring.param, 1) / x.scalar
-    # sum_{j>=1} (-1)^j n^j / s^(j+1), stopping at the dimension
-    out_nil = NilpotentClass.zero(ring)
-    power = x.nilpotent
-    sj = inv_s * inv_s
-    sign = -1
-    for j in range(1, ring.dimension + 1):
-        if power.is_zero():
-            break
-        out_nil = out_nil + power.scale(sj.scale(sign))
-        power = power * x.nilpotent
-        sj = sj * inv_s
-        sign = -sign
-    return EquivariantClass(inv_s, out_nil)
+    one = EquivariantClass.one(x.ring)
+    two = one + one
+    y = EquivariantClass(one.scalar / x.scalar, NilpotentClass.zero(x.ring))
+    for _ in range(x.ring.dimension.bit_length()):
+        y = y * (two - x * y)
+    return y
 
 
 def integrate(x: EquivariantClass | NilpotentClass) -> RationalFunction:

@@ -19,8 +19,8 @@ from .errors import ParseError, Record
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
-from .rationals import (MAX_DIMENSION, MAX_RING_MONOMIALS, RationalFunction,
-                        parse_poly, poly_text, rat, rat_text)
+from .rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS, MAX_RING_MONOMIALS,
+                        RationalFunction, parse_poly, poly_text, rat, rat_text)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
@@ -36,7 +36,8 @@ def parse_scenario(text: str) -> Scenario:
     """Parse a scenario from JSON text."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
+    except (ValueError, RecursionError) as exc:
+        # also an integer too long to convert, or nesting too deep
         raise ParseError("invalid JSON: %s" % exc)
     if not isinstance(raw, dict):
         raise ParseError("scenario file must be a JSON object")
@@ -158,6 +159,11 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
     facets_raw = _need(raw, "facets", where)
     if not isinstance(facets_raw, list):
         raise ParseError("%s.facets: expected a list" % where)
+    subsets = math.comb(len(facets_raw), max(ambient, 0))
+    if subsets > MAX_FACET_SUBSETS:
+        raise ParseError("%s: facet subset count C(%d, %d) = %d exceeds the "
+                         "limit %d" % (where, len(facets_raw), ambient, subsets,
+                                       MAX_FACET_SUBSETS))
     facets = []
     for i, f in enumerate(facets_raw):
         fw = "%s.facets[%d]" % (where, i)

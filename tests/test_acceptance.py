@@ -21,7 +21,6 @@ from coupledfut import (
     fut_localized,
     fut_roots,
     fut_toric_at,
-    isolated_data,
     load,
     minkowski_check,
     parse_poly,
@@ -180,7 +179,7 @@ def test_c08_shift_invariance_and_covariance():
 def test_c09_uncoupled_and_coupled_projective_line():
     """The projective-line scenarios balance to zero, with equivariant volume two."""
     cp1 = load("cp1").localization
-    assert fut_isolated(isolated_data(cp1), cp1.dimension).is_zero()
+    assert fut_isolated(cp1).is_zero()
     assert volume_localized(cp1, 0) == RationalFunction.const("c", 2)
     coupled = load("cp1-coupled").localization
     assert fut_localized(coupled).is_zero()

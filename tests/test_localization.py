@@ -15,7 +15,6 @@ from coupledfut import (
     FixedComponent,
     Generator,
     InconsistentResidueError,
-    IsolatedPointData,
     LocalizationScenario,
     NilpotentClass,
     ParamPoly,
@@ -24,8 +23,6 @@ from coupledfut import (
     component_integral,
     fut_isolated,
     fut_localized,
-    isolated_data,
-    isolated_point,
     load,
     make_point_component,
     parse_poly,
@@ -377,49 +374,27 @@ class TestShifts:
 
 class TestIsolatedPoints:
     def test_two_point_average(self):
-        data = IsolatedPointData(
-            "c",
-            1,
-            (
-                isolated_point("c", "n", (3,), 1),
-                isolated_point("c", "s", (5,), -1),
-            ),
-        )
-        assert fut_isolated(data, 1) == RF.const("c", 4)
+        data = two_point_line(("1", "-1"), (("3",), ("5",)))
+        assert fut_isolated(data) == RF.const("c", 4)
 
     def test_symbolic_hamiltonian(self):
-        data = IsolatedPointData(
-            "c",
-            1,
-            (
-                isolated_point("c", "n", (poly_rf("c"),), 1),
-                isolated_point("c", "s", (1,), -1),
-            ),
-        )
-        assert fut_isolated(data, 1) == poly_rf("1/2c+1/2")
+        data = two_point_line(("1", "-1"), (("c",), ("1",)))
+        assert fut_isolated(data) == poly_rf("1/2c+1/2")
 
     def test_zero_volume_sum_is_an_error(self):
-        data = IsolatedPointData(
-            "c",
-            1,
-            (
-                isolated_point("c", "n", (1,), 1),
-                isolated_point("c", "s", (-1,), 1),
-            ),
-        )
+        data = two_point_line(("1", "1"), (("1",), ("-1",)))
         with pytest.raises(ComputationError, match="zero volume sum"):
-            fut_isolated(data, 1)
+            fut_isolated(data)
 
     def test_vanishing_jacobian_is_an_error(self):
-        data = IsolatedPointData("c", 1, (isolated_point("c", "n", (1,), 0),))
+        data = two_point_line(("0",), (("1",),))
         with pytest.raises(DegenerateDatumError, match="vanishing Jacobian"):
-            fut_isolated(data, 1)
+            fut_isolated(data)
 
     def test_catalog_point_scenarios_agree_with_general_path(self):
         for name in ("cp1", "cp1-coupled"):
             scn = load(name).localization
-            data = isolated_data(scn)
-            assert fut_isolated(data, scn.dimension) == fut_localized(scn)
+            assert fut_isolated(scn) == fut_localized(scn)
             assert fut_localized(scn).is_zero()
 
     def test_cp1_volume(self):
@@ -428,7 +403,7 @@ class TestIsolatedPoints:
 
     def test_conversion_requires_point_components(self, flagship):
         with pytest.raises(UsageError, match="are not isolated points"):
-            isolated_data(flagship)
+            fut_isolated(flagship)
 
     def test_make_point_component_shape(self):
         comp = make_point_component("c", "north", 3, -2, ("1/2", "3"))

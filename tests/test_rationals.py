@@ -143,6 +143,19 @@ class TestParsePoly:
         with pytest.raises(ParseError, match="unknown symbol 'd'"):
             parse_poly("112d^2", "c")
 
+    @pytest.mark.parametrize("text,message", [
+        ("c$", "unexpected character '\\$' in expression 'c\\$'"),
+        ("c)", "trailing input in expression 'c\\)'"),
+        ("1/c", "division by a non-constant in expression '1/c'"),
+        ("1/0", "division by zero in expression '1/0'"),
+        ("2*", "unexpected end of expression '2\\*'"),
+        ("(c", "unbalanced parentheses in '\\(c'"),
+        (" ", "empty polynomial expression"),
+    ])
+    def test_each_error_keeps_its_message(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_poly(text, "c")
+
     def test_rejects_dangling_exponent(self):
         with pytest.raises(ParseError, match="exponent"):
             parse_poly("c^", "c")

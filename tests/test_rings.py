@@ -182,6 +182,15 @@ class TestEquivariantClasses:
         )
         assert y * inv == EquivariantClass.one(flag)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 7, 8])
+    def test_newton_inverse_is_exact(self, dim):
+        # with N = g + 2g^2 + ..., the error 1 - xy = (-N/s)^(2^steps)
+        # vanishes only once 2^steps exceeds dim: 3 and 4, 7 and 8 sit on
+        # either side of a change in the step count
+        ring = ring_create("c", [Generator("g", dim + 1, 2)], {"g": dim}, dim)
+        x = eqc(ring, F(-3, 2), {(k,): k for k in range(1, dim + 1)})
+        assert x * invert_unit(x) == EquivariantClass.one(ring)
+
     def test_zero_scalar_is_not_invertible(self, flag):
         with pytest.raises(DegenerateDatumError, match="not invertible"):
             invert_unit(eqc(flag, 0, {(1, 0): 1}))

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,7 +25,8 @@ from coupledfut import (
     validate_scenario,
 )
 from coupledfut.cli import main
-from coupledfut.rationals import MAX_DIMENSION, MAX_RING_MONOMIALS
+from coupledfut.rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS,
+                                  MAX_RING_MONOMIALS)
 
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
 
@@ -641,6 +643,135 @@ STRUCTURED_GOLDEN = [
 ]
 
 
+# the same for every text and csv call over the catalog (csv is not defined
+# for verify, which exits 3 with nothing on stdout), and for the structured
+# values at --param-value 1/2; recorded before the reference ring algebra
+# moved to repeated squaring and Newton's iteration, and checked in process
+AT_ONE_HALF = ("--format", "structured", "--param-value", "1/2")
+FORMAT_GOLDEN = [
+    ("localize", "cp1", ("--format", "text"), 0,
+     "7172b7ed3f81dc102fd9a33990dd2cda937de9a7ecad59c0b744aa7b8ee87a0d"),
+    ("toric", "cp1", ("--format", "text"), 0,
+     "bb3b20049ae0e63670c28b39995ceedeb03cd38ad7a3d29807453da0b44a973b"),
+    ("roots", "cp1", ("--format", "text"), 0,
+     "d1d1abb1109a424929a7e0664eca6801fbe66e56a794d3377496e49b6460b909"),
+    ("sample", "cp1", ("--format", "text"), 0,
+     "c058d18066b38b1b81010f1f5cd547a0af8dff24991eb27f39b714a4e6234e9c"),
+    ("verify", "cp1", ("--format", "text"), 0,
+     "b0bd5f25f98aea03d66a4158095572136cf6df4e06ec77bc2033d5ddc75e773a"),
+    ("localize", "cp1-coupled", ("--format", "text"), 0,
+     "11115053e457fe76299655f3a883a7f813c994893d6a3af8b9432f6b6e08a47c"),
+    ("toric", "cp1-coupled", ("--format", "text"), 0,
+     "2b3f9059073b64b8b1a1b1f4765851ae96144491c4a4ec009105ca8c324ca2a4"),
+    ("roots", "cp1-coupled", ("--format", "text"), 0,
+     "91c60cda7237878fe0636cfca78e143ea73e0a7f089b41a4de1571aaeee82470"),
+    ("sample", "cp1-coupled", ("--format", "text"), 0,
+     "4d9b6c37f38e832d46c4864b941a9af79cec3694c60d4a413d8cfac1eb3eb64b"),
+    ("verify", "cp1-coupled", ("--format", "text"), 0,
+     "78e429c975bedc5c528b104a217b59f4f11625e70e2036d459702cf4c30e7e5a"),
+    ("localize", "hultgren-c", ("--format", "text"), 0,
+     "37573475702203f67b616d3b4a6fca136266d3ce4a9d03ec95a347601bf5a449"),
+    ("toric", "hultgren-c", ("--format", "text"), 0,
+     "a1ffd0770c222949ca33e04e75bad6a3d3a9535e7f10ccdc29b891702d9780d2"),
+    ("roots", "hultgren-c", ("--format", "text"), 0,
+     "743d30917a0864474dc76da2f47c6f6c38bd0fa7ef83d56af4fce28376dd4368"),
+    ("sample", "hultgren-c", ("--format", "text"), 0,
+     "98bbea219c68623f5d98c8e3e89038bfc3f3d7defbeff0172a370c29e72cb4b5"),
+    ("verify", "hultgren-c", ("--format", "text"), 5,
+     "3f1c1cf6a5b7e2caf1560cb0b825b019cc4be11251e2b7c2d06b56ed69b0e9d4"),
+    ("localize", "hultgren-c-corrupt", ("--format", "text"), 0,
+     "6d3788b3525a53aa92bff665614a4e63f9bee293ea4be04cdcd2bdbe8c08fb51"),
+    ("toric", "hultgren-c-corrupt", ("--format", "text"), 0,
+     "848a763360bfa7cb9db06d27a66bff540d3042922e87cdc5c3af94c8a119afb9"),
+    ("roots", "hultgren-c-corrupt", ("--format", "text"), 0,
+     "529978145ca82809d197ce3594e43b61abcb682a8681cee94600fb7622cb3fa7"),
+    ("sample", "hultgren-c-corrupt", ("--format", "text"), 0,
+     "c9d14cc493cfda79c2b18aaf88049cf33ab4ea3f621d155304bc01cda7e25eba"),
+    ("verify", "hultgren-c-corrupt", ("--format", "text"), 5,
+     "91a425ada801fdc5137e10348773620f8f9400a57509b8e9a0242c160af94874"),
+    ("localize", "hultgren-c-true", ("--format", "text"), 0,
+     "1b9fd91f781898a1cb9480710d94ec51246d407daa9f411151e432005987f726"),
+    ("toric", "hultgren-c-true", ("--format", "text"), 0,
+     "d4cd0d33afae503f4daccb23fc5813d9191389a1a40d88a1c2d80d62b76190ff"),
+    ("roots", "hultgren-c-true", ("--format", "text"), 0,
+     "c000511e8e6dea6e218a18f15bc28ddabb8b4d991fce14e97ffb5163e3828053"),
+    ("sample", "hultgren-c-true", ("--format", "text"), 0,
+     "2efcc9f07c953d811942ea58b1035ba3ed8f8ef84a16601a67a472076bd54f70"),
+    ("verify", "hultgren-c-true", ("--format", "text"), 0,
+     "035ebf40d70351fdb43f257ee2d8c7eed00aa02a4646023cdc4ee70757f01de4"),
+    ("localize", "cp1", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("toric", "cp1", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("roots", "cp1", ("--format", "csv"), 0,
+     "5cf9c95c07258d747b53ab0af21e5f4b50d828a96866896641eea2192367a9cc"),
+    ("sample", "cp1", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("verify", "cp1", ("--format", "csv"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("localize", "cp1-coupled", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("toric", "cp1-coupled", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("roots", "cp1-coupled", ("--format", "csv"), 0,
+     "5cf9c95c07258d747b53ab0af21e5f4b50d828a96866896641eea2192367a9cc"),
+    ("sample", "cp1-coupled", ("--format", "csv"), 0,
+     "63c86422b515fbf6db72cd53cf2480284ef5b6549056b54db9ecd39eb7aeacb2"),
+    ("verify", "cp1-coupled", ("--format", "csv"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("localize", "hultgren-c", ("--format", "csv"), 0,
+     "e5504d5f3c864e132f5c5fdab23cf8af7ff79af295d4edd4f30441ab5614a4ee"),
+    ("toric", "hultgren-c", ("--format", "csv"), 0,
+     "30c1cb52544d3825d70087e41cdab59f6e3df04c1916390267e1a779f22dbb8b"),
+    ("roots", "hultgren-c", ("--format", "csv"), 0,
+     "ae803c7fb70e4c41720cb6b29c6cf0d779e780da98a700ebc9b06eaf851ace8f"),
+    ("sample", "hultgren-c", ("--format", "csv"), 0,
+     "e5504d5f3c864e132f5c5fdab23cf8af7ff79af295d4edd4f30441ab5614a4ee"),
+    ("verify", "hultgren-c", ("--format", "csv"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("localize", "hultgren-c-corrupt", ("--format", "csv"), 0,
+     "02114edcb11b518998f95697beb998460e7f4e46c48fb9e185558d53fa6bcb77"),
+    ("toric", "hultgren-c-corrupt", ("--format", "csv"), 0,
+     "30c1cb52544d3825d70087e41cdab59f6e3df04c1916390267e1a779f22dbb8b"),
+    ("roots", "hultgren-c-corrupt", ("--format", "csv"), 0,
+     "5cf9c95c07258d747b53ab0af21e5f4b50d828a96866896641eea2192367a9cc"),
+    ("sample", "hultgren-c-corrupt", ("--format", "csv"), 0,
+     "02114edcb11b518998f95697beb998460e7f4e46c48fb9e185558d53fa6bcb77"),
+    ("verify", "hultgren-c-corrupt", ("--format", "csv"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("localize", "hultgren-c-true", ("--format", "csv"), 0,
+     "30c1cb52544d3825d70087e41cdab59f6e3df04c1916390267e1a779f22dbb8b"),
+    ("toric", "hultgren-c-true", ("--format", "csv"), 0,
+     "30c1cb52544d3825d70087e41cdab59f6e3df04c1916390267e1a779f22dbb8b"),
+    ("roots", "hultgren-c-true", ("--format", "csv"), 0,
+     "ae803c7fb70e4c41720cb6b29c6cf0d779e780da98a700ebc9b06eaf851ace8f"),
+    ("sample", "hultgren-c-true", ("--format", "csv"), 0,
+     "30c1cb52544d3825d70087e41cdab59f6e3df04c1916390267e1a779f22dbb8b"),
+    ("verify", "hultgren-c-true", ("--format", "csv"), 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("localize", "cp1", AT_ONE_HALF, 0,
+     "c86e5d1bd31ae3bc1a53323e726a1e0e15affd76e9cd6da763b5a63b2f3bd2ba"),
+    ("localize", "cp1-coupled", AT_ONE_HALF, 0,
+     "f90fb0bcc6bd55da6ed1b1a1b23fc7f8753d38d09c3cf2b67e2fb7fb4b3749e8"),
+    ("localize", "hultgren-c", AT_ONE_HALF, 0,
+     "3453fcf4eb50d7ce6ddfff837f0faf82b414501ab98d8e6192b9ae67186a1457"),
+    ("localize", "hultgren-c-corrupt", AT_ONE_HALF, 0,
+     "7bdf38d5695c92ad4d8222abe8ec93d175341506c6de8bcd043abf2a5963862a"),
+    ("localize", "hultgren-c-true", AT_ONE_HALF, 0,
+     "2b55d305d3204604b8e584a50ee1236c34b452509b863c4a66d3f05b76205af1"),
+    ("toric", "cp1", AT_ONE_HALF, 0,
+     "637a3cce83df59ece9f1214431c41b4aed3d875d062c737b7efc64f850dba8da"),
+    ("toric", "cp1-coupled", AT_ONE_HALF, 0,
+     "0637fcd812748e1d96ffe4a529769577c1fa60f6cc741fb568681cd7775e4793"),
+    ("toric", "hultgren-c", AT_ONE_HALF, 0,
+     "e90ae06b56355f97ab817e0883c3d3d7d0117a2123f40700c4186fa0da6d1a76"),
+    ("toric", "hultgren-c-corrupt", AT_ONE_HALF, 0,
+     "f6bbffb2231d20c9d91a4c752c95c375da5544549ec19815415c61348f32dd28"),
+    ("toric", "hultgren-c-true", AT_ONE_HALF, 0,
+     "19fab7eaec18e893ce5093b7a28443c957c65c5b675296369c4d0b862a6dcc01"),
+]
+
+
 class TestCliOversizedInput:
     @pytest.mark.parametrize("argv", [
         ("sample", "--samples=1e-5000"),
@@ -699,6 +830,62 @@ class TestCliOversizedInput:
         assert (code, out) == (2, "")
         assert "%s exceeds the limit" % message in err
 
+    @pytest.mark.parametrize("site,depth,message", [
+        ("parentheses", 300, "components[0].bundles[0].hamiltonian: "
+                             "expression nested too deeply"),
+        ("minus signs", 1200, "components[0].bundles[0].hamiltonian: "
+                              "expression nested too deeply"),
+        ("arrays", 100000, "invalid JSON: maximum recursion depth exceeded"),
+        ("objects", 100000, "invalid JSON: maximum recursion depth exceeded"),
+    ])
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path, site,
+                                           depth, message):
+        data = scenario_to_dict(load("cp1"))
+        if site == "parentheses":
+            hamiltonian = "(" * depth + "1" + ")" * depth
+        else:
+            hamiltonian = "-" * depth + "1"
+        data["components"][0]["bundles"][0]["hamiltonian"] = hamiltonian
+        text = {"arrays": "[" * depth + "]" * depth,
+                "objects": '{"a":' * depth + "1" + "}" * depth}.get(
+                    site, json.dumps(data))
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "localize", "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("site,n,code", [
+        ("polytopes", 6, 0), ("polytopes", 9, 2), ("anticanonical", 10, 2)])
+    def test_polytope_set_up_is_bounded(self, capsys, tmp_path, site, n, code):
+        # the n-cube [-c, 1]^n has C(2n, n) facet n-subsets: 924 for n = 6
+        # fits under MAX_FACET_SUBSETS, 48620 and 184756 do not
+        data = scenario_to_dict(load("cp1"))
+        cube = {"facets": [{"normal": [s * (i == j) for j in range(n)],
+                            "offset": offset}
+                           for i in range(n)
+                           for s, offset in ((1, "1"), (-1, "c"))]}
+        data["toric"] = {"ambient": n, "direction": [1] * n,
+                         "polytopes": [cube]}
+        if site == "anticanonical":
+            data["toric"]["polytopes"] = []
+            data["toric"]["anticanonical"] = cube
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        got, _, err = run(capsys, "localize", "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert got == code
+        if code:
+            count = math.comb(2 * n, n)
+            assert err == ("error: toric.%s: facet subset count C(%d, %d) = "
+                           "%d exceeds the limit %d\n" % (
+                               site + "[0]" * (site == "polytopes"),
+                               2 * n, n, count, MAX_FACET_SUBSETS))
+
     @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
     def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
         # two isolated points at dimension 16: a Hamiltonian of degree k
@@ -753,6 +940,23 @@ class TestStructuredGolden:
         pairs = {(cmd, name) for cmd, name, _, _ in STRUCTURED_GOLDEN}
         commands = ("localize", "toric", "roots", "sample", "verify")
         assert pairs == {(c, n) for c in commands for n in ALL_NAMES}
+
+    @pytest.mark.parametrize("command,name,options,code,digest",
+                             FORMAT_GOLDEN)
+    def test_text_csv_and_values_are_pinned(self, capsys, command, name,
+                                            options, code, digest):
+        got, out, _ = run(capsys, command, "--catalog", name, *options)
+        assert got == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_every_format_is_pinned(self):
+        calls = {(cmd, name, options) for cmd, name, options, _, _
+                 in FORMAT_GOLDEN}
+        commands = ("localize", "toric", "roots", "sample", "verify")
+        assert calls == {(c, n, ("--format", f)) for c in commands
+                         for n in ALL_NAMES for f in ("text", "csv")} | {
+            (c, n, AT_ONE_HALF) for c in ("localize", "toric")
+            for n in ALL_NAMES}
 
 
 class TestCliArgumentHandling:
@@ -892,18 +1096,32 @@ class TestUnwritableOutput:
 
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+# sha256 of each demo's stdout, recorded with FORMAT_GOLDEN
+DEMO_GOLDEN = {
+    "01_exact_arithmetic.py":
+        "2180eb90b8e80c8f5e872789cba174ea3d8625dd44c113048c818a92b39e94d0",
+    "02_localization_flagship.py":
+        "24f3dfdd57af6da0e6319d9e9bff3d9e151da1f2631792c302e88c5d80742774",
+    "03_polytope_oracle.py":
+        "552a2e83b7a082c01d4ced86647d547acc82981d537dc1ccb82c729775286124",
+    "04_cross_validation.py":
+        "835d207e58fad2f53e2bae0825ab239305f11263b63f29d7c130215e8f6448f5",
+    "05_root_isolation.py":
+        "988d574990884d50028765d2a87a19151a9707f2e5957e981556c7158574f364",
+}
 
 
 class TestDemos:
     def test_demos_are_found(self):
         assert len(DEMOS) >= 5
+        assert [demo.name for demo in DEMOS] == sorted(DEMO_GOLDEN)
 
     @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
     def test_demo_runs(self, demo):
         proc = subprocess.run(
             [sys.executable, str(demo)],
             capture_output=True,
-            text=True,
             env=checkout_env(),
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_GOLDEN[demo.name]
