@@ -30,7 +30,6 @@ from .rationals import (ParamPoly, Rational, RationalFunction,
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, monomial_text,
                     parse_monomial, point_ring, ring_create)
-from .report import ObstructionReport, ToricReport
 from .scenario import (Scenario, load_scenario, parse_scenario,
                        scenario_from_dict, scenario_to_dict,
                        scenario_to_json)
@@ -66,8 +65,6 @@ __all__ = [
     "EquivariantClass", "Generator", "NilpotentClass", "Ring", "equiv_pow",
     "integrate", "invert_unit", "monomial_text", "parse_monomial",
     "point_ring", "ring_create",
-    # report
-    "ObstructionReport", "ToricReport",
     # scenario
     "Scenario", "load_scenario", "parse_scenario", "scenario_from_dict",
     "scenario_to_dict", "scenario_to_json",

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface; each subcommand computes, then calls one emitter.
 
 Subcommands: localize (fixed-point computation), toric (polytope oracle),
 roots (vanishing locus), verify (cross-validation), sample (exact values on
@@ -15,7 +15,6 @@ after an option is always its value, so --param-value -1/2 works.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import re
 import sys
@@ -30,12 +29,10 @@ from .localization import (LocalizationScenario, ValidationReport,
                            fut_localized, validate_scenario, volume_localized)
 from .polytopes import fut_toric, minkowski_check, volume_curve
 from .rationals import MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval
-from .report import (FORMATS, ObstructionReport, ToricReport,
-                     emit_obstruction, emit_roots, emit_samples, emit_toric,
-                     emit_validation, emit_verify)
+from .report import (DEFAULT_SAMPLES, FORMATS, emit_obstruction, emit_roots,
+                     emit_samples, emit_toric, emit_validation, emit_verify)
 from .scenario import Scenario, load_scenario
 
-DEFAULT_SAMPLES = 5
 PROG = "coupledfut"
 DESCRIPTION = ("Exact computation of the coupled degeneracy invariant from "
                "fixed-point data, cross-validated against a moment-polytope "
@@ -109,16 +106,8 @@ def _cmd_localize(args: SimpleNamespace) -> int:
     _validated(loc)
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
     fut = fut_localized(loc)
-    value_at = _value_at(args, fut, loc.interval)
-    note = (loc.note + " " if loc.note else "") + (
-        "Normalization: the sum of per-bundle ratios is divided by the "
-        "ambient dimension plus one (here %d)." % (loc.dimension + 1))
-    rep = ObstructionReport(loc.name, loc.param, loc.interval, loc.dimension,
-                            loc.bundles, vols, fut, note, value_at)
-    rows = None
-    if args.format == "csv" and value_at is None:
-        rows = sample_curve(fut, loc.interval, DEFAULT_SAMPLES)
-    sys.stdout.write(emit_obstruction(rep, args.format, rows))
+    sys.stdout.write(emit_obstruction(
+        loc, vols, fut, _value_at(args, fut, loc.interval), args.format))
     return 0
 
 
@@ -132,21 +121,14 @@ def _cmd_toric(args: SimpleNamespace) -> int:
     direction = args.direction if args.direction is not None else model.direction
     if len(direction) != model.ambient:
         raise UsageError("direction needs %d entries" % model.ambient)
-    fact = math.factorial(model.ambient)
     euclid = tuple(
         RationalFunction.from_poly(volume_curve(pp, loc.interval))
         for pp in model.polytopes)
-    scaled = tuple(v.scale(fact) for v in euclid)
     fut = fut_toric(model, loc.interval, direction)
     value_at = _value_at(args, fut, loc.interval)
     mink = minkowski_check(model, loc.interval)
-    rep = ToricReport(loc.name, loc.param, loc.interval, model.ambient,
-                      tuple(direction), euclid, scaled, fut, mink.status,
-                      value_at)
-    rows = None
-    if args.format == "csv" and value_at is None:
-        rows = sample_curve(fut, loc.interval, DEFAULT_SAMPLES)
-    sys.stdout.write(emit_toric(rep, args.format, rows))
+    sys.stdout.write(emit_toric(loc, model.ambient, direction, euclid, fut,
+                                mink.status, value_at, args.format))
     return 0
 
 

@@ -243,7 +243,6 @@ class ValidationReport(Record):
     messages: tuple[str, ...]
     residues_polynomial: bool
     volume_positive: tuple[bool, ...]
-    volumes: tuple[RationalFunction, ...]
 
 
 def component_integral(comp: FixedComponent, alpha: int, power: int) -> RationalFunction:
@@ -411,7 +410,7 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
             messages.append("component %r has a degenerate Euler class "
                             "(zero scalar part)" % comp.label)
     if messages:
-        return ValidationReport(False, tuple(messages), False, (), ())
+        return ValidationReport(False, tuple(messages), False, ())
 
     residues_polynomial = True
     for alpha in range(scn.bundles):
@@ -423,11 +422,9 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
                     "power-%d sum for bundle %d is not a polynomial (%s)"
                     % (power, alpha, s.text()))
     volume_positive: list[bool] = []
-    volumes: list[RationalFunction] = []
     if residues_polynomial:
         for alpha in range(scn.bundles):
             vol = volume_localized(scn, alpha)
-            volumes.append(vol)
             pos = positive_on_interval(vol.to_poly(), scn.interval)
             volume_positive.append(pos)
             if not pos:
@@ -436,4 +433,4 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
                     % (alpha, vol.text()))
     ok = not messages
     return ValidationReport(ok, tuple(messages), residues_polynomial,
-                            tuple(volume_positive), tuple(volumes))
+                            tuple(volume_positive))

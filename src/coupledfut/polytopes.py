@@ -35,8 +35,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
-from .rationals import (ParamPoly, RationalFunction, _ipoly_mul, interpolate,
-                        positive_on_interval, rat, rat_text, sample_values)
+from .rationals import (MAX_SIMPLICES, ParamPoly, RationalFunction,
+                        _ipoly_mul, interpolate, positive_on_interval, rat,
+                        rat_text, sample_values)
 
 Vector = tuple[Fraction, ...]
 
@@ -315,18 +316,24 @@ def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
     vertex per face dimension, so the simplices depend only on the
     incidences.  Every vertex as apex yields the same volume and moments;
     the default is the first.  A realization that is not full-dimensional
-    has none.
+    has none.  A star past MAX_SIMPLICES simplices is refused mid-build.
     """
     if not rp.is_full_dimensional():
         return []
     cuts = _vertex_sets(rp.incidence, len(rp.supported))
     facets: dict[frozenset[int], list[frozenset[int]]] = {}
+    built = 0
 
     # the simplices of a face coned from its vertex anchor; its facets, the
     # largest proper vertex sets it shares with the polytope's, are coned
-    # from their first vertices in turn
+    # from their first vertices in turn; each vertex reached ends a simplex
     def cone(face: frozenset[int], anchor: int) -> list[tuple[int, ...]]:
+        nonlocal built
         if len(face) == 1:
+            built += 1
+            if built > MAX_SIMPLICES:
+                raise UsageError("the star triangulation exceeds the limit "
+                                 "of %d simplices" % MAX_SIMPLICES)
             return [(anchor,)]
         subs = facets.get(face)
         if subs is None:

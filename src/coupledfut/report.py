@@ -1,4 +1,6 @@
-"""Report objects and the three output formats.
+"""The three output formats, each emitter rendering the scenario and the
+values computed for it; what only the output needs (the normalization note,
+the volumes times n!, the default csv rows) is computed here.
 
 text is for humans; structured is canonical JSON (sorted keys, stable byte
 for byte across runs); csv uses the header c,fut with exact fraction strings
@@ -9,14 +11,16 @@ explicitly labelled decimal renderings of isolated roots.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
-from .analysis import CrossValidationRecord, RootReport
-from .errors import Record, UsageError
-from .localization import ValidationReport
+from .analysis import CrossValidationRecord, RootReport, sample_curve
+from .errors import UsageError
+from .localization import LocalizationScenario, ValidationReport
 from .rationals import RationalFunction, rat_text, render_factored
 
 FORMATS = ("text", "structured", "csv")
+DEFAULT_SAMPLES = 5
 
 
 def _json_text(payload: dict) -> str:
@@ -36,122 +40,100 @@ def csv_table(rows: list[tuple[Fraction, Fraction | None]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class ObstructionReport(Record):
-    """Result of the localization computation on one scenario."""
-
-    scenario: str
-    param: str
-    interval: tuple[Fraction, Fraction]
-    dimension: int
-    bundles: int
-    volumes: tuple[RationalFunction, ...]
-    invariant: RationalFunction
-    note: str
-    value_at: tuple[Fraction, Fraction] | None
+def _curve_csv(loc: LocalizationScenario, fut: RationalFunction,
+               value_at: tuple[Fraction, Fraction] | None) -> str:
+    """The --param-value row if there is one, else the default sample rows."""
+    return csv_table([value_at] if value_at is not None
+                     else sample_curve(fut, loc.interval, DEFAULT_SAMPLES))
 
 
-def _curve_csv(rep: ObstructionReport | ToricReport,
-               samples: list[tuple[Fraction, Fraction | None]] | None) -> str:
-    """The --param-value row if there is one, else the sample rows."""
-    return csv_table([rep.value_at] if rep.value_at is not None
-                     else samples or [])
-
-
-def _curve_json(rep: ObstructionReport | ToricReport, fields: dict) -> str:
-    """The fields both invariant reports share, merged with their own."""
+def _curve_json(loc: LocalizationScenario, fut: RationalFunction,
+                value_at: tuple[Fraction, Fraction] | None,
+                fields: dict) -> str:
+    """The fields both invariant outputs share, merged with their own."""
     payload = {
-        "scenario": rep.scenario,
-        "parameter": rep.param,
-        "interval": [rat_text(rep.interval[0]), rat_text(rep.interval[1])],
+        "scenario": loc.name,
+        "parameter": loc.param,
+        "interval": [rat_text(loc.interval[0]), rat_text(loc.interval[1])],
         "invariant": {
-            "factored": render_factored(rep.invariant),
-            "numerator": rep.invariant.num.text(),
-            "denominator": rep.invariant.den.text(),
+            "factored": render_factored(fut),
+            "numerator": fut.num.text(),
+            "denominator": fut.den.text(),
         },
         **fields,
     }
-    if rep.value_at is not None:
-        payload["value"] = {"at": rat_text(rep.value_at[0]),
-                            "exact": rat_text(rep.value_at[1])}
+    if value_at is not None:
+        payload["value"] = {"at": rat_text(value_at[0]),
+                            "exact": rat_text(value_at[1])}
     return _json_text(payload)
 
 
-def _value_line(rep: ObstructionReport | ToricReport) -> str:
-    return "value at %s = %s: %s" % (rep.param, rat_text(rep.value_at[0]),
-                                     rat_text(rep.value_at[1]))
+def _value_line(loc: LocalizationScenario,
+                value_at: tuple[Fraction, Fraction]) -> str:
+    return "value at %s = %s: %s" % (loc.param, rat_text(value_at[0]),
+                                     rat_text(value_at[1]))
 
 
-def emit_obstruction(rep: ObstructionReport, fmt: str,
-                     samples: list[tuple[Fraction, Fraction | None]] | None = None) -> str:
+def emit_obstruction(loc: LocalizationScenario,
+                     volumes: tuple[RationalFunction, ...],
+                     fut: RationalFunction,
+                     value_at: tuple[Fraction, Fraction] | None,
+                     fmt: str) -> str:
     if fmt == "csv":
-        return _curve_csv(rep, samples)
+        return _curve_csv(loc, fut, value_at)
+    note = (loc.note + " " if loc.note else "") + (
+        "Normalization: the sum of per-bundle ratios is divided by the "
+        "ambient dimension plus one (here %d)." % (loc.dimension + 1))
     if fmt == "structured":
-        return _curve_json(rep, {
-            "dimension": rep.dimension,
-            "bundles": rep.bundles,
-            "volumes": [v.text() for v in rep.volumes],
-            "note": rep.note,
+        return _curve_json(loc, fut, value_at, {
+            "dimension": loc.dimension,
+            "bundles": loc.bundles,
+            "volumes": [v.text() for v in volumes],
+            "note": note,
         })
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     lines = [
-        "scenario: %s" % rep.scenario,
-        "parameter: %s on %s" % (rep.param, _interval_text(rep.interval)),
-        "dimension: %d    bundles: %d" % (rep.dimension, rep.bundles),
+        "scenario: %s" % loc.name,
+        "parameter: %s on %s" % (loc.param, _interval_text(loc.interval)),
+        "dimension: %d    bundles: %d" % (loc.dimension, loc.bundles),
     ]
-    for i, v in enumerate(rep.volumes):
+    for i, v in enumerate(volumes):
         lines.append("bundle %d equivariant volume: %s" % (i, v.text()))
-    lines.append("invariant: %s" % render_factored(rep.invariant))
-    if rep.value_at is not None:
-        lines.append(_value_line(rep))
-    if rep.note:
-        lines.append("note: %s" % rep.note)
+    lines.append("invariant: %s" % render_factored(fut))
+    if value_at is not None:
+        lines.append(_value_line(loc, value_at))
+    lines.append("note: %s" % note)
     return "\n".join(lines) + "\n"
 
 
-class ToricReport(Record):
-    """Result of the polytope-oracle computation on one scenario."""
-
-    scenario: str
-    param: str
-    interval: tuple[Fraction, Fraction]
-    ambient: int
-    direction: tuple[int, ...]
-    euclidean_volumes: tuple[RationalFunction, ...]
-    scaled_volumes: tuple[RationalFunction, ...]
-    invariant: RationalFunction
-    minkowski: str
-    value_at: tuple[Fraction, Fraction] | None
-
-
-def emit_toric(rep: ToricReport, fmt: str,
-               samples: list[tuple[Fraction, Fraction | None]] | None = None) -> str:
+def emit_toric(loc: LocalizationScenario, ambient: int,
+               direction: tuple[int, ...],
+               volumes: tuple[RationalFunction, ...], fut: RationalFunction,
+               minkowski: str, value_at: tuple[Fraction, Fraction] | None,
+               fmt: str) -> str:
     if fmt == "csv":
-        return _curve_csv(rep, samples)
+        return _curve_csv(loc, fut, value_at)
+    scaled = [v.scale(math.factorial(ambient)) for v in volumes]
     if fmt == "structured":
-        return _curve_json(rep, {
-            "ambient": rep.ambient,
-            "direction": list(rep.direction),
-            "euclidean_volumes": [v.text() for v in rep.euclidean_volumes],
-            "scaled_volumes": [v.text() for v in rep.scaled_volumes],
-            "minkowski": rep.minkowski,
+        return _curve_json(loc, fut, value_at, {
+            "ambient": ambient,
+            "direction": list(direction),
+            "euclidean_volumes": [v.text() for v in volumes],
+            "scaled_volumes": [v.text() for v in scaled],
+            "minkowski": minkowski,
         })
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     lines = [
-        "scenario: %s" % rep.scenario,
-        "parameter: %s on %s" % (rep.param, _interval_text(rep.interval)),
+        "scenario: %s" % loc.name,
+        "parameter: %s on %s" % (loc.param, _interval_text(loc.interval)),
         "ambient dimension: %d    direction: %s"
-        % (rep.ambient, ",".join(str(x) for x in rep.direction)),
+        % (ambient, ",".join(str(x) for x in direction)),
     ]
-    for i, (ev, sv) in enumerate(zip(rep.euclidean_volumes,
-                                     rep.scaled_volumes)):
+    for i, (ev, sv) in enumerate(zip(volumes, scaled)):
         lines.append("polytope %d volume: %s (times dimension!: %s)"
                      % (i, ev.text(), sv.text()))
-    lines.append("invariant: %s" % render_factored(rep.invariant))
-    lines.append("additivity of polytopes: %s" % rep.minkowski)
-    if rep.value_at is not None:
-        lines.append(_value_line(rep))
+    lines.append("invariant: %s" % render_factored(fut))
+    lines.append("additivity of polytopes: %s" % minkowski)
+    if value_at is not None:
+        lines.append(_value_line(loc, value_at))
     return "\n".join(lines) + "\n"
 
 
@@ -196,8 +178,6 @@ def emit_roots(report: RootReport, scenario: str, fmt: str) -> str:
             "messages": list(report.messages),
         }
         return _json_text(payload)
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     lines = [
         "scenario: %s" % scenario,
         "invariant: %s" % render_factored(report.invariant),
@@ -238,8 +218,6 @@ def emit_samples(scenario: str, param: str,
             ],
         }
         return _json_text(payload)
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     lines = ["scenario: %s" % scenario]
     for x, y in rows:
         lines.append("%s = %s: %s" % (param, rat_text(x),
@@ -268,8 +246,6 @@ def emit_validation(scenario: str, validation: ValidationReport,
         return _json_text({"scenario": scenario, "ok": validation.ok,
                            "validation": _validation_json(validation),
                            "messages": [_NO_TORIC]})
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     return "scenario: %s\nvalidation: %s\n%s\n" % (
         scenario, "ok" if validation.ok else "FAILED", _NO_TORIC)
 
@@ -299,8 +275,6 @@ def emit_verify(scenario: str, record: CrossValidationRecord, fmt: str) -> str:
             "messages": list(record.messages),
         }
         return _json_text(payload)
-    if fmt != "text":
-        raise UsageError("unknown format %r" % fmt)
     lines = [
         "scenario: %s" % scenario,
         "validation: %s" % ("ok" if record.validation.ok else "FAILED"),

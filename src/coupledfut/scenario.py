@@ -182,8 +182,8 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a scenario from parsed JSON data."""
     name = _need_str(raw, "name", "scenario")
-    description = raw.get("description", "")
-    note = raw.get("note", "")
+    description, note = (_need_str(raw, key, "scenario") if key in raw else ""
+                         for key in ("description", "note"))
     dimension = _need_int(raw, "dimension", "scenario")
     if dimension > MAX_DIMENSION:
         raise ParseError("scenario: dimension %d exceeds the limit %d"

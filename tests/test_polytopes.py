@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from coupledfut import (
     GeometryError,
     ParamPolytope,
     ToricModel,
+    UsageError,
     ValidationError,
     fut_localized,
     fut_toric,
@@ -28,6 +30,7 @@ from coupledfut import (
     volume,
     volume_curve,
 )
+from coupledfut.rationals import MAX_SIMPLICES
 
 INTERVAL = (F(1, 4), F(3, 4))
 SAMPLES = [F(5, 16), F(3, 8), F(1, 2), F(5, 8), F(11, 16)]
@@ -535,3 +538,29 @@ class TestCachedRealizations:
                 fresh.polytopes, fresh.direction, x
             )
         assert reused > 0
+
+
+def simplex_square(a):
+    """Δ^a × Δ^a with sides 1+c and 2-c: C(2a, a) simplices in its star."""
+    n = 2 * a
+    facets = [(tuple(-int(j == i) for j in range(n)), c("0")) for i in range(n)]
+    facets.append((tuple(int(j < a) for j in range(n)), c("1+c")))
+    facets.append((tuple(int(j >= a) for j in range(n)), c("2-c")))
+    return ParamPolytope.create("c", n, facets)
+
+
+class TestStarBound:
+    def test_largest_admitted_stars(self):
+        assert MAX_SIMPLICES == 1000
+        assert len(triangulate(realize(box(6), F(1, 2)))) == 720
+        rp = realize(simplex_square(6), F(1, 2))
+        assert len(triangulate(rp)) == math.comb(12, 6) == 924
+        assert volume(rp) == F(3, 2) ** 12 / math.factorial(6) ** 2
+
+    def test_larger_star_is_refused_while_it_is_built(self):
+        rp = realize(simplex_square(7), F(1, 2))
+        start = time.perf_counter()
+        with pytest.raises(UsageError, match="the star triangulation exceeds "
+                                             "the limit of 1000 simplices"):
+            triangulate(rp)
+        assert time.perf_counter() - start < 1

@@ -14,7 +14,7 @@ HIDDEN = {RealizedPolytope: ("polytope",), ParamPolytope: ("fan",)}
 
 
 def test_every_value_class_is_a_record():
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("cls", [cls for cls in RECORDS if cls is not MonomialTable],

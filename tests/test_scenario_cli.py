@@ -26,7 +26,8 @@ from coupledfut import (
 )
 from coupledfut.cli import main
 from coupledfut.rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS,
-                                  MAX_RING_MONOMIALS)
+                                  MAX_RING_MONOMIALS, MAX_SIMPLICES)
+from coupledfut.report import FORMATS
 
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
 
@@ -261,6 +262,24 @@ class TestScenarioFiles:
         code, out, err = run(capsys, command, "--scenario", str(path))
         assert (code, out) == (2, "")
         assert re.search(message, err)
+
+    @pytest.mark.parametrize("command", ["localize", "toric", "verify"])
+    @pytest.mark.parametrize("field,value", [
+        ("note", 5), ("note", {"a": 1}), ("description", 5),
+        ("description", [1])], ids=["note-5", "note-object", "description-5",
+                                    "description-list"])
+    def test_text_fields_must_be_strings(self, capsys, tmp_path, command,
+                                         field, value):
+        data = scenario_to_dict(load("cp1"))
+        del data["note"], data["description"]
+        scn = scenario_from_dict(data).localization
+        assert (scn.note, scn.description) == ("", "")
+        data[field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: scenario.%s: expected a string\n" % field
 
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A bundle-count mismatch parses fine; validate_scenario rejects it.
@@ -643,11 +662,17 @@ STRUCTURED_GOLDEN = [
 ]
 
 
+def at_one_half(fmt):
+    return ("--format", fmt, "--param-value", "1/2")
+
+
+AT_ONE_HALF = at_one_half("structured")
+ALONG_Z = ("--direction", "0,0,1,0")
 # the same for every text and csv call over the catalog (csv is not defined
-# for verify, which exits 3 with nothing on stdout), and for the structured
-# values at --param-value 1/2; recorded before the reference ring algebra
-# moved to repeated squaring and Newton's iteration, and checked in process
-AT_ONE_HALF = ("--format", "structured", "--param-value", "1/2")
+# for verify, which exits 3 with nothing on stdout), for the values at
+# --param-value 1/2 in every format, and for toric along an overriding
+# --direction; each digest was recorded before the code it guards last
+# changed, and is checked in process
 FORMAT_GOLDEN = [
     ("localize", "cp1", ("--format", "text"), 0,
      "7172b7ed3f81dc102fd9a33990dd2cda937de9a7ecad59c0b744aa7b8ee87a0d"),
@@ -769,6 +794,52 @@ FORMAT_GOLDEN = [
      "f6bbffb2231d20c9d91a4c752c95c375da5544549ec19815415c61348f32dd28"),
     ("toric", "hultgren-c-true", AT_ONE_HALF, 0,
      "19fab7eaec18e893ce5093b7a28443c957c65c5b675296369c4d0b862a6dcc01"),
+    ("localize", "cp1", at_one_half("text"), 0,
+     "370c585f6f3a1ece8899596b748d5fa9b4c5a2b5a4d6d2817f08c03dab5fa8d1"),
+    ("localize", "cp1-coupled", at_one_half("text"), 0,
+     "ad57c3ae0b039d99a67fa30ec776876f21aed1b2f81e88f259d3ebf6adb3c0c9"),
+    ("localize", "hultgren-c", at_one_half("text"), 0,
+     "860525c79150e18f460ab90a350f5bee76016430e70368638cc1ae9c90fe4a45"),
+    ("localize", "hultgren-c-corrupt", at_one_half("text"), 0,
+     "95230bde50be42230410a6b2e04ff946c66e41e2360982f970df1a95d743fef7"),
+    ("localize", "hultgren-c-true", at_one_half("text"), 0,
+     "fa080ba35b189af4933bc55d482f422624ab7fc76fce4115f6f5891804e18fde"),
+    ("toric", "cp1", at_one_half("text"), 0,
+     "4f44cc9387d20d6022aca292b2061f0bcb7cfefdfd02b39f9f957aee878c1d57"),
+    ("toric", "cp1-coupled", at_one_half("text"), 0,
+     "8afe32ed9f228bde5b51242b21a817818e2bed8e6282d9351c879411f1f819cc"),
+    ("toric", "hultgren-c", at_one_half("text"), 0,
+     "ab4b93db20efd01aa29a919c0d9eb49bb7c33fd9546725359962bd23057c0a16"),
+    ("toric", "hultgren-c-corrupt", at_one_half("text"), 0,
+     "366f11a4350e25afa48997310ad47ea41d04b0ec93bd3d780b963fff18896a78"),
+    ("toric", "hultgren-c-true", at_one_half("text"), 0,
+     "3a807efc2b905acd1de89f6945fc9605b222c0011669e734d3625b3f6493ea01"),
+    ("localize", "cp1", at_one_half("csv"), 0,
+     "4344e19f0eb9e7125bbbe4ce4b0eb77e927bc24da8041d66590917a4d36778e0"),
+    ("localize", "cp1-coupled", at_one_half("csv"), 0,
+     "4344e19f0eb9e7125bbbe4ce4b0eb77e927bc24da8041d66590917a4d36778e0"),
+    ("localize", "hultgren-c", at_one_half("csv"), 0,
+     "41516b94e0ed58a21d83f449f7616f9a67e0612a0d8f9df16ca7560217d0a4fd"),
+    ("localize", "hultgren-c-corrupt", at_one_half("csv"), 0,
+     "d2a1a9d547ff758bec16ca5662dec64bff3e3dfc27d0e4a3d665e51e246a5d10"),
+    ("localize", "hultgren-c-true", at_one_half("csv"), 0,
+     "e25320f500f02d79ef4f94cb6d7be390191c1f80d06c36c7f70460d7756f6efc"),
+    ("toric", "cp1", at_one_half("csv"), 0,
+     "4344e19f0eb9e7125bbbe4ce4b0eb77e927bc24da8041d66590917a4d36778e0"),
+    ("toric", "cp1-coupled", at_one_half("csv"), 0,
+     "4344e19f0eb9e7125bbbe4ce4b0eb77e927bc24da8041d66590917a4d36778e0"),
+    ("toric", "hultgren-c", at_one_half("csv"), 0,
+     "e25320f500f02d79ef4f94cb6d7be390191c1f80d06c36c7f70460d7756f6efc"),
+    ("toric", "hultgren-c-corrupt", at_one_half("csv"), 0,
+     "e25320f500f02d79ef4f94cb6d7be390191c1f80d06c36c7f70460d7756f6efc"),
+    ("toric", "hultgren-c-true", at_one_half("csv"), 0,
+     "e25320f500f02d79ef4f94cb6d7be390191c1f80d06c36c7f70460d7756f6efc"),
+    ("toric", "hultgren-c", ("--format", "text") + ALONG_Z, 0,
+     "c7e117089b1a1286595fdda68e85b7126f066169e7d9cf6f7a1a1b6c02573a1e"),
+    ("toric", "hultgren-c", ("--format", "structured") + ALONG_Z, 0,
+     "56a7de12607d8c55018cea7fa98e111de390fd23d4e7885b4a3446d4e77a3aa4"),
+    ("toric", "hultgren-c", ("--format", "csv") + ALONG_Z, 0,
+     "168c427be248b04b251f67ef7b40ffb4fac4f120c64aa406d9f73442e54c115c"),
 ]
 
 
@@ -886,6 +957,31 @@ class TestCliOversizedInput:
                                site + "[0]" * (site == "polytopes"),
                                2 * n, n, count, MAX_FACET_SUBSETS))
 
+    @pytest.mark.parametrize("command", ["toric", "verify"])
+    @pytest.mark.parametrize("a", [7, 8])
+    def test_star_triangulation_is_bounded(self, capsys, tmp_path, command,
+                                           a):
+        # Δ^a × Δ^a has 2a + 2 facets, few subsets for the set-up bound, and
+        # C(2a, a) simplices in its star: 3432 and 12870 pass MAX_SIMPLICES
+        n = 2 * a
+        data = scenario_to_dict(load("cp1"))
+        data["parameter"]["interval"] = ["1/4", "3/4"]
+        facets = [{"normal": [-int(j == i) for j in range(n)], "offset": "0"}
+                  for i in range(n)]
+        facets += [{"normal": [int((j < a) == first) for j in range(n)],
+                    "offset": offset}
+                   for first, offset in ((True, "1+c"), (False, "2-c"))]
+        data["toric"] = {"ambient": n, "direction": [1] * n,
+                         "polytopes": [{"facets": facets}]}
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == ("error: the star triangulation exceeds the limit of "
+                       "%d simplices\n" % MAX_SIMPLICES)
+
     @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
     def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
         # two isolated points at dimension 16: a Hamiltonian of degree k
@@ -955,8 +1051,10 @@ class TestStructuredGolden:
         commands = ("localize", "toric", "roots", "sample", "verify")
         assert calls == {(c, n, ("--format", f)) for c in commands
                          for n in ALL_NAMES for f in ("text", "csv")} | {
-            (c, n, AT_ONE_HALF) for c in ("localize", "toric")
-            for n in ALL_NAMES}
+            (c, n, at_one_half(f)) for c in ("localize", "toric")
+            for n in ALL_NAMES for f in FORMATS} | {
+            ("toric", "hultgren-c", ("--format", f) + ALONG_Z)
+            for f in FORMATS}
 
 
 class TestCliArgumentHandling:
