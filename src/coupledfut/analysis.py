@@ -331,7 +331,7 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
                                rat_text(v_t)))
     mink = minkowski_check(model, scn.interval)
     if mink.status == "fail":
-        messages.append("bundle polytopes do not sum to the ambient polytope")
+        messages.extend(mink.messages)
     mid = (scn.interval[0] + scn.interval[1]) / 2
     redundant = False
     for i, pp in enumerate(model.polytopes):

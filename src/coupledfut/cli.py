@@ -22,7 +22,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog
-from .analysis import _sample_points, cross_validate, fut_roots, sample_curve
+from .analysis import (DEFAULT_WIDTH, _sample_points, cross_validate,
+                       fut_roots, sample_curve)
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
 from .localization import (LocalizationScenario, ValidationReport,
@@ -206,7 +207,7 @@ OPTIONS = (
     Option("--direction", ("toric",), "D1,..,Dn", _direction_arg, None,
            "override the model's direction"),
     Option("--root-width", ("roots",), "RAT", _rational_arg,
-           Fraction(1, 10 ** 12), "maximal bracket width (default 1/10^12)"),
+           DEFAULT_WIDTH, "maximal bracket width (default 1/10^12)"),
     Option("--samples", ("verify", "sample"), "N|X1,X2,..", str,
            str(DEFAULT_SAMPLES), "sample count, or comma-separated exact "
                                  "abscissae (default %d)" % DEFAULT_SAMPLES),

@@ -35,9 +35,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
-from .rationals import (MAX_SIMPLICES, ParamPoly, RationalFunction,
-                        _ipoly_mul, interpolate, positive_on_interval, rat,
-                        rat_text, sample_values)
+from .rationals import (MAX_DEGREE, MAX_SIMPLICES, ParamPoly,
+                        RationalFunction, _ipoly_mul, interpolate,
+                        positive_on_interval, rat, rat_text, sample_values)
 
 Vector = tuple[Fraction, ...]
 
@@ -224,10 +224,6 @@ class RealizedPolytope(Record, hidden=("polytope",)):
         # an inequality tight at every vertex holds with equality on the
         # whole polytope, and a lower-dimensional one always has such
         return not frozenset.intersection(*self.incidence)
-
-    def signature(self) -> frozenset[frozenset[int]]:
-        """Vertex-facet incidence pattern, independent of vertex order."""
-        return frozenset(self.incidence)
 
     @cached_property
     def measures(self) -> tuple[Fraction, Vector]:
@@ -451,12 +447,18 @@ def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
     every slack offset_i(c) - <normal_i, vertex(c)> is identically zero for
     the facets tight at the midpoint and positive for the others: every
     edge at such a vertex then ends at another of them, so no vertex
-    appears or disappears.
+    appears or disappears.  The volume's degree n*d may be at most
+    MAX_DEGREE, checked before anything is realized: the samples and the
+    interpolation grow with it.
     """
-    lo, hi = interval
-    rp = realize(pp, (lo + hi) / 2)
     n = pp.ambient
     degree = max(0, max(f.offset.degree() for f in pp.facets))
+    if n * degree > MAX_DEGREE:
+        raise UsageError("chamber curves of degree %d (ambient dimension "
+                         "times offset degree) exceed the limit %d"
+                         % (n * degree, MAX_DEGREE))
+    lo, hi = interval
+    rp = realize(pp, (lo + hi) / 2)
     # offset_i(c) = sum_k offsets[i][k] c^k / q, integers
     q = math.lcm(*(f.offset.content.denominator for f in pp.facets))
     offsets = [list(_ipoly_mul(((f.offset.content * q).numerator,),
@@ -526,8 +528,6 @@ def fut_toric(model: ToricModel, interval: tuple[Fraction, Fraction],
               direction: tuple[int, ...] | None = None) -> RationalFunction:
     """Sum over bundles of the barycenter coordinate along the direction."""
     xi = direction if direction is not None else model.direction
-    if len(xi) != model.ambient:
-        raise UsageError("direction has wrong length")
     total = RationalFunction.const(model.param, 0)
     for pp in model.polytopes:
         vol = volume_curve(pp, interval)
@@ -567,25 +567,29 @@ def minkowski_check(model: ToricModel,
                     interval: tuple[Fraction, Fraction]) -> MinkowskiReport:
     """Certify that the bundle polytopes tile the ambient one additively.
 
-    When all polytopes share the same normals and the same vertex-facet
-    incidence pattern at the interval midpoint (strong isomorphism), their
-    Minkowski sum adds offsets facetwise; the check then compares offset
-    polynomials exactly.  Outside that regime the fast path does not apply
-    and the verdict is inconclusive rather than a guess.
+    One map from the ambient normals to their facets sends each bundle
+    facet to its target.  When every polytope's normals correspond one to
+    one with the ambient ones and all share the vertex-facet incidence
+    pattern at the interval midpoint (strong isomorphism), the Minkowski sum
+    adds offsets facetwise: one pass over the bundle facets adds them, and
+    the first ambient facet whose offset differs from its total fails the
+    check.  Outside that regime the verdict is inconclusive rather than a
+    guess.
     """
     if model.anticanonical is None:
         return MinkowskiReport("inconclusive",
                                ("no ambient polytope to compare against",))
-    mid = (interval[0] + interval[1]) / 2
     target = model.anticanonical
-    maps = []
-    for pp in model.polytopes:
-        mapping = _match_normals(pp, target)
-        if mapping is None:
-            return MinkowskiReport(
-                "inconclusive",
-                ("facet normals do not correspond one to one",))
-        maps.append(mapping)
+    index = {f.normal: j for j, f in enumerate(target.facets)}
+    every = list(range(len(target.facets)))
+    # each polytope's target facets; a repeated ambient normal leaves an
+    # index no bundle facet can reach
+    maps = [[index.get(f.normal, -1) for f in pp.facets]
+            for pp in model.polytopes]
+    if any(sorted(targets) != every for targets in maps):
+        return MinkowskiReport(
+            "inconclusive", ("facet normals do not correspond one to one",))
+    mid = (interval[0] + interval[1]) / 2
     realized = [realize(pp, mid) for pp in model.polytopes]
     realized_target = realize(target, mid)
     for rp in realized + [realized_target]:
@@ -594,40 +598,23 @@ def minkowski_check(model: ToricModel,
                 "inconclusive",
                 ("a realization at the midpoint is not simple and "
                  "full-dimensional",))
-    target_sig = realized_target.signature()
-    for rp, mapping in zip(realized, maps):
-        sig = frozenset(frozenset(mapping[i] for i in inc)
-                        for inc in rp.incidence)
-        if sig != target_sig:
+    pattern = frozenset(realized_target.incidence)
+    for rp, targets in zip(realized, maps):
+        if frozenset(frozenset(targets[i] for i in inc)
+                     for inc in rp.incidence) != pattern:
             return MinkowskiReport(
                 "inconclusive",
                 ("incidence patterns differ; polytopes are not strongly "
                  "isomorphic",))
-    for j, tf in enumerate(target.facets):
-        total = ParamPoly.zero(model.param)
-        for pp, mapping in zip(model.polytopes, maps):
-            for i, f in enumerate(pp.facets):
-                if mapping[i] == j:
-                    total = total + f.offset
+    totals = [ParamPoly.zero(model.param)] * len(every)
+    for pp, targets in zip(model.polytopes, maps):
+        for f, j in zip(pp.facets, targets):
+            totals[j] = totals[j] + f.offset
+    for tf, total in zip(target.facets, totals):
         if total != tf.offset:
             return MinkowskiReport(
                 "fail",
-                ("offsets along normal %s add to %s, expected %s"
+                ("bundle polytopes do not sum to the ambient polytope: "
+                 "offsets along normal %s add to %s, expected %s"
                  % (tf.normal, total.text(), tf.offset.text()),))
     return MinkowskiReport("pass", ())
-
-
-def _match_normals(pp: ParamPolytope, target: ParamPolytope) -> dict[int, int] | None:
-    if len(pp.facets) != len(target.facets):
-        return None
-    tnormals = [f.normal for f in target.facets]
-    if len(set(tnormals)) != len(tnormals):
-        return None
-    mapping = {}
-    for i, f in enumerate(pp.facets):
-        if f.normal not in tnormals:
-            return None
-        mapping[i] = tnormals.index(f.normal)
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return mapping

@@ -4,7 +4,8 @@ A scenario file carries the fixed-point data (rings, components, bundle
 restrictions, Euler classes), the parameter's validity interval, and an
 optional toric block with the bundle polytopes, a preferred direction, and
 the ambient polytope.  Parsing is strict: unknown ring names, malformed
-expressions, and structural mismatches raise ParseError with the offending
+expressions, structural mismatches, and a toric block whose dimension or
+polytope count is not the scenario's raise ParseError with the offending
 location; semantic problems are left to validate_scenario.  Each distinct
 expression text is parsed once per load, and equal texts share one value.
 """
@@ -257,6 +258,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(t, dict):
             raise ParseError("toric: expected an object")
         ambient = _need_int(t, "ambient", "toric")
+        if ambient != dimension:
+            raise ParseError("toric.ambient: %d differs from the scenario "
+                             "dimension %d" % (ambient, dimension))
         direction = _need(t, "direction", "toric")
         if (not isinstance(direction, list)
                 or not all(_is_int(x) for x in direction)
@@ -265,6 +269,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         polys_raw = _need(t, "polytopes", "toric")
         if not isinstance(polys_raw, list):
             raise ParseError("toric.polytopes: expected a list")
+        if len(polys_raw) != bundles:
+            raise ParseError("toric.polytopes: %d polytopes for %d bundles"
+                             % (len(polys_raw), bundles))
         pps = tuple(_parse_polytope(p, param, ambient,
                                     "toric.polytopes[%d]" % i, memo)
                     for i, p in enumerate(polys_raw))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from coupledfut import (
     GeometryError,
+    MinkowskiReport,
     ParamPolytope,
     ToricModel,
     UsageError,
@@ -30,7 +31,7 @@ from coupledfut import (
     volume,
     volume_curve,
 )
-from coupledfut.rationals import MAX_SIMPLICES
+from coupledfut.rationals import MAX_DEGREE, MAX_SIMPLICES
 
 INTERVAL = (F(1, 4), F(3, 4))
 SAMPLES = [F(5, 16), F(3, 8), F(1, 2), F(5, 8), F(11, 16)]
@@ -378,6 +379,20 @@ class TestCertifiedCurves:
         # 4d+1 abscissae fix the moment curve of degree (n+1)d, d = 1
         assert [len(points) for _, points in calls] == [5, 5, 5]
 
+    def test_degree_is_bounded_before_realizing(self, monkeypatch):
+        from coupledfut import polytopes
+
+        monkeypatch.setattr(polytopes, "realize", None)
+        for dim, degree in ((9, 99), (101, 1), (2, 51)):
+            pp = ParamPolytope.create(
+                "c", dim, [(tuple(-int(j == i) for j in range(dim)), c("0"))
+                           for i in range(dim)]
+                + [((1,) * dim, c("1+c^%d" % degree))])
+            assert dim * degree > MAX_DEGREE
+            with pytest.raises(UsageError, match="chamber curves of degree "
+                                                 "%d " % (dim * degree)):
+                volume_curve(pp, INTERVAL)
+
     def test_duplicated_facet_bounds_the_polytope_once(self):
         square = ParamPolytope.create(
             "c", 2, [((1, 0), c("1")), ((1, 0), c("1")), ((-1, 0), c("c")),
@@ -412,6 +427,11 @@ class TestToricInvariant:
         scn = load("cp1-coupled")
         assert fut_toric(scn.toric, scn.localization.interval).is_zero()
 
+    @pytest.mark.parametrize("direction", [(1, 2), (1, 0, 0, 0, 0)])
+    def test_direction_of_wrong_length_is_refused(self, model, direction):
+        with pytest.raises(UsageError, match="direction has wrong length"):
+            fut_toric(model, INTERVAL, direction)
+
     def test_degenerate_realization_is_refused(self):
         point = ParamPolytope.create("c", 1, [((1,), c("0")), ((-1,), c("0"))])
         with pytest.raises(GeometryError, match="degenerate realization"):
@@ -432,6 +452,26 @@ class TestMinkowski:
         report = minkowski_check(bad, (F(0), F(1)))
         assert report.status == "fail"
         assert "offsets along normal (1,) add to 2, expected 1" in report.messages[0]
+
+    @staticmethod
+    def segments(ambient_lo):
+        # [0, c] + [-c, 1] + [c-1, 2], the second listed from its lower end
+        seg = lambda hi, lo: (((1,), c(hi)), ((-1,), c(lo)))
+        bundles = [seg("c", "0"), seg("1", "c")[::-1], seg("2", "1-c")]
+        return ToricModel("c", 1, (1,), tuple(
+            ParamPolytope.create("c", 1, list(facets)) for facets in bundles),
+            ParamPolytope.create("c", 1, list(seg("c+3", ambient_lo))))
+
+    def test_three_bundles_sum_facetwise(self):
+        report = minkowski_check(self.segments("1"), (F(0), F(1)))
+        assert (report.status, report.messages) == ("pass", ())
+
+    @pytest.mark.parametrize("ambient_lo", ["2", "c+1"])
+    def test_defect_at_the_second_facet_is_reported(self, ambient_lo):
+        report = minkowski_check(self.segments(ambient_lo), (F(0), F(1)))
+        assert report == MinkowskiReport("fail", (
+            "bundle polytopes do not sum to the ambient polytope: offsets "
+            "along normal (-1,) add to 1, expected %s" % ambient_lo,))
 
     def test_missing_ambient_polytope_is_inconclusive(self):
         seg = ParamPolytope.create("c", 1, [((1,), c("1")), ((-1,), c("0"))])

@@ -32,6 +32,25 @@ from coupledfut.report import FORMATS
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
 
 
+def points_in_dimension(n):
+    """cp1 as two isolated points of an n-dimensional manifold: codimension
+    n, Euler scalars -1 and 1, Hamiltonians 0 and 1.  A toric block of
+    dimension n with one polytope then describes it."""
+    data = scenario_to_dict(load("cp1"))
+    data["dimension"] = n
+    for comp, hamiltonian in zip(data["components"], ("0", "1")):
+        comp["codimension"] = n
+        comp["bundles"][0]["hamiltonian"] = hamiltonian
+    return data
+
+
+def simplex_block(n, offset="1"):
+    """The n-simplex -y_i <= 0, y_1 + ... + y_n <= offset."""
+    return {"facets": [{"normal": [-int(j == i) for j in range(n)],
+                        "offset": "0"} for i in range(n)]
+            + [{"normal": [1] * n, "offset": offset}]}
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -282,13 +301,40 @@ class TestScenarioFiles:
         assert err == "error: scenario.%s: expected a string\n" % field
 
     def test_structural_parse_leaves_semantics_to_validation(self):
-        # A bundle-count mismatch parses fine; validate_scenario rejects it.
+        # A component's bundle count that differs from the scenario's parses
+        # fine; validate_scenario rejects it.  The toric block goes, since
+        # its polytope count must match the scenario's at parse time.
         bad = copy.deepcopy(scenario_to_dict(load("hultgren-c")))
+        del bad["toric"]
         bad["bundles"] = 1
         scn = scenario_from_dict(bad)
         report = validate_scenario(scn.localization)
         assert not report.ok
         assert any("restricts 2 bundles; scenario has 1" in m for m in report.messages)
+
+    @pytest.mark.parametrize("command", ["localize", "toric", "verify"])
+    @pytest.mark.parametrize("case,message", [
+        ("second-polytope", "toric.polytopes: 2 polytopes for 1 bundles"),
+        ("3-simplex", "toric.ambient: 3 differs from the scenario dimension 1"),
+        ("80-simplex",
+         "toric.ambient: 80 differs from the scenario dimension 1")],
+        ids=["second-polytope", "3-simplex", "80-simplex"])
+    def test_toric_block_describes_the_manifold(self, capsys, tmp_path,
+                                                command, case, message):
+        data = scenario_to_dict(load("cp1"))
+        if case == "second-polytope":
+            data["toric"]["polytopes"] *= 2
+        else:
+            n = int(case.split("-")[0])
+            data["toric"] = {"ambient": n, "direction": [1] * n,
+                             "polytopes": [simplex_block(n, "1+c")]}
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % message
 
 
 class TestCliLocalize:
@@ -357,6 +403,12 @@ class TestCliToric:
         )
         assert code == 0
         assert "invariant: 3(112c^2-112c+23)/((56c-3)(56c-53))" in out
+
+    def test_direction_of_wrong_length_exits_3(self, capsys):
+        code, out, err = run(capsys, "toric", "--catalog", "cp1",
+                             "--direction", "1,2")
+        assert (code, out) == (3, "")
+        assert err == "error: direction needs 1 entries\n"
 
     def test_chamber_wall_past_the_last_sample_exits_4(self, capsys, tmp_path):
         # on (0, 1) the facet y <= 9/10 starts to cut the segment [0, c] at
@@ -532,6 +584,23 @@ class TestCliVerify:
         assert "sample 1/2: localization -3/125, polytope -6/125 (UNEQUAL)" in out
         assert "overall: INCONSISTENT" in out
         assert "localization and the polytope oracle disagree" in err
+
+    def test_additivity_failure_says_where(self, capsys, tmp_path):
+        data = scenario_to_dict(load("cp1-coupled"))
+        data["toric"]["anticanonical"]["facets"][0]["offset"] = "2"
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(data))
+        reason = ("bundle polytopes do not sum to the ambient polytope: "
+                  "offsets along normal (1,) add to 1, expected 2")
+        code, out, _ = run(capsys, "verify", "--scenario", str(path))
+        assert code == 5
+        assert "polytope additivity: fail" in out
+        assert out.endswith("detail: %s\n" % reason)
+        code, out, _ = run(capsys, "verify", "--scenario", str(path),
+                           "--format", "structured")
+        assert code == 5
+        payload = json.loads(out)
+        assert (payload["minkowski"], payload["messages"]) == ("fail", [reason])
 
     def test_csv_format_is_rejected(self, capsys):
         code, _, err = run(
@@ -934,7 +1003,7 @@ class TestCliOversizedInput:
     def test_polytope_set_up_is_bounded(self, capsys, tmp_path, site, n, code):
         # the n-cube [-c, 1]^n has C(2n, n) facet n-subsets: 924 for n = 6
         # fits under MAX_FACET_SUBSETS, 48620 and 184756 do not
-        data = scenario_to_dict(load("cp1"))
+        data = points_in_dimension(n)
         cube = {"facets": [{"normal": [s * (i == j) for j in range(n)],
                             "offset": offset}
                            for i in range(n)
@@ -942,7 +1011,7 @@ class TestCliOversizedInput:
         data["toric"] = {"ambient": n, "direction": [1] * n,
                          "polytopes": [cube]}
         if site == "anticanonical":
-            data["toric"]["polytopes"] = []
+            data["toric"]["polytopes"] = [simplex_block(n)]
             data["toric"]["anticanonical"] = cube
         path = tmp_path / "cube.json"
         path.write_text(json.dumps(data))
@@ -964,7 +1033,7 @@ class TestCliOversizedInput:
         # Δ^a × Δ^a has 2a + 2 facets, few subsets for the set-up bound, and
         # C(2a, a) simplices in its star: 3432 and 12870 pass MAX_SIMPLICES
         n = 2 * a
-        data = scenario_to_dict(load("cp1"))
+        data = points_in_dimension(n)
         data["parameter"]["interval"] = ["1/4", "3/4"]
         facets = [{"normal": [-int(j == i) for j in range(n)], "offset": "0"}
                   for i in range(n)]
@@ -981,6 +1050,41 @@ class TestCliOversizedInput:
         assert (code, out) == (3, "")
         assert err == ("error: the star triangulation exceeds the limit of "
                        "%d simplices\n" % MAX_SIMPLICES)
+
+    @staticmethod
+    def steep_simplex(tmp_path, n, k):
+        """The n-simplex with offset 1+c^k on (1/4, 3/4), whose volume has
+        degree n*k."""
+        data = points_in_dimension(n)
+        data["parameter"]["interval"] = ["1/4", "3/4"]
+        data["toric"] = {"ambient": n, "direction": [1] * n,
+                         "polytopes": [simplex_block(n, "1+c^%d" % k)]}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["toric", "verify"])
+    @pytest.mark.parametrize("k", [99, 100])
+    def test_chamber_curve_degree_is_bounded(self, capsys, tmp_path, command,
+                                             k):
+        # the chamber would sample and interpolate at 10k+1 abscissae
+        path = self.steep_simplex(tmp_path, 9, k)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--scenario", path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == ("error: chamber curves of degree %d (ambient dimension "
+                       "times offset degree) exceed the limit 100\n" % (9 * k))
+
+    def test_largest_chamber_degree_is_computed(self, capsys, tmp_path):
+        # the 4-simplex with offset 1+c^25: degree 4 * 25 = 100 exactly
+        code, out, _ = run(capsys, "toric", "--scenario",
+                           self.steep_simplex(tmp_path, 4, 25))
+        assert code == 0
+        # (1+c^25)^4/4!, and the barycenter's coordinate sum 4(1+c^25)/5
+        assert ("polytope 0 volume: 1/24c^100+1/6c^75+1/4c^50+1/6c^25+1/24 "
+                in out)
+        assert "invariant: 4/5(c+1)(c^24-c^23+" in out
 
     @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
     def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
