@@ -3,7 +3,7 @@
 Each bundle contributes a four-dimensional polytope whose facet offsets move
 affinely with the parameter.  Volumes and first moments are computed exactly
 by triangulation from realized vertices.  The curves in c come from a
-certified chamber, measured at degree+1 abscissae and interpolated.
+certified chamber, each simplex a product of vertex-facet slack polynomials.
 """
 
 from fractions import Fraction

@@ -16,14 +16,14 @@ the volume and the whole first-moment vector of a realization.  The
 triangulation in vertex indices depends only on the incidences, so it is
 reused by every realization in the fan with the same incidences.
 
-Curves in the parameter are computed on a certified chamber, at degree+1
-abscissae.  The polytope is realized once, at the midpoint of the interval,
-and each vertex becomes a polynomial vector in the parameter.  Every slack
-of every vertex is proved identically zero or positive on the whole open
-interval, so the combinatorial type cannot change inside it; a chamber wall
-is rejected wherever it lies.  The midpoint's star triangulation is then
-measured at as many abscissae as the degree of the moment curve plus one,
-and each curve is interpolated once and kept on the polytope.
+Curves in the parameter are computed on a certified chamber.  The polytope
+is realized once, at the midpoint of the interval, and each vertex becomes a
+polynomial vector in the parameter.  Every slack of every vertex is proved
+identically zero or positive on the whole open interval, so the
+combinatorial type cannot change inside it; a chamber wall is rejected
+wherever it lies.  Each simplex of the midpoint's star is then a product of
+those slack polynomials, so the volume curve and the moment vector come out
+as polynomials, once per interval, and are kept on the polytope.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
 from .rationals import (MAX_DEGREE, MAX_SIMPLICES, ParamPoly,
-                        RationalFunction, _ipoly_mul, interpolate,
-                        positive_on_interval, rat, rat_text, sample_values)
+                        RationalFunction, _ipoly_add, _ipoly_mul,
+                        positive_on_interval, rat, rat_text)
 
 Vector = tuple[Fraction, ...]
 
@@ -196,8 +196,8 @@ class ParamPolytope(Record, hidden=("fan",)):
         return {}
 
     @cached_property
-    def _chambers(self) -> dict[tuple[Fraction, Fraction], tuple[list, dict]]:
-        """Per interval: the certified measures and the curves from them."""
+    def _chambers(self) -> dict[tuple[Fraction, Fraction], tuple]:
+        """Per interval: the certified moment vector and volume curve."""
         return {}
 
 
@@ -414,96 +414,94 @@ def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...],
 # parameter curves on a certified chamber
 
 
-def _chamber_curve(pp: ParamPolytope, interval: tuple[Fraction, Fraction],
-                   xi: tuple[int, ...] | None) -> ParamPoly:
-    """The volume curve (xi None) or the moment curve along xi.
+def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
+             ) -> tuple[ParamPoly, ...]:
+    """The moment vector, then the volume curve, on the certified chamber.
 
-    The chamber of the interval is certified and measured once per polytope,
-    and each curve is interpolated once; both are kept on the polytope.
+    Each midpoint vertex is adjugate . offsets(c) / determinant over a basis
+    of its tight facets, of degree at most d, the largest offset degree.
+    The type holds on the interval exactly when every slack offset_i(c) -
+    <normal_i, vertex(c)> is identically zero for the facets tight at the
+    midpoint and positive for the others: every edge at such a vertex then
+    ends at another of them.  The volume's degree n*d may be at most
+    MAX_DEGREE, checked before anything is realized, since the curves feed
+    root finding.  A star simplex (a_n, ..., a_0) is triangular in slack
+    coordinates: with T_k the facets tight at a_0..a_k, the slack of G_k,
+    the first facet of T_(k-1) outside T_k, vanishes at a_0..a_(k-1) and is
+    positive at a_k.  So its volume times n! is the product of those slacks
+    over |det| of the normals of G_1..G_n.
     """
     key = (interval[0], interval[1])
     chamber = pp._chambers.get(key)
-    if chamber is None:
-        chamber = pp._chambers[key] = (_certified_samples(pp, key), {})
-    samples, curves = chamber
-    curve = curves.get(xi)
-    if curve is None:
-        data = [(x, vol if xi is None else
-                 sum((m * a for m, a in zip(mom, xi)), Fraction(0)))
-                for x, (vol, mom) in samples]
-        curve = curves[xi] = interpolate(pp.param, data)
-    return curve
-
-
-def _certified_samples(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
-                       ) -> list[tuple[Fraction, tuple[Fraction, Vector]]]:
-    """Measures of the polytope at (n+1)*d+1 abscissae, d the largest offset
-    degree, after certifying the midpoint's type on the open interval.
-
-    Each vertex of the midpoint realization is adjugate . offsets(c) /
-    determinant over one basis of its tight facets, a vector of polynomials
-    of degree at most d; the volume then has degree at most n*d and the
-    moment at most (n+1)*d.  The type holds on the interval exactly when
-    every slack offset_i(c) - <normal_i, vertex(c)> is identically zero for
-    the facets tight at the midpoint and positive for the others: every
-    edge at such a vertex then ends at another of them, so no vertex
-    appears or disappears.  The volume's degree n*d may be at most
-    MAX_DEGREE, checked before anything is realized: the samples and the
-    interpolation grow with it.
-    """
+    if chamber is not None:
+        return chamber
     n = pp.ambient
     degree = max(0, max(f.offset.degree() for f in pp.facets))
     if n * degree > MAX_DEGREE:
         raise UsageError("chamber curves of degree %d (ambient dimension "
                          "times offset degree) exceed the limit %d"
                          % (n * degree, MAX_DEGREE))
-    lo, hi = interval
-    rp = realize(pp, (lo + hi) / 2)
+    rp = realize(pp, (interval[0] + interval[1]) / 2)
     # offset_i(c) = sum_k offsets[i][k] c^k / q, integers
     q = math.lcm(*(f.offset.content.denominator for f in pp.facets))
     offsets = [list(_ipoly_mul(((f.offset.content * q).numerator,),
                                f.offset.ints))
                + [0] * (degree - f.offset.degree()) for f in pp.facets]
-    formulas = []
     inverses = pp.fan.inverses
+    # one denominator for the vertices and the simplices' determinants
+    common = math.lcm(*(det for _, det in inverses.values()))
+    vertices, slacks = [], []
     for tight in rp.incidence:
         subset = next(s for s in itertools.combinations(sorted(tight), n)
                       if s in inverses)
         adjugate, det = inverses[subset]
-        # the vertex is sum_k vertex[r][k] c^k / (det * q) in coordinate r
-        vertex = [[sum(a * offsets[i][k] for a, i in zip(row, subset))
+        # the vertex is sum_k vertex[r][k] c^k / (common * q) in coordinate
+        # r, and the slack of facet i is slack[i] over the same
+        vertex = [[common // det * sum(a * offsets[i][k]
+                                       for a, i in zip(row, subset))
                    for k in range(degree + 1)] for row in adjugate]
-        for i, f in enumerate(pp.facets):
-            slack = [det * b - sum(a * v[k] for a, v in zip(f.normal, vertex))
-                     for k, b in enumerate(offsets[i])]
-            if (any(slack) if i in tight
+        slack = [[common * b - sum(a * v[k] for a, v in zip(f.normal, vertex))
+                  for k, b in enumerate(offsets[i])]
+                 for i, f in enumerate(pp.facets)]
+        for i, s in enumerate(slack):
+            if (any(s) if i in tight
                     else not positive_on_interval(
-                        ParamPoly.from_ints(pp.param, slack), interval)):
+                        ParamPoly.from_ints(pp.param, s), interval)):
                 raise GeometryError(
                     "facet %d meets the vertices of the realization at %s = "
                     "%s differently elsewhere on the interval; the "
                     "combinatorial type changes inside it"
                     % (i, pp.param, rat_text(rp.value)))
-        formulas.append((vertex, det))
-    star = _star(rp)
-    common = math.lcm(*(det for _, det in formulas))
-    scaled = [[[a * (common // det) for a in coord] for coord in vertex]
-              for vertex, det in formulas]
-    samples = []
-    for x in sample_values(interval, (n + 1) * degree + 1):
-        num, den = x.numerator, x.denominator
-        powers = [num ** k * den ** (degree - k) for k in range(degree + 1)]
-        points = [[sum(a * w for a, w in zip(coord, powers)) for coord in v]
-                  for v in scaled]
-        samples.append((x, _measure(n, points, common * q * den ** degree,
-                                    star)))
-    return samples
+        # a last coordinate 1 makes the volume the moment of a constant
+        vertices.append(vertex + [[common * q]])
+        slacks.append(slack)
+    # as in _measure, each vertex collects the volumes of its simplices
+    weight = [()] * len(vertices)
+    for simplex in _star(rp):
+        tight, chosen, w = rp.incidence[simplex[-1]], [], (1,)
+        for a in reversed(simplex[:-1]):
+            inc = tight & rp.incidence[a]
+            g = min(tight - inc)
+            chosen.append(g)
+            w = _ipoly_mul(w, slacks[a][g])
+            tight = inc
+        w = _ipoly_mul((common // inverses[tuple(sorted(chosen))][1],), w)
+        for i in simplex:
+            weight[i] = _ipoly_add(weight[i], w)
+    moments = [()] * (n + 1)
+    for w, vertex in zip(weight, vertices):
+        for r, coord in enumerate(vertex):
+            moments[r] = _ipoly_add(moments[r], _ipoly_mul(w, coord))
+    den = math.factorial(n + 1) * (common * q) ** (n + 1) * common
+    chamber = pp._chambers[key] = tuple(
+        ParamPoly.from_ints(pp.param, m, Fraction(1, den)) for m in moments)
+    return chamber
 
 
 def volume_curve(pp: ParamPolytope,
                  interval: tuple[Fraction, Fraction]) -> ParamPoly:
     """Euclidean volume as a polynomial in the parameter over the interval."""
-    return _chamber_curve(pp, interval, None)
+    return _chamber(pp, interval)[-1]
 
 
 def moment_curve(pp: ParamPolytope, xi: tuple[int, ...],
@@ -511,7 +509,8 @@ def moment_curve(pp: ParamPolytope, xi: tuple[int, ...],
     """First moment along xi as a polynomial in the parameter."""
     if len(xi) != pp.ambient:
         raise UsageError("direction has wrong length")
-    return _chamber_curve(pp, interval, tuple(xi))
+    return sum((m.scale(a) for m, a in zip(_chamber(pp, interval), xi)),
+               ParamPoly.zero(pp.param))
 
 
 class ToricModel(Record):
@@ -543,9 +542,9 @@ def fut_toric_at(polytopes, xi: tuple[int, ...],
                  x: int | str | Fraction) -> Fraction:
     """The invariant at one parameter value, from polytopes realized at x.
 
-    Unlike the curve version this never interpolates: each polytope is
-    realized at x, never interpolated, and measured directly, so the value
-    is an oracle for a single parameter value.
+    Each polytope is realized at x and measured by determinants of its
+    coordinates, not by the chamber's slack products, so the value checks
+    the curves at a single parameter value.
     """
     x = rat(x)
     total = Fraction(0)

@@ -732,8 +732,9 @@ MAX_RING_MONOMIALS = 1024
 # ambient), each a candidate vertex and cone whose set-up the polytope route
 # pays.  The 6-cube has 924; the 7-cube's 3432 take seconds
 MAX_FACET_SUBSETS = 1000
-# largest star triangulation, a determinant per simplex and realization;
-# the 6-cube has 720 simplices, the product of two 6-simplices 924
+# largest star triangulation: a determinant per simplex and realization, a
+# slack product per simplex and chamber (the 6-cube has 720, the product of
+# two 6-simplices 924)
 MAX_SIMPLICES = 1000
 
 # unicode minus and en dash, middle dot and multiplication sign

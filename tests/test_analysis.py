@@ -349,7 +349,7 @@ class TestCrossValidate:
 
             return wrapper
 
-        cleared, requested, built, triangulated, interpolated = [], [], [], [], []
+        cleared, requested, built, triangulated, certified = [], [], [], [], []
         monkeypatch.setattr(
             localization,
             "_component_residues",
@@ -373,8 +373,9 @@ class TestCrossValidate:
         )
         monkeypatch.setattr(
             polytopes,
-            "interpolate",
-            counting(polytopes, "interpolate", interpolated, lambda a, r: r),
+            "positive_on_interval",
+            counting(polytopes, "positive_on_interval", certified,
+                     lambda a, r: a[0]),
         )
         record = cross_validate(scn.localization, scn.toric, 5)
         assert record.ok
@@ -389,8 +390,12 @@ class TestCrossValidate:
             [(id(pp), x) for pp in model.polytopes for x in xs]
             + [(id(model.anticanonical), mid)])
         assert len(built) == len(set(requested)) < len(requested)
-        # one volume and one moment curve per polytope, each interpolated once
-        assert len(interpolated) == 2 * len(model.polytopes)
+        # one chamber per polytope, certified once: one positivity proof
+        # per vertex and facet not tight at it, and never interpolated
+        assert "interpolate" not in vars(polytopes)
+        assert len(certified) == sum(
+            len(pp.facets) - len(tight) for pp in model.polytopes
+            for tight in realize(pp, mid).incidence)
         # the bundle and ambient polytopes share their normals, so one fan
         fans = {id(pp.fan) for pp in model.polytopes + (model.anticanonical,)}
         assert len(fans) == 1

@@ -331,6 +331,39 @@ def positive_poly(rng, degree):
     )
 
 
+def assert_curves_match_fresh(facets, xi, rng):
+    """The curves of one chamber against 20 realizations of a fresh copy,
+    measured by determinants; returns the volume curve."""
+    dim = len(xi)
+    pp = ParamPolytope.create("c", dim, facets)
+    vol = volume_curve(pp, INTERVAL)
+    mom = moment_curve(pp, xi, INTERVAL)
+    fresh = ParamPolytope.create("c", dim, facets)
+    for _ in range(20):
+        x = F(rng.randint(2501, 7499), 10000)
+        rp = realize(fresh, x)
+        assert vol.eval(x) == volume(rp)
+        assert mom.eval(x) == linear_moment(rp, xi)
+    return vol
+
+
+# non-simple polytopes: the pyramid's apex and every vertex of the
+# octahedron lie on four facets, the square's right corners on three
+NON_SIMPLE = [
+    # the square pyramid over [-1, 1+2c] x [-3/2-c, 1/2+c] at height c^2,
+    # with apex (c, -1/2, 1+c+c^2)
+    [((0, 0, -1), c("-c^2")), ((1, 0, 1), c("(1+c)^2")),
+     ((-1, 0, 1), c("1+c^2")), ((0, 1, 1), c("1/2+c+c^2")),
+     ((0, -1, 1), c("3/2+c+c^2"))],
+    # the octahedron |y_1 - c| + |y_2| + |y_3 - 1/2| <= 1+c
+    [(e, c("1+c") + c("c").scale(e[0]) + c("1/2").scale(e[2]))
+     for e in itertools.product((1, -1), repeat=3)],
+    # the square [-c, 1] x [0, 1] with its facet y_1 <= 1 listed twice
+    [((1, 0), c("1")), ((1, 0), c("1")), ((-1, 0), c("c")),
+     ((0, 1), c("1")), ((0, -1), c("0"))],
+]
+
+
 class TestCertifiedCurves:
     def test_curves_match_fresh_realizations(self):
         rng = random.Random(4477)
@@ -348,36 +381,55 @@ class TestCertifiedCurves:
                     e = tuple(-int(j == i) for j in range(dim))
                     facets.append((e, positive_poly(rng, degree)))
                 facets.append(((1,) * dim, positive_poly(rng, degree)))
-            pp = ParamPolytope.create("c", dim, facets)
             xi = tuple(rng.randint(-3, 3) for _ in range(dim))
-            vol = volume_curve(pp, INTERVAL)
-            mom = moment_curve(pp, xi, INTERVAL)
+            vol = assert_curves_match_fresh(facets, xi, rng)
             assert vol.degree() == dim * degree
-            fresh = ParamPolytope.create("c", dim, facets)
-            for _ in range(20):
-                x = F(rng.randint(2501, 7499), 10000)
-                rp = realize(fresh, x)
-                assert vol.eval(x) == volume(rp)
-                assert mom.eval(x) == linear_moment(rp, xi)
+        for facets in NON_SIMPLE:
+            dim = len(facets[0][0])
+            pp = ParamPolytope.create("c", dim, facets)
+            assert not realize(pp, F(1, 2)).is_simple()
+            xi = tuple(rng.randint(-3, 3) for _ in range(dim))
+            assert_curves_match_fresh(facets, xi, rng)
 
-    def test_each_curve_is_interpolated_once(self, monkeypatch):
-        from coupledfut import polytopes
+    def test_chambers_are_certified_once_and_never_sampled(self, monkeypatch):
+        from coupledfut import polytopes, rationals
 
-        calls = []
-        original = polytopes.interpolate
-        monkeypatch.setattr(polytopes, "interpolate",
-                            lambda *a: calls.append(a) or original(*a))
+        # the curves come from slack products on one chamber: nothing is
+        # sampled or interpolated, and no simplex is measured by a determinant
+        assert "interpolate" not in vars(polytopes)
+        assert "sample_values" not in vars(polytopes)
+
+        def refuse(*args):
+            raise AssertionError("interpolate called")
+
+        def count(name, log):
+            original = getattr(polytopes, name)
+            monkeypatch.setattr(polytopes, name,
+                                lambda *a: log.append(a) or original(*a))
+
+        monkeypatch.setattr(rationals, "interpolate", refuse)
+        dets, certified = [], []
+        count("_int_det", dets)
+        count("positive_on_interval", certified)
         pp = ParamPolytope.create(
             "c", 3, [(e, c("1")) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
             + [(e, c("c")) for e in ((-1, 0, 0), (0, -1, 0), (0, 0, -1))]
         )
         for _ in range(2):
-            volume_curve(pp, INTERVAL)
-            moment_curve(pp, (1, 0, 0), INTERVAL)
-            moment_curve(pp, (0, 1, 0), INTERVAL)
-        assert len(calls) == 3
-        # 4d+1 abscissae fix the moment curve of degree (n+1)d, d = 1
-        assert [len(points) for _, points in calls] == [5, 5, 5]
+            assert volume_curve(pp, INTERVAL) == c("(1+c)^3")
+            assert moment_curve(pp, (1, 0, 0), INTERVAL) == c("(1-c)(1+c)^3/2")
+            assert moment_curve(pp, (0, 1, 1), INTERVAL) == c("(1-c)(1+c)^3")
+        # the fan's set-up alone: one determinant per 3-subset of normals
+        assert len(dets) == math.comb(6, 3)
+        # each of the 8 vertices has 3 slacks to prove positive, once
+        assert len(certified) == 8 * 3
+        # another interval is another chamber
+        assert volume_curve(pp, (F(1, 3), F(2, 3))) == c("(1+c)^3")
+        assert len(certified) == 2 * 8 * 3
+        assert len(dets) == math.comb(6, 3)
+        # a realization is still measured by determinants, one per simplex
+        volume(realize(pp, F(2, 5)))
+        assert len(dets) == math.comb(6, 3) + math.factorial(3)
 
     def test_degree_is_bounded_before_realizing(self, monkeypatch):
         from coupledfut import polytopes

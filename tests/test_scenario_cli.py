@@ -1067,7 +1067,8 @@ class TestCliOversizedInput:
     @pytest.mark.parametrize("k", [99, 100])
     def test_chamber_curve_degree_is_bounded(self, capsys, tmp_path, command,
                                              k):
-        # the chamber would sample and interpolate at 10k+1 abscissae
+        # the chamber curves would have degree 9k, past root finding's
+        # bound
         path = self.steep_simplex(tmp_path, 9, k)
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--scenario", path)
