@@ -41,9 +41,10 @@ from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, Record, UsageError)
-from .rationals import (IntPoly, ParamPoly, Rational, RationalFunction,
-                        _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
-                        positive_on_interval, rat, rat_text, ratfun_reduce)
+from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, Rational,
+                        RationalFunction, _ipoly_add, _ipoly_lcm, _ipoly_mul,
+                        _ipoly_quo, positive_on_interval, rat, rat_text,
+                        ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
@@ -86,6 +87,7 @@ class LocalizationScenario(Record):
         (_component_residues).  Entry (alpha, p) is summed over
         L_alpha^p * L, with L_alpha and L the least common multiples in
         Z[param] of the components' B_alpha and S^(d+1), and reduced once.
+        The Euler lcm may reach degree MAX_DEGREE, checked as it grows.
         """
         powers = self.dimension + 2
         cleared: dict = {}  # shared by the components, see _dense
@@ -93,8 +95,13 @@ class LocalizationScenario(Record):
                  for comp in self.components]
         euler_den: IntPoly = (1,)
         bundle_dens: list[IntPoly] = [(1,)] * self.bundles
-        for den, rows in parts:
+        for comp, (den, rows) in zip(self.components, parts):
             euler_den = _ipoly_lcm(euler_den, den)
+            if len(euler_den) - 1 > MAX_DEGREE:
+                raise UsageError(
+                    "component %r: the lcm of the Euler denominators has "
+                    "degree %d, past the limit %d"
+                    % (comp.label, len(euler_den) - 1, MAX_DEGREE))
             bundle_dens = [_ipoly_lcm(a, row[2])
                            for a, row in zip(bundle_dens, rows)]
         table = []

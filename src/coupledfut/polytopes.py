@@ -1,20 +1,20 @@
 """Moment-polytope oracle, independent of the localization engine.
 
 A parametric polytope is cut out by integer facet normals with polynomial
-offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend
-on the parameter depends on the normals alone, so it is computed once per
-fan, shared by the polytopes with the same normals: the boundedness
-verdict, the integer inverse of every nonsingular square subsystem, and the
-star triangulations.  Realizing at a rational parameter value evaluates the
-offsets, multiplies them by each inverse and keeps the feasible solutions as
-vertices, all in exact integer arithmetic; each value is realized once and
-kept on the polytope.  The vertex-facet incidences fix the face lattice: a
-face's facets are the largest proper vertex sets it shares with the
-polytope's facets, and the realization is full-dimensional when no facet is
-tight at every vertex.  One pass over a recursive star triangulation gives
-the volume and the whole first-moment vector of a realization.  The
-triangulation in vertex indices depends only on the incidences, so it is
-reused by every realization in the fan with the same incidences.
+offsets: P(c) = { y : <normal_i, y> <= offset_i(c) }.  What does not depend on
+the parameter depends on the normals alone, so it is computed once per fan,
+shared by the polytopes with the same normals: the boundedness verdict, the
+integer inverse of every nonsingular square subsystem, the lcm of their
+determinants, and the star triangulations.  Realizing at a rational value
+multiplies the offsets by each inverse and keeps the feasible solutions, each
+with the first basis that cut it out, as integer vertices over one
+denominator; each value is realized once and kept on the polytope.  The
+vertex-facet incidences fix the face lattice: a face's facets are the largest
+proper vertex sets it shares with the polytope's facets, and the realization
+is full-dimensional when no facet is tight at every vertex.  One pass over a
+recursive star triangulation gives the volume and the whole first-moment
+vector of a realization.  The triangulation, in vertex indices, depends on the
+incidences alone and serves every realization in the fan that shares them.
 
 Curves in the parameter are computed on a certified chamber.  The polytope
 is realized once, at the midpoint of the interval, and each vertex becomes a
@@ -106,14 +106,15 @@ class Facet(Record):
 
 class Fan:
     """Facet normals, and what depends on them alone, each computed on first
-    use: the boundedness verdict, the inverses of the square subsystems, and
-    the star triangulation of each incidence pattern."""
+    use: the boundedness verdict, the square subsystems' inverses and the lcm
+    of their determinants, the stars, and the slacks proved positive."""
 
     def __init__(self, normals: tuple[tuple[int, ...], ...]):
         self.normals = normals
         self.ambient = len(normals[0])
         self.stars: dict[tuple[frozenset[int], ...],
                          tuple[tuple[int, ...], ...]] = {}
+        self.proved: dict[tuple[tuple, ParamPoly], bool] = {}
 
     @cached_property
     def inverses(self) -> dict[tuple[int, ...],
@@ -131,6 +132,11 @@ class Fan:
                 continue
             out[subset] = _adjugate(rows)
         return out
+
+    @cached_property
+    def common(self) -> int:
+        """A denominator of every vertex at integer offsets."""
+        return math.lcm(*(det for _, det in self.inverses.values()))
 
     @cached_property
     def unbounded(self) -> str | None:
@@ -204,18 +210,26 @@ class ParamPolytope(Record, hidden=("fan",)):
 class RealizedPolytope(Record, hidden=("polytope",)):
     """Vertex description of one realization, with facet incidence.
 
-    incidence lists the facets tight at each vertex; every face, its
-    dimension and the realization's own are read from it.  polytope is the
-    parametric polytope realized; the star triangulations of its fan serve
-    every realization in the fan.
+    The sorted vertices are points over denom, in lowest terms; incidence,
+    which fixes every face, lists the facets tight at each vertex, and bases
+    the first nonsingular subset of them.  polytope is the realized
+    parametric polytope; its fan's stars serve every realization in the fan.
     """
 
     ambient: int
     value: Fraction
-    vertices: tuple[Vector, ...]
+    points: tuple[tuple[int, ...], ...]
+    denom: int
     incidence: tuple[frozenset[int], ...]
+    bases: tuple[tuple[int, ...], ...]
     supported: tuple[bool, ...]
     polytope: ParamPolytope
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        """The points over denom as Fractions, derived on first read."""
+        return tuple(tuple(Fraction(x, self.denom) for x in p)
+                     for p in self.points)
 
     def is_simple(self) -> bool:
         return all(len(inc) == self.ambient for inc in self.incidence)
@@ -229,8 +243,7 @@ class RealizedPolytope(Record, hidden=("polytope",)):
     def measures(self) -> tuple[Fraction, Vector]:
         """Volume and moment vector (the integral of y) in one pass, over the
         star triangulation from the first vertex."""
-        return _measure(self.ambient, *_integer_points(self.vertices),
-                        _star(self))
+        return _measure(self, _star(self))
 
 
 def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
@@ -252,8 +265,8 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     offsets = [f.offset.eval(value) for f in pp.facets]
     scale = math.lcm(*(b.denominator for b in offsets))
     rhs = [b.numerator * (scale // b.denominator) for b in offsets]
-    normals = fan.normals
-    found: dict[Vector, frozenset[int]] = {}
+    normals, common = fan.normals, fan.common
+    found = {}  # vertex over common * scale: (tight facets, first basis)
     for subset, (adjugate, det) in fan.inverses.items():
         sub = [rhs[i] for i in subset]
         # the candidate vertex is y / (det * scale)
@@ -267,14 +280,13 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
             if lhs == bound:
                 tight.append(i)
         else:
-            denom = det * scale
-            found.setdefault(tuple(Fraction(c, denom) for c in y),
-                             frozenset(tight))
+            found.setdefault(tuple(common // det * x for x in y),
+                             (frozenset(tight), subset))
     if not found:
         raise GeometryError("empty realization at %s = %s"
                             % (pp.param, rat_text(value)))
-    vertices = sorted(found)
-    incidence = tuple(found[v] for v in vertices)
+    points = sorted(found)  # a positive denominator keeps the order
+    incidence, bases = zip(*map(found.get, points))
     cuts = _vertex_sets(incidence, len(normals))
     largest = set(_maximal(cuts))
     # the normals tight at every vertex cut out the affine hull: one line of
@@ -283,7 +295,10 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
     codim_one = all(a * y == b * x for g in flat[1:] for (a, b), (x, y)
                     in itertools.combinations(zip(flat[0], g), 2))
     supported = tuple(cut in largest and codim_one for cut in cuts)
-    rp = RealizedPolytope(n, value, tuple(vertices), incidence, supported, pp)
+    k = math.gcd(common * scale, *itertools.chain.from_iterable(points))
+    points = tuple(tuple(x // k for x in p) for p in points)
+    rp = RealizedPolytope(n, value, points, common * scale // k, incidence,
+                          bases, supported, pp)
     pp._realizations[value] = rp
     return rp
 
@@ -339,7 +354,7 @@ def triangulate(rp: RealizedPolytope, apex: int = 0) -> list[tuple[int, ...]]:
         return [(anchor,) + s for sub in subs if anchor not in sub
                 for s in cone(sub, min(sub))]
 
-    return cone(frozenset(range(len(rp.vertices))), apex)
+    return cone(frozenset(range(len(rp.points))), apex)
 
 
 def _star(rp: RealizedPolytope) -> tuple[tuple[int, ...], ...]:
@@ -353,19 +368,11 @@ def _star(rp: RealizedPolytope) -> tuple[tuple[int, ...], ...]:
     return star
 
 
-def _integer_points(points: Sequence[Vector]) -> tuple[list[list[int]], int]:
-    """Integer numerators of the points over their common denominator."""
-    denom = math.lcm(*(x.denominator for p in points for x in p))
-    return [[x.numerator * (denom // x.denominator) for x in p]
-            for p in points], denom
-
-
-def _measure(n: int, points: list[list[int]], denom: int,
-             simplices: Sequence[tuple[int, ...]]) -> tuple[Fraction, Vector]:
+def _measure(rp: RealizedPolytope, simplices: Sequence[tuple[int, ...]]
+             ) -> tuple[Fraction, Vector]:
     """Volume and moment vector of n-simplices with disjoint interiors, coned
-    from one apex: each is n+1 indices into points, the apex first.  Points
-    are the integer numerators of the coordinates over the common
-    denominator denom."""
+    from one apex: each is n+1 indices into rp.points, the apex first."""
+    n, points, denom = rp.ambient, rp.points, rp.denom
     if not simplices:
         return Fraction(0), (Fraction(0),) * n
     apex = points[simplices[0][0]]
@@ -391,8 +398,7 @@ def _measures(rp: RealizedPolytope,
         return rp.measures
     if apex not in rp.vertices:
         raise UsageError("the apex must be a vertex of the realization")
-    return _measure(rp.ambient, *_integer_points(rp.vertices),
-                    triangulate(rp, rp.vertices.index(apex)))
+    return _measure(rp, triangulate(rp, rp.vertices.index(apex)))
 
 
 def volume(rp: RealizedPolytope, apex: Vector | None = None) -> Fraction:
@@ -418,8 +424,8 @@ def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
              ) -> tuple[ParamPoly, ...]:
     """The moment vector, then the volume curve, on the certified chamber.
 
-    Each midpoint vertex is adjugate . offsets(c) / determinant over a basis
-    of its tight facets, of degree at most d, the largest offset degree.
+    Each midpoint vertex is adjugate . offsets(c) / determinant over its
+    realized basis, of degree at most d, the largest offset degree.
     The type holds on the interval exactly when every slack offset_i(c) -
     <normal_i, vertex(c)> is identically zero for the facets tight at the
     midpoint and positive for the others: every edge at such a vertex then
@@ -447,13 +453,9 @@ def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
     offsets = [list(_ipoly_mul(((f.offset.content * q).numerator,),
                                f.offset.ints))
                + [0] * (degree - f.offset.degree()) for f in pp.facets]
-    inverses = pp.fan.inverses
-    # one denominator for the vertices and the simplices' determinants
-    common = math.lcm(*(det for _, det in inverses.values()))
-    vertices, slacks = [], []
-    for tight in rp.incidence:
-        subset = next(s for s in itertools.combinations(sorted(tight), n)
-                      if s in inverses)
+    inverses, common = pp.fan.inverses, pp.fan.common
+    vertices, slacks, proved = [], [], pp.fan.proved
+    for tight, subset in zip(rp.incidence, rp.bases):
         adjugate, det = inverses[subset]
         # the vertex is sum_k vertex[r][k] c^k / (common * q) in coordinate
         # r, and the slack of facet i is slack[i] over the same
@@ -464,9 +466,10 @@ def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
                   for k, b in enumerate(offsets[i])]
                  for i, f in enumerate(pp.facets)]
         for i, s in enumerate(slack):
-            if (any(s) if i in tight
-                    else not positive_on_interval(
-                        ParamPoly.from_ints(pp.param, s), interval)):
+            poly = ParamPoly.from_ints(pp.param, s)
+            if i not in tight and (key, poly) not in proved:
+                proved[key, poly] = positive_on_interval(poly, interval)
+            if any(s) if i in tight else not proved[key, poly]:
                 raise GeometryError(
                     "facet %d meets the vertices of the realization at %s = "
                     "%s differently elsewhere on the interval; the "

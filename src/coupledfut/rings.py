@@ -19,7 +19,6 @@ table of the localization module integrates on it.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Mapping
 from functools import cached_property
 
@@ -104,9 +103,6 @@ class MonomialTable(Record):
     __hash__ = object.__hash__
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 def ring_create(param: str,
                 generators: list[Generator] | tuple[Generator, ...],
                 top: Mapping[str, int],
@@ -117,7 +113,7 @@ def ring_create(param: str,
     if len(set(names)) != len(names):
         raise ValidationError("duplicate generator names: %r" % (names,))
     for g in gens:
-        if not _NAME_RE.match(g.name):
+        if not (g.name.isascii() and g.name.isidentifier()):
             raise ValidationError("invalid generator name %r" % g.name)
         if g.name == param:
             raise ValidationError(

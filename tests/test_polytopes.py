@@ -17,6 +17,7 @@ from coupledfut import (
     ToricModel,
     UsageError,
     ValidationError,
+    catalog_names,
     fut_localized,
     fut_toric,
     fut_toric_at,
@@ -421,11 +422,11 @@ class TestCertifiedCurves:
             assert moment_curve(pp, (0, 1, 1), INTERVAL) == c("(1-c)(1+c)^3")
         # the fan's set-up alone: one determinant per 3-subset of normals
         assert len(dets) == math.comb(6, 3)
-        # each of the 8 vertices has 3 slacks to prove positive, once
-        assert len(certified) == 8 * 3
+        # each of the 8 vertices has 3 slacks, all 1+c: proved positive once
+        assert certified == [(c("1+c"), INTERVAL)]
         # another interval is another chamber
         assert volume_curve(pp, (F(1, 3), F(2, 3))) == c("(1+c)^3")
-        assert len(certified) == 2 * 8 * 3
+        assert len(certified) == 2
         assert len(dets) == math.comb(6, 3)
         # a realization is still measured by determinants, one per simplex
         volume(realize(pp, F(2, 5)))
@@ -454,6 +455,55 @@ class TestCertifiedCurves:
         assert volume(rp) == F(3, 2)
         assert linear_moment(rp, (1, 0)) == F(3, 8)
         assert volume_curve(square, INTERVAL) == c("1+c")
+
+
+def _reference_vertices(pp, x):
+    """The vertices at x, each with its tight facets, by Fraction
+    elimination on every n-subset of facets."""
+    n = pp.ambient
+    offsets = [f.offset.eval(x) for f in pp.facets]
+    found = {}
+    for subset in itertools.combinations(range(len(pp.facets)), n):
+        m, pivots = _fraction_rref([list(pp.facets[i].normal) + [offsets[i]]
+                                    for i in subset], n)
+        if len(pivots) < n:
+            continue
+        y = tuple(row[n] for row in m)
+        slack = [b - sum(a * v for a, v in zip(f.normal, y))
+                 for f, b in zip(pp.facets, offsets)]
+        if min(slack) >= 0:
+            found[y] = frozenset(i for i, s in enumerate(slack) if s == 0)
+    return found
+
+
+class TestIntegerRealizations:
+    @pytest.mark.parametrize("x", [F(1, 2), F(1, 5)])
+    def test_points_and_bases_match_a_fraction_reference(self, x):
+        polytopes = [box(n) for n in range(1, 5)] + [simplex(n)
+                                                     for n in range(1, 5)]
+        for name in catalog_names():
+            model = load(name).toric
+            polytopes += model.polytopes + (model.anticanonical,)
+        polytopes += [ParamPolytope.create("c", len(facets[0][0]), facets)
+                      for facets in NON_SIMPLE]
+        for pp in polytopes:
+            rp, ref, fan = realize(pp, x), _reference_vertices(pp, x), pp.fan
+            # integer numerators over one positive denominator, in lowest
+            # terms, so equal realizations have equal fields
+            assert rp.denom > 0
+            assert math.gcd(rp.denom,
+                            *itertools.chain.from_iterable(rp.points)) == 1
+            assert rp.vertices == tuple(sorted(ref)) == tuple(
+                tuple(F(v, rp.denom) for v in p) for p in rp.points)
+            assert rp.incidence == tuple(ref[v] for v in rp.vertices)
+            # each vertex keeps the first nonsingular subset of its facets
+            assert rp.bases == tuple(
+                next(s for s in itertools.combinations(sorted(tight),
+                                                       pp.ambient)
+                     if laplace_det([list(fan.normals[i]) for i in s]))
+                for tight in rp.incidence)
+            assert fan.common == math.lcm(*(det for _, det
+                                            in fan.inverses.values()))
 
 
 class TestToricInvariant:

@@ -70,8 +70,8 @@ def test_source_polytope_is_left_out_of_equality():
         return ParamPolytope.create("c", 1, [((1,), ParamPoly.const("c", hi)),
                                              ((-1,), ParamPoly.const("c", 0))])
 
-    a = RealizedPolytope(1, 0, (), (), (), segment(1))
-    b = RealizedPolytope(1, 0, (), (), (), segment(2))
+    a = RealizedPolytope(1, 0, (), 1, (), (), (), segment(1))
+    b = RealizedPolytope(1, 0, (), 1, (), (), (), segment(2))
     assert a == b
     assert hash(a) == hash(b)
     assert "polytope" not in repr(b)

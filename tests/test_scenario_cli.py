@@ -300,6 +300,34 @@ class TestScenarioFiles:
         assert (code, out) == (2, "")
         assert err == "error: scenario.%s: expected a string\n" % field
 
+    @pytest.mark.parametrize("name,code", [
+        ("1a", 3), ("", 3), ("a-b", 3), ("\u00e9", 3), ("a\n", 3),
+        ("_", 0), ("a1", 0), ("if", 0)])
+    def test_generator_names_are_ascii_identifiers(self, capsys, tmp_path,
+                                                   name, code):
+        # hultgren-c with its generator a renamed in the ring and in every
+        # class; an accepted name leaves the output as it was
+        data = scenario_to_dict(load("hultgren-c"))
+        ring = data["rings"]["a-b-ring"]
+        assert ring["generators"][0]["name"] == "a"
+        ring["generators"][0]["name"] = name
+        ring["top"] = {name: ring["top"].pop("a"), **ring["top"]}
+        for comp in data["components"]:
+            for terms in ([comp["euler"]["classes"]]
+                          + [b["chern"] for b in comp["bundles"]]):
+                assert set(terms) <= {"a", "b"}
+                if "a" in terms:
+                    terms[name] = terms.pop("a")
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(data))
+        got, out, err = run(capsys, "localize", "--scenario", str(path))
+        if code:
+            assert (got, out) == (code, "")
+            assert err == "error: invalid generator name %r\n" % name
+        else:
+            assert (got, err) == (0, "")
+            assert out == run(capsys, "localize", "--catalog", "hultgren-c")[1]
+
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A component's bundle count that differs from the scenario's parses
         # fine; validate_scenario rejects it.  The toric block goes, since
@@ -1086,6 +1114,29 @@ class TestCliOversizedInput:
         assert ("polytope 0 volume: 1/24c^100+1/6c^75+1/4c^50+1/6c^25+1/24 "
                 in out)
         assert "invariant: 4/5(c+1)(c^24-c^23+" in out
+
+    @pytest.mark.parametrize("points", [400, 800])
+    def test_euler_denominator_degree_is_bounded(self, capsys, tmp_path,
+                                                 points):
+        # isolated points with Euler scalars c+1, -c+1, c+2, -c+2, ...: each
+        # brings a new linear factor, so the lcm of the Euler denominators
+        # passes degree 100 at the 101st point
+        data = scenario_to_dict(load("cp1"))
+        del data["toric"]
+        data["components"] = [
+            {"label": "p%d" % i, "ring": "ring0", "codimension": 1,
+             "euler": {"scalar": "%sc+%d" % ("-" * (i % 2), i // 2 + 1),
+                       "classes": {}},
+             "bundles": [{"hamiltonian": str(i % 3), "chern": {}}]}
+            for i in range(points)]
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "localize", "--scenario", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == ("error: component 'p100': the lcm of the Euler "
+                       "denominators has degree 101, past the limit 100\n")
 
     @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
     def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
