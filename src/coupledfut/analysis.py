@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import Record, UsageError
 from .localization import (LocalizationScenario, ValidationReport,
-                           fut_localized, validate_scenario, volume_localized)
+                           fut_localized, volume_localized)
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
 from .rationals import (IntPoly, ParamPoly, RationalFunction, UnitKernel,
@@ -294,7 +294,7 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
                          % (len(model.polytopes), scn.bundles))
     xs = _sample_points(scn.interval, samples)
     messages: list[str] = []
-    validation = validate_scenario(scn)
+    validation = scn.validation
     if not validation.ok:
         messages.append("scenario validation failed")
     fact = math.factorial(scn.dimension)

@@ -3,8 +3,9 @@
 Subcommands: localize (fixed-point computation), toric (polytope oracle),
 roots (vanishing locus), verify (cross-validation), sample (exact values on
 a grid).  Scenarios come from the built-in catalog (--catalog) or a JSON
-file (--scenario).  Exit codes: 0 success, 2 parse errors, 3 validation
-failures, 4 computation errors, 5 cross-validation mismatch.
+file (--scenario); each subcommand refuses one whose fixed-point data do not
+validate before any other work.  Exit codes: 0 success, 2 parse errors, 3
+validation failures, 4 computation errors, 5 cross-validation mismatch.
 
 One option table, OPTIONS, drives parsing, usage and -h/--help, by
 argparse's rules (--opt=value, unique prefixes, the last repeat wins, its
@@ -26,8 +27,7 @@ from .analysis import (DEFAULT_WIDTH, _sample_points, cross_validate,
                        fut_roots, sample_curve)
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
-from .localization import (LocalizationScenario, ValidationReport,
-                           fut_localized, validate_scenario, volume_localized)
+from .localization import fut_localized, volume_localized
 from .polytopes import fut_toric, minkowski_check, volume_curve
 from .rationals import MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval
 from .report import (DEFAULT_SAMPLES, FORMATS, emit_obstruction, emit_roots,
@@ -65,16 +65,13 @@ def _format_arg(text: str) -> str:
 
 
 def _load(args: SimpleNamespace) -> Scenario:
-    if args.catalog is not None:
-        return catalog.load(args.catalog)
-    return load_scenario(args.scenario)
-
-
-def _validated(loc: LocalizationScenario) -> ValidationReport:
-    report = validate_scenario(loc)
-    if not report.ok:
-        raise ValidationError("; ".join(report.messages))
-    return report
+    """The scenario, refused unless its fixed-point data validate."""
+    scn = (catalog.load(args.catalog) if args.catalog is not None
+           else load_scenario(args.scenario))
+    validation = scn.localization.validation
+    if not validation.ok:
+        raise ValidationError("; ".join(validation.messages))
+    return scn
 
 
 def _parse_samples(text: str, interval) -> list[Fraction]:
@@ -104,7 +101,6 @@ def _value_at(args: SimpleNamespace, fut: RationalFunction,
 
 def _cmd_localize(args: SimpleNamespace) -> int:
     loc = _load(args).localization
-    _validated(loc)
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
     fut = fut_localized(loc)
     sys.stdout.write(emit_obstruction(
@@ -115,7 +111,6 @@ def _cmd_localize(args: SimpleNamespace) -> int:
 def _cmd_toric(args: SimpleNamespace) -> int:
     scn = _load(args)
     loc = scn.localization
-    _validated(loc)
     if scn.toric is None:
         raise ValidationError("scenario carries no toric model")
     model = scn.toric
@@ -135,7 +130,6 @@ def _cmd_toric(args: SimpleNamespace) -> int:
 
 def _cmd_roots(args: SimpleNamespace) -> int:
     loc = _load(args).localization
-    _validated(loc)
     if args.root_width <= 0:
         raise UsageError("--root-width must be positive")
     report = fut_roots(fut_localized(loc), loc.interval, args.root_width)
@@ -144,17 +138,17 @@ def _cmd_roots(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
+    if args.format == "csv":
+        raise UsageError("csv output is not defined for verify")
     scn = _load(args)
     loc = scn.localization
     xs = _parse_samples(args.samples, loc.interval)
     if scn.toric is None:
-        sys.stdout.write(emit_validation(loc.name, _validated(loc),
+        sys.stdout.write(emit_validation(loc.name, loc.validation,
                                          args.format))
         return 0
     record = cross_validate(loc, scn.toric, xs)
     sys.stdout.write(emit_verify(loc.name, record, args.format))
-    if not record.validation.ok:
-        raise ValidationError("scenario validation failed")
     if not record.ok:
         raise CrossValidationError(
             "localization and the polytope oracle disagree")
@@ -163,7 +157,6 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
 def _cmd_sample(args: SimpleNamespace) -> int:
     loc = _load(args).localization
-    _validated(loc)
     xs = _parse_samples(args.samples, loc.interval)
     fut = fut_localized(loc)
     rows = sample_curve(fut, loc.interval, xs)

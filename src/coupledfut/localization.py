@@ -12,10 +12,10 @@ invariant is the weighted average of the ratios
 one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
 
-A scenario computes its residue table once, on first use: the power sums
-p = 0..m+1 of every bundle.  The table is built fraction-free.  On a
-component of ring dimension d with Euler class s + N (N nilpotent) and
-bundle restriction u + c1, the two finite expansions
+A scenario computes its residue table and its validation report once, on
+first use; the table holds the power sums p = 0..m+1 of every bundle.  It
+is built fraction-free.  On a component of ring dimension d with Euler class
+s + N (N nilpotent) and bundle restriction u + c1, the two finite expansions
 
     1/(s + N) = sum_{k<=d} (-N)^k / s^(k+1),
     (u + c1)^p = sum_{j<=min(p,d)} C(p,j) u^(p-j) c1^j
@@ -78,6 +78,11 @@ class LocalizationScenario(Record):
     bundles: int
     interval: tuple[Fraction, Fraction]
     components: tuple[FixedComponent, ...]
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """validate_scenario's report, computed on first use."""
+        return validate_scenario(self)
 
     @cached_property
     def residue_table(self) -> tuple[tuple[RationalFunction, ...], ...]:

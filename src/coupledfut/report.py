@@ -4,7 +4,8 @@ the volumes times n!, the default csv rows) is computed here.
 
 text is for humans; structured is canonical JSON (sorted keys, stable byte
 for byte across runs); csv uses the header c,fut with exact fraction strings
-in quotes.  All numbers are emitted exactly; nothing is rounded except the
+in quotes; verify has no csv form, and the command line refuses it before
+any work.  All numbers are emitted exactly; nothing is rounded except the
 explicitly labelled decimal renderings of isolated roots.
 """
 
@@ -15,7 +16,6 @@ import math
 from fractions import Fraction
 
 from .analysis import CrossValidationRecord, RootReport, sample_curve
-from .errors import UsageError
 from .localization import LocalizationScenario, ValidationReport
 from .rationals import RationalFunction, rat_text, render_factored
 
@@ -240,8 +240,6 @@ _NO_TORIC = "no toric model; nothing to cross-validate"
 def emit_validation(scenario: str, validation: ValidationReport,
                     fmt: str) -> str:
     """verify on a scenario without a toric model: the validation alone."""
-    if fmt == "csv":
-        raise UsageError("csv output is not defined for verify")
     if fmt == "structured":
         return _json_text({"scenario": scenario, "ok": validation.ok,
                            "validation": _validation_json(validation),
@@ -251,8 +249,6 @@ def emit_validation(scenario: str, validation: ValidationReport,
 
 
 def emit_verify(scenario: str, record: CrossValidationRecord, fmt: str) -> str:
-    if fmt == "csv":
-        raise UsageError("csv output is not defined for verify")
     if fmt == "structured":
         payload = {
             "scenario": scenario,

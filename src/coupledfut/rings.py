@@ -261,14 +261,12 @@ def parse_monomial(ring: Ring, key: str) -> Exponents:
     """Parse a monomial key like 'a', 'b^2', 'a*b^2' into an exponent tuple."""
     exps = [0] * len(ring.generators)
     key = key.strip()
-    if key in ("1", ""):
-        raise ParseError("constant monomial %r is not a nilpotent term" % key)
-    for piece in key.split("*"):
+    for piece in key.split("*") if key not in ("1", "") else ():
         piece = piece.strip()
         if "^" in piece:
             name, _, power = piece.partition("^")
             name, power = name.strip(), power.strip()
-            if not power.isdigit():
+            if not (power.isascii() and power.isdigit()):
                 raise ParseError("bad exponent in monomial %r" % key)
             e = int(power)
         else:
@@ -278,6 +276,8 @@ def parse_monomial(ring: Ring, key: str) -> Exponents:
         except UsageError:
             raise ParseError("unknown generator %r in monomial %r" % (name, key))
         exps[idx] += e
+    if not any(exps):  # also 'a^0'
+        raise ParseError("constant monomial %r is not a nilpotent term" % key)
     return tuple(exps)
 
 

@@ -6,7 +6,8 @@ optional toric block with the bundle polytopes, a preferred direction, and
 the ambient polytope.  Parsing is strict: unknown ring names, malformed
 expressions, structural mismatches, and a toric block whose dimension or
 polytope count is not the scenario's raise ParseError with the offending
-location; semantic problems are left to validate_scenario.  Each distinct
+location, and the ring and polytope constructors' ValidationErrors carry
+it too; semantic problems are left to validate_scenario.  Each distinct
 expression text is parsed once per load, and equal texts share one value.
 """
 
@@ -16,7 +17,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ParseError, Record
+from .errors import ParseError, Record, ValidationError
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
@@ -79,6 +80,18 @@ def _need_int(raw: dict, key: str, where: str) -> int:
     return val
 
 
+def _object(val, where: str) -> dict:
+    if not isinstance(val, dict):
+        raise ParseError("%s: expected an object" % where)
+    return val
+
+
+def _list(val, where: str) -> list:
+    if not isinstance(val, list):
+        raise ParseError("%s: expected a list" % where)
+    return val
+
+
 def _parse_fraction(text, where: str) -> Fraction:
     if not _is_int(text) and not isinstance(text, str):
         raise ParseError("%s: expected an exact rational string" % where)
@@ -125,16 +138,12 @@ def _parse_class(raw, ring: Ring, where: str, memo: dict) -> NilpotentClass:
 
 def _parse_ring(name: str, raw, param: str) -> Ring:
     where = "rings.%s" % name
-    if not isinstance(raw, dict):
-        raise ParseError("%s: expected an object" % where)
-    gens_raw = _need(raw, "generators", where)
-    if not isinstance(gens_raw, list):
-        raise ParseError("%s.generators: expected a list" % where)
+    raw = _object(raw, where)
     gens = []
-    for i, g in enumerate(gens_raw):
+    for i, g in enumerate(_list(_need(raw, "generators", where),
+                                where + ".generators")):
         gw = "%s.generators[%d]" % (where, i)
-        if not isinstance(g, dict):
-            raise ParseError("%s: expected an object" % gw)
+        g = _object(g, gw)
         gens.append(Generator(_need_str(g, "name", gw),
                               _need_int(g, "order", gw),
                               _need_int(g, "degree", gw)))
@@ -142,7 +151,11 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
     if not isinstance(top, dict) or not all(
             _is_int(v) for v in top.values()):
         raise ParseError("%s.top: expected generator-to-exponent map" % where)
-    ring = ring_create(param, gens, top, _need_int(raw, "dimension", where))
+    dimension = _need_int(raw, "dimension", where)
+    try:
+        ring = ring_create(param, gens, top, dimension)
+    except ValidationError as exc:
+        raise ValidationError("%s: %s" % (where, exc)) from None
     for what, size, limit in (
             ("dimension", ring.dimension, MAX_DIMENSION),
             ("monomial table size", math.prod(e + 1 for e in ring.top),
@@ -155,11 +168,8 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
 
 def _parse_polytope(raw, param: str, ambient: int, where: str,
                     memo: dict) -> ParamPolytope:
-    if not isinstance(raw, dict):
-        raise ParseError("%s: expected an object" % where)
-    facets_raw = _need(raw, "facets", where)
-    if not isinstance(facets_raw, list):
-        raise ParseError("%s.facets: expected a list" % where)
+    facets_raw = _list(_need(_object(raw, where), "facets", where),
+                       where + ".facets")
     subsets = math.comb(len(facets_raw), max(ambient, 0))
     if subsets > MAX_FACET_SUBSETS:
         raise ParseError("%s: facet subset count C(%d, %d) = %d exceeds the "
@@ -168,8 +178,7 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
     facets = []
     for i, f in enumerate(facets_raw):
         fw = "%s.facets[%d]" % (where, i)
-        if not isinstance(f, dict):
-            raise ParseError("%s: expected an object" % fw)
+        f = _object(f, fw)
         normal = _need(f, "normal", fw)
         if (not isinstance(normal, list)
                 or not all(_is_int(x) for x in normal)):
@@ -177,7 +186,10 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
         offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset",
                              memo).num
         facets.append((tuple(normal), offset))
-    return ParamPolytope.create(param, ambient, facets, memo)
+    try:
+        return ParamPolytope.create(param, ambient, facets, memo)
+    except ValidationError as exc:
+        raise ValidationError("%s: %s" % (where, exc)) from None
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -190,9 +202,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ParseError("scenario: dimension %d exceeds the limit %d"
                          % (dimension, MAX_DIMENSION))
     bundles = _need_int(raw, "bundles", "scenario")
-    par = _need(raw, "parameter", "scenario")
-    if not isinstance(par, dict):
-        raise ParseError("parameter: expected an object")
+    par = _object(_need(raw, "parameter", "scenario"), "parameter")
     param = _need_str(par, "name", "parameter")
     iv = _need(par, "interval", "parameter")
     if not isinstance(iv, list) or len(iv) != 2:
@@ -200,15 +210,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     interval = (_parse_fraction(iv[0], "parameter.interval[0]"),
                 _parse_fraction(iv[1], "parameter.interval[1]"))
 
-    rings_raw = raw.get("rings", {})
-    if not isinstance(rings_raw, dict):
-        raise ParseError("rings: expected an object")
     rings = {rname: _parse_ring(rname, rraw, param)
-             for rname, rraw in rings_raw.items()}
+             for rname, rraw in _object(raw.get("rings", {}), "rings").items()}
 
-    comps_raw = _need(raw, "components", "scenario")
-    if not isinstance(comps_raw, list):
-        raise ParseError("components: expected a list")
+    comps_raw = _list(_need(raw, "components", "scenario"), "components")
     # the values built so far in this load: each expression by its text, each
     # class by its ring and terms, each polytope fan by its normals; equal
     # keys share one object, and an error is never stored, so each bad
@@ -217,30 +222,23 @@ def scenario_from_dict(raw: dict) -> Scenario:
     components = []
     for i, c in enumerate(comps_raw):
         cw = "components[%d]" % i
-        if not isinstance(c, dict):
-            raise ParseError("%s: expected an object" % cw)
+        c = _object(c, cw)
         label = _need_str(c, "label", cw)
         ring_name = _need_str(c, "ring", cw)
         if ring_name not in rings:
             raise ParseError("%s.ring: unknown ring %r" % (cw, ring_name))
         ring = rings[ring_name]
         codim = _need_int(c, "codimension", cw)
-        euler_raw = _need(c, "euler", cw)
-        if not isinstance(euler_raw, dict):
-            raise ParseError("%s.euler: expected an object" % cw)
+        euler_raw = _object(_need(c, "euler", cw), cw + ".euler")
         euler_scalar = _parse_expr(_need(euler_raw, "scalar", cw + ".euler"),
                                    param, cw + ".euler.scalar", memo)
         euler_nil = _parse_class(euler_raw.get("classes", {}), ring,
                                  cw + ".euler.classes", memo)
         euler = EquivariantClass(euler_scalar, euler_nil)
-        bnd_raw = _need(c, "bundles", cw)
-        if not isinstance(bnd_raw, list):
-            raise ParseError("%s.bundles: expected a list" % cw)
         restrictions = []
-        for j, b in enumerate(bnd_raw):
+        for j, b in enumerate(_list(_need(c, "bundles", cw), cw + ".bundles")):
             bw = "%s.bundles[%d]" % (cw, j)
-            if not isinstance(b, dict):
-                raise ParseError("%s: expected an object" % bw)
+            b = _object(b, bw)
             ham = _parse_expr(_need(b, "hamiltonian", bw), param,
                               bw + ".hamiltonian", memo)
             chern = _parse_class(b.get("chern", {}), ring, bw + ".chern",
@@ -254,9 +252,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     toric = None
     if raw.get("toric") is not None:
-        t = raw["toric"]
-        if not isinstance(t, dict):
-            raise ParseError("toric: expected an object")
+        t = _object(raw["toric"], "toric")
         ambient = _need_int(t, "ambient", "toric")
         if ambient != dimension:
             raise ParseError("toric.ambient: %d differs from the scenario "
@@ -266,9 +262,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 or not all(_is_int(x) for x in direction)
                 or len(direction) != ambient):
             raise ParseError("toric.direction: expected %d integers" % ambient)
-        polys_raw = _need(t, "polytopes", "toric")
-        if not isinstance(polys_raw, list):
-            raise ParseError("toric.polytopes: expected a list")
+        polys_raw = _list(_need(t, "polytopes", "toric"), "toric.polytopes")
         if len(polys_raw) != bundles:
             raise ParseError("toric.polytopes: %d polytopes for %d bundles"
                              % (len(polys_raw), bundles))

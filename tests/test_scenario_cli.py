@@ -323,7 +323,8 @@ class TestScenarioFiles:
         got, out, err = run(capsys, "localize", "--scenario", str(path))
         if code:
             assert (got, out) == (code, "")
-            assert err == "error: invalid generator name %r\n" % name
+            assert err == ("error: rings.a-b-ring: invalid generator name "
+                           "%r\n" % name)
         else:
             assert (got, err) == (0, "")
             assert out == run(capsys, "localize", "--catalog", "hultgren-c")[1]
@@ -339,6 +340,48 @@ class TestScenarioFiles:
         report = validate_scenario(scn.localization)
         assert not report.ok
         assert any("restricts 2 bundles; scenario has 1" in m for m in report.messages)
+
+    @pytest.mark.parametrize("site,value,message", [
+        ("degree", 3, "rings.r: generator 'a' has degree 3; need an even "
+                      "degree of at least 2"),
+        ("normal", [1], "toric.polytopes[0]: normal (1,) has wrong length"),
+        ("normal", [0] * 4, "toric.polytopes[0]: zero facet normal"),
+        ("facets", 4, "toric.polytopes[0]: 4 facets cannot bound a "
+                      "4-dimensional polytope")],
+        ids=["odd-degree", "normal-length", "zero-normal", "few-facets"])
+    def test_constructor_errors_carry_the_json_path(self, capsys, tmp_path,
+                                                    site, value, message):
+        # hultgren-c-true with its ring renamed r; the ring and polytope
+        # constructors' own messages follow the location
+        data = scenario_to_dict(load("hultgren-c-true"))
+        data["rings"] = {"r": data["rings"].pop("a-b-ring")}
+        for comp in data["components"]:
+            comp["ring"] = "r"
+        facets = data["toric"]["polytopes"][0]["facets"]
+        if site == "degree":
+            data["rings"]["r"]["generators"][0]["degree"] = value
+        elif site == "normal":
+            facets[0]["normal"] = value
+        else:
+            del facets[value:]
+        path = tmp_path / "constructor.json"
+        path.write_text(json.dumps(data))
+        for command in ("localize", "verify"):
+            assert run(capsys, command, "--scenario", str(path)) == (
+                3, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("key,message", [
+        ("a^0", "constant monomial 'a^0' is not a nilpotent term"),
+        ("a^0*b^0", "constant monomial 'a^0*b^0' is not a nilpotent term"),
+        ("a^\u00b2", "bad exponent in monomial 'a^\u00b2'")])
+    def test_constant_or_non_ascii_monomial_is_located(self, capsys, tmp_path,
+                                                       key, message):
+        data = scenario_to_dict(load("hultgren-c-true"))
+        data["components"][0]["bundles"][0]["chern"][key] = "1"
+        path = tmp_path / "monomial.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "localize", "--scenario", str(path)) == (
+            2, "", "error: components[0].bundles[0].chern: %s\n" % message)
 
     @pytest.mark.parametrize("command", ["localize", "toric", "verify"])
     @pytest.mark.parametrize("case,message", [
@@ -636,6 +679,45 @@ class TestCliVerify:
         )
         assert code == 3
         assert "csv output is not defined for verify" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("case", ["euler", "interval", "bundles"])
+    def test_invalid_scenario_is_refused_before_any_output(
+            self, capsys, tmp_path, case, fmt):
+        # residues that are not polynomial, an empty interval, no bundles:
+        # verify refuses each as localize does, before the cross-check
+        data = scenario_to_dict(load("hultgren-c-true"))
+        if case == "euler":
+            data["components"][0]["euler"]["scalar"] = "c+1"
+        elif case == "interval":
+            data["parameter"]["interval"] = ["3/4", "1/4"]
+        else:
+            data["bundles"] = 0
+            data["toric"]["polytopes"] = []
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(data))
+        argv = ("--scenario", str(path), "--format", fmt)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == run(capsys, "localize", *argv)[2]
+
+    def test_csv_is_refused_before_any_work(self, capsys, monkeypatch):
+        from coupledfut import analysis, localization, polytopes
+        calls = []
+        for module, name in ((polytopes, "realize"), (analysis, "realize"),
+                             (localization, "validate_scenario")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        code, out, err = run(capsys, "verify", "--catalog", "hultgren-c-true",
+                             "--format", "csv")
+        assert (code, out, calls) == (3, "", [])
+        assert err == "error: csv output is not defined for verify\n"
+        # the cross-check reads the validation the gate computed
+        assert run(capsys, "verify", "--catalog", "hultgren-c-true")[0] == 0
+        assert calls.count("validate_scenario") == 1
+        assert calls.count("realize") > 0
 
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(
