@@ -37,6 +37,7 @@ from .rationals import (count_roots_open, poly_gcd,  # noqa: F401
                         positive_on_interval, sturm_chain)
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
+DEFAULT_SAMPLES = 5
 DECIMAL_DIGITS = 18
 # square factors f^2 of a quadratic's discriminant are divided out for f up
 # to this bound, so every discriminant below 10^12 is reduced completely
@@ -278,7 +279,7 @@ class CrossValidationRecord(Record):
 
 
 def cross_validate(scn: LocalizationScenario, model: ToricModel,
-                   samples: int | list[Fraction] = 5) -> CrossValidationRecord:
+                   samples: int | list[Fraction] = DEFAULT_SAMPLES) -> CrossValidationRecord:
     """Compare the two computations of volumes and of the invariant.
 
     Equivariant volumes carry a factor of m! against Euclidean polytope

@@ -3,9 +3,10 @@
 Subcommands: localize (fixed-point computation), toric (polytope oracle),
 roots (vanishing locus), verify (cross-validation), sample (exact values on
 a grid).  Scenarios come from the built-in catalog (--catalog) or a JSON
-file (--scenario); each subcommand refuses one whose fixed-point data do not
-validate before any other work.  Exit codes: 0 success, 2 parse errors, 3
-validation failures, 4 computation errors, 5 cross-validation mismatch.
+file (--scenario).  A call is refused in one order, the command line, the
+scenario file, the option values against it, then its validation, so a
+refused call does no engine work (exit codes as in errors, 1 for output
+that cannot be written).
 
 One option table, OPTIONS, drives parsing, usage and -h/--help, by
 argparse's rules (--opt=value, unique prefixes, the last repeat wins, its
@@ -23,15 +24,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog
-from .analysis import (DEFAULT_WIDTH, _sample_points, cross_validate,
-                       fut_roots, sample_curve)
+from .analysis import (DEFAULT_SAMPLES, DEFAULT_WIDTH, _sample_points,
+                       cross_validate, fut_roots, sample_curve)
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
 from .localization import fut_localized, volume_localized
 from .polytopes import fut_toric, minkowski_check, volume_curve
 from .rationals import MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval
-from .report import (DEFAULT_SAMPLES, FORMATS, emit_obstruction, emit_roots,
-                     emit_samples, emit_toric, emit_validation, emit_verify)
+from .report import (FORMATS, emit_obstruction, emit_roots, emit_samples,
+                     emit_toric, emit_validation, emit_verify)
 from .scenario import Scenario, load_scenario
 
 PROG = "coupledfut"
@@ -64,90 +65,90 @@ def _format_arg(text: str) -> str:
     return text
 
 
-def _load(args: SimpleNamespace) -> Scenario:
-    """The scenario, refused unless its fixed-point data validate."""
-    scn = (catalog.load(args.catalog) if args.catalog is not None
-           else load_scenario(args.scenario))
-    validation = scn.localization.validation
-    if not validation.ok:
-        raise ValidationError("; ".join(validation.messages))
-    return scn
-
-
-def _parse_samples(text: str, interval) -> list[Fraction]:
-    """An integer is a sample count; anything else lists exact abscissae,
-    which must lie inside the interval."""
+def _read_samples(text: str) -> int | list[Fraction]:
+    """An integer is a sample count; anything else lists exact abscissae."""
     try:
-        samples = int(text)
+        return int(text)
     except ValueError:
         try:
             samples = [rat(piece) for piece in text.split(",")
                        if piece.strip()]
         except ParseError as exc:
             raise ParseError("--samples: %s" % exc) from None
-        if not samples:
-            raise UsageError("no sample abscissae given")
-    return _sample_points(interval, samples)
+    if not samples:
+        raise UsageError("no sample abscissae given")
+    return samples
 
 
-def _value_at(args: SimpleNamespace, fut: RationalFunction,
-              interval) -> tuple[Fraction, Fraction] | None:
-    """The invariant at --param-value, which must lie inside the interval."""
-    if args.param_value is None:
-        return None
-    _sample_points(interval, [args.param_value], "--param-value")
-    return args.param_value, ratfun_eval(fut, args.param_value)
+def _admit(args: SimpleNamespace) -> Scenario:
+    """The scenario, once every option value fits it and then it validates;
+    args keeps the resolved values: the direction and the sample abscissae."""
+    if args.command == "verify" and args.format == "csv":
+        raise UsageError("csv output is not defined for verify")
+    scn = (catalog.load(args.catalog) if args.catalog is not None
+           else load_scenario(args.scenario))
+    interval, model = scn.localization.interval, scn.toric
+    if args.command == "toric":
+        if model is None:
+            raise ValidationError("scenario carries no toric model")
+        args.direction = args.direction or model.direction
+        if len(args.direction) != model.ambient:
+            raise UsageError("direction needs %d entries" % model.ambient)
+    if getattr(args, "param_value", None) is not None:
+        _sample_points(interval, [args.param_value], "--param-value")
+    if getattr(args, "root_width", 1) <= 0:
+        raise UsageError("--root-width must be positive")
+    if hasattr(args, "samples"):
+        args.samples = _sample_points(interval, _read_samples(args.samples))
+    validation = scn.localization.validation
+    if not validation.ok:
+        raise ValidationError("; ".join(validation.messages))
+    return scn
 
 
-def _cmd_localize(args: SimpleNamespace) -> int:
-    loc = _load(args).localization
+def _value_at(args: SimpleNamespace,
+              fut: RationalFunction) -> tuple[Fraction, Fraction] | None:
+    """The invariant at --param-value, if one was given."""
+    x = args.param_value
+    return None if x is None else (x, ratfun_eval(fut, x))
+
+
+def _cmd_localize(args: SimpleNamespace, scn: Scenario) -> int:
+    loc = scn.localization
     vols = tuple(volume_localized(loc, alpha) for alpha in range(loc.bundles))
     fut = fut_localized(loc)
-    sys.stdout.write(emit_obstruction(
-        loc, vols, fut, _value_at(args, fut, loc.interval), args.format))
+    sys.stdout.write(emit_obstruction(loc, vols, fut, _value_at(args, fut),
+                                      args.format))
     return 0
 
 
-def _cmd_toric(args: SimpleNamespace) -> int:
-    scn = _load(args)
-    loc = scn.localization
-    if scn.toric is None:
-        raise ValidationError("scenario carries no toric model")
-    model = scn.toric
-    direction = args.direction if args.direction is not None else model.direction
-    if len(direction) != model.ambient:
-        raise UsageError("direction needs %d entries" % model.ambient)
+def _cmd_toric(args: SimpleNamespace, scn: Scenario) -> int:
+    loc, model = scn.localization, scn.toric
     euclid = tuple(
         RationalFunction.from_poly(volume_curve(pp, loc.interval))
         for pp in model.polytopes)
-    fut = fut_toric(model, loc.interval, direction)
-    value_at = _value_at(args, fut, loc.interval)
+    fut = fut_toric(model, loc.interval, args.direction)
     mink = minkowski_check(model, loc.interval)
-    sys.stdout.write(emit_toric(loc, model.ambient, direction, euclid, fut,
-                                mink.status, value_at, args.format))
+    sys.stdout.write(emit_toric(loc, model.ambient, args.direction, euclid,
+                                fut, mink.status, _value_at(args, fut),
+                                args.format))
     return 0
 
 
-def _cmd_roots(args: SimpleNamespace) -> int:
-    loc = _load(args).localization
-    if args.root_width <= 0:
-        raise UsageError("--root-width must be positive")
+def _cmd_roots(args: SimpleNamespace, scn: Scenario) -> int:
+    loc = scn.localization
     report = fut_roots(fut_localized(loc), loc.interval, args.root_width)
     sys.stdout.write(emit_roots(report, loc.name, args.format))
     return 0
 
 
-def _cmd_verify(args: SimpleNamespace) -> int:
-    if args.format == "csv":
-        raise UsageError("csv output is not defined for verify")
-    scn = _load(args)
+def _cmd_verify(args: SimpleNamespace, scn: Scenario) -> int:
     loc = scn.localization
-    xs = _parse_samples(args.samples, loc.interval)
     if scn.toric is None:
         sys.stdout.write(emit_validation(loc.name, loc.validation,
                                          args.format))
         return 0
-    record = cross_validate(loc, scn.toric, xs)
+    record = cross_validate(loc, scn.toric, args.samples)
     sys.stdout.write(emit_verify(loc.name, record, args.format))
     if not record.ok:
         raise CrossValidationError(
@@ -155,11 +156,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     return 0
 
 
-def _cmd_sample(args: SimpleNamespace) -> int:
-    loc = _load(args).localization
-    xs = _parse_samples(args.samples, loc.interval)
-    fut = fut_localized(loc)
-    rows = sample_curve(fut, loc.interval, xs)
+def _cmd_sample(args: SimpleNamespace, scn: Scenario) -> int:
+    loc = scn.localization
+    rows = sample_curve(fut_localized(loc), loc.interval, args.samples)
     sys.stdout.write(emit_samples(loc.name, loc.param, rows, args.format))
     return 0
 
@@ -336,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         (sys.stderr if code else sys.stdout).write(text)
         return code
     try:
-        return COMMANDS[args.command][0](args)
+        return COMMANDS[args.command][0](args, _admit(args))
     except EngineError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.exit_code

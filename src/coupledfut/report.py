@@ -15,12 +15,12 @@ import json
 import math
 from fractions import Fraction
 
-from .analysis import CrossValidationRecord, RootReport, sample_curve
+from .analysis import (DEFAULT_SAMPLES, CrossValidationRecord, RootReport,
+                       sample_curve)
 from .localization import LocalizationScenario, ValidationReport
 from .rationals import RationalFunction, rat_text, render_factored
 
 FORMATS = ("text", "structured", "csv")
-DEFAULT_SAMPLES = 5
 
 
 def _json_text(payload: dict) -> str:

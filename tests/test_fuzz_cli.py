@@ -1,11 +1,16 @@
-"""Mutated catalog scenarios through every subcommand, in process.
+"""Mutated catalog scenarios and option values through every subcommand,
+in process.
 
 Hypothesis takes a catalog entry as plain data and applies a few mutations:
 it drops a key or a list item, replaces a value with an atom, or duplicates
-a list item.  Each of the five subcommands then reads the file.  Every run
-must end in a documented exit code within a time bound.  A refusal is one
-error line on stderr with nothing on stdout; only verify's mismatch (exit 5)
-prints its report first.
+a list item.  It also draws a value, or none, for each of --samples,
+--root-width, --param-value and --direction from atoms fitted to the entry:
+inside its interval, on an endpoint, outside it, zero, negative, malformed,
+and past the 1024-bit limit.  Each of the five subcommands then reads the
+file with the options it takes.  Every run must end in a documented exit
+code within a time bound.  A refusal is one error line on stderr, after the
+usage line when the command line itself is refused, with nothing on stdout;
+only verify's mismatch (exit 5) prints its report first.
 """
 
 import contextlib
@@ -13,6 +18,7 @@ import copy
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -20,12 +26,33 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from coupledfut import catalog_names, load, scenario_to_dict  # noqa: E402
-from coupledfut.cli import COMMANDS, main  # noqa: E402
+from coupledfut.cli import COMMANDS, OPTIONS, main  # noqa: E402
 
 ATOMS = (0, -1, 10**400, 1.5, "c", "1/0", "(", None, True, [], {}, "c^101",
          "a^0")
 CATALOG = {name: scenario_to_dict(load(name)) for name in catalog_names()}
 SECONDS = 5
+
+
+def option_atoms(data):
+    """The values drawn for each option of a catalog entry; None omits it."""
+    lo, hi = (Fraction(x) for x in data["parameter"]["interval"])
+    rationals = [str((lo + hi) / 2), str(lo), str(hi + 1), "0", "-1", "1/",
+                 "1e-5000", None]
+    direction, n = data["toric"]["direction"], data["toric"]["ambient"]
+    return {
+        "--samples": rationals,
+        "--root-width": rationals,
+        "--param-value": rationals,
+        "--direction": [",".join(map(str, direction)), ",".join("1" * (n + 1)),
+                        ",".join("0" * n), ",".join(["-1"] * n), "1,x",
+                        "1e-5000", None],
+    }
+
+
+OPTION_ATOMS = {name: option_atoms(data) for name, data in CATALOG.items()}
+TAKES = {command: [o.name for o in OPTIONS if command in o.commands
+                   and o.name in OPTION_ATOMS["cp1"]] for command in COMMANDS}
 
 
 def _paths(value, path=()):
@@ -38,8 +65,10 @@ def _paths(value, path=()):
 
 
 @st.composite
-def mutated_scenarios(draw):
-    data = copy.deepcopy(CATALOG[draw(st.sampled_from(sorted(CATALOG)))])
+def mutated_calls(draw):
+    """A mutated scenario and a value, or None, for each option."""
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    data = copy.deepcopy(CATALOG[name])
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(data))
         if not paths:
@@ -55,7 +84,9 @@ def mutated_scenarios(draw):
             parent.insert(last, copy.deepcopy(parent[last]))
         else:
             parent[last] = copy.deepcopy(draw(st.sampled_from(ATOMS)))
-    return data
+    options = {option: draw(st.sampled_from(values))
+               for option, values in OPTION_ATOMS[name].items()}
+    return data, options
 
 
 @pytest.fixture(scope="module")
@@ -63,21 +94,31 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "mutated.json"
 
 
-@given(mutated_scenarios())
+@given(mutated_calls())
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-def test_every_subcommand_ends_in_a_documented_exit(scenario_path, data):
+def test_every_subcommand_ends_in_a_documented_exit(scenario_path, call):
+    data, options = call
     scenario_path.write_text(json.dumps(data))
     for command in COMMANDS:
+        argv = [command, "--scenario", str(scenario_path)]
+        for option in TAKES[command]:
+            if options[option] is not None:
+                argv += [option, options[option]]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--scenario", str(scenario_path)])
+            code = main(argv)
         assert time.perf_counter() - start < SECONDS, command
         assert code in (0, 2, 3, 4, 5), command
         out, err = out.getvalue(), err.getvalue()
         if code == 0:
             assert err == "", command
             continue
-        assert err.startswith("error: ") and err.count("\n") == 1, (command,
-                                                                    err)
-        assert out == "" or (command, code) == ("verify", 5), (command, err)
+        if err.startswith("usage: "):  # the command line itself
+            err = err.split("\n", 1)[1]
+            assert code == 2 and err.startswith(
+                "coupledfut %s: error: " % command), argv
+        else:
+            assert err.startswith("error: "), (argv, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert out == "" or (command, code) == ("verify", 5), (argv, err)

@@ -784,6 +784,47 @@ class TestCliMalformedSamples:
         assert err.startswith("error: --samples: bad rational")
 
 
+class TestOptionAdmission:
+    @pytest.mark.parametrize("argv,message", [
+        (("toric", "--catalog", "hultgren-c-true", "--param-value", "5"),
+         "--param-value 5 is outside the validity interval"),
+        (("localize", "--catalog", "hultgren-c", "--param-value", "5"),
+         "--param-value 5 is outside the validity interval"),
+        (("roots", "--catalog", "hultgren-c", "--root-width", "0"),
+         "--root-width must be positive"),
+        (("sample", "--catalog", "hultgren-c", "--samples", "0"),
+         "need at least one sample"),
+        (("verify", "--catalog", "hultgren-c", "--samples", "5,1/2"),
+         "sample 5 is outside the validity interval"),
+        (("toric", "--catalog", "hultgren-c", "--direction", "1,0"),
+         "direction needs 4 entries"),
+        (("toric", "--scenario", "no-toric"),
+         "scenario carries no toric model"),
+    ])
+    def test_a_refused_option_does_no_engine_work(self, capsys, monkeypatch,
+                                                   tmp_path, argv, message):
+        from coupledfut import cli, localization
+        if "no-toric" in argv:
+            data = scenario_to_dict(load("cp1"))
+            del data["toric"]
+            path = tmp_path / "no-toric.json"
+            path.write_text(json.dumps(data))
+            argv = argv[:-1] + (str(path),)
+        calls = []
+        for module, name in ((localization, "validate_scenario"),
+                             (cli, "volume_curve"), (cli, "fut_localized")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        assert run(capsys, *argv) == (3, "", "error: %s\n" % message)
+        assert calls == []
+        # the wrappers do see the work of admitted calls
+        for command in ("toric", "roots"):
+            assert run(capsys, command, "--catalog", "cp1")[0] == 0
+        assert set(calls) == {"validate_scenario", "volume_curve",
+                              "fut_localized"}
+
+
 # sha256 of stdout and the exit code of every structured call over the
 # catalog, recorded before the residue table and the per-abscissa polytope
 # caches were introduced; both must leave every byte unchanged

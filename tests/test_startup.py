@@ -68,13 +68,18 @@ def test_every_public_name_resolves():
         assert getattr(coupledfut, name) is not None, name
 
 
-def test_every_traced_name_resolves():
-    # perfbench/layertrace.py wraps these by name; a refactor that unbinds
-    # one would break the benchmark's trace
+def load_layertrace():
     spec = importlib.util.spec_from_file_location(
         "layertrace", ROOT / "perfbench" / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_every_traced_name_resolves():
+    # perfbench/layertrace.py wraps these by name; a refactor that unbinds
+    # one would break the benchmark's trace
+    layertrace = load_layertrace()
     assert layertrace.TRACED
     for module, name in layertrace.TRACED:
         assert module in layertrace.MODULES, module
@@ -90,6 +95,27 @@ def test_every_traced_name_resolves():
                                 rationals.parse_poly("3c+1", "c"))
     assert [(co.numerator, co.denominator) for co in f.num.coeffs + f.den.coeffs
             ] == [(0, 1), (1, 6), (1, 3), (1, 1)]
+
+
+def test_tracer_wraps_every_traced_name_and_restores_it():
+    # install() looks up every traced name, so it fails on a removed one;
+    # uninstall() must leave every binding as it found it
+    layertrace = load_layertrace()
+    namespaces = [coupledfut] + [importlib.import_module("coupledfut." + m)
+                                 for m in layertrace.MODULES]
+    before = {(ns, name): getattr(ns, name) for ns in namespaces
+              for _, name in layertrace.TRACED if hasattr(ns, name)}
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        wrapped = {(ns.__name__, name) for (ns, name), fn in before.items()
+                   if getattr(ns, name) is not fn}
+    finally:
+        tracer.uninstall()
+    assert wrapped >= {("coupledfut." + m, name)
+                       for m, name in layertrace.TRACED}
+    for (ns, name), fn in before.items():
+        assert getattr(ns, name) is fn, (ns.__name__, name)
 
 
 # a process that ran the entry point prints its exit code and whether the
