@@ -334,18 +334,14 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     if mink.status == "fail":
         messages.extend(mink.messages)
     mid = (scn.interval[0] + scn.interval[1]) / 2
-    redundant = False
     for i, pp in enumerate(model.polytopes):
         rp = realize(pp, mid)
         if not all(rp.supported):
-            redundant = True
             unsupported = [j for j, s in enumerate(rp.supported) if not s]
             messages.append("polytope %d has redundant facets %s at the "
                             "midpoint" % (i, unsupported))
-    ok = (validation.ok and all(vol_match) and fut_same
-          and all(row.equal for row in rows)
-          and mink.status != "fail" and not redundant)
-    return CrossValidationRecord(ok, validation, tuple(vols_loc),
+    # every failed check above appends a message, and only a failed one
+    return CrossValidationRecord(not messages, validation, tuple(vols_loc),
                                  tuple(vols_tor), tuple(vol_match),
                                  f_loc, f_tor, fut_same, tuple(rows), mink,
                                  tuple(messages))

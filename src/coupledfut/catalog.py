@@ -163,10 +163,8 @@ _ENTRIES = {
         2, "1/2", "1/2"),
 }
 
-# the keys of _ENTRIES in sorted order, spelled out so that listing the
-# catalog builds nothing
-NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt",
-         "hultgren-c-true")
+# the keys of _ENTRIES in sorted order; listing them builds no entry
+NAMES = tuple(sorted(_ENTRIES))
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -15,11 +15,12 @@ One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
 Sturm chain, at dyadic points of a bracket in integer arithmetic, and walks
 it: Sturm counts separate the roots, one sign per halving narrows each.
-Root counting, the positivity test, root isolation and the rational-root
-search all run on it.  Each ParamPoly is factored once, on first use: Yun's
-squarefree decomposition of its integer part, then one rational-root search
-on the squarefree part.  Every root multiplicity, pole and factored form is
-read from that factorization.
+Root counting, root isolation and the rational-root search all run on it,
+and so does the positivity test, by one rule at every degree: no root
+inside the interval and a positive sign at its midpoint.  Each ParamPoly
+is factored once, on first use: Yun's squarefree decomposition of its
+integer part, then one rational-root search on the squarefree part.  Every
+root multiplicity, pole and factored form is read from that factorization.
 """
 
 from __future__ import annotations
@@ -127,10 +128,6 @@ class ParamPoly(Record):
 
     def leading(self) -> Fraction:
         return self.content * self.ints[-1] if self.ints else _ZERO
-
-    def constant_value(self) -> Fraction | None:
-        """The value if this polynomial is constant, else None."""
-        return self.content if len(self.ints) < 2 else None
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         _same_param(self, other)
@@ -358,9 +355,6 @@ class RationalFunction(Record):
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
 
-    def constant_value(self) -> Fraction | None:
-        return self.num.constant_value() if self.den.degree() == 0 else None
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if self.den == other.den:
             return ratfun_reduce(self.num + other.num, self.den)
@@ -456,15 +450,12 @@ def count_roots_open(p: ParamPoly,
 
 def positive_on_interval(p: ParamPoly,
                          interval: tuple[Fraction, Fraction]) -> bool:
-    """True when p > 0 on the whole open interval."""
+    """True when p > 0 on the whole open interval: p has no root inside it
+    and is positive at its midpoint, at every degree.  An empty interval is
+    refused by the root count."""
     lo, hi = interval
-    if p.degree() >= 2:
-        return (count_roots_open(p, interval) == 0
-                and _sign_at(p.ints, (lo + hi) / 2) * p.content > 0)
-    if not lo < hi:
-        raise UsageError("empty interval")
-    # a nonzero line is positive inside when it is not negative at the ends
-    return not p.is_zero() and min(p.eval(lo), p.eval(hi)) >= 0
+    return (count_roots_open(p, interval) == 0
+            and _sign_at(p.ints, (lo + hi) / 2) * p.content > 0)
 
 
 class UnitKernel:

@@ -221,25 +221,6 @@ class NilpotentClass(Record):
         return NilpotentClass.create(
             self.ring, {e: c * q for e, c in self.terms})
 
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in sorted(
-                self.terms, key=lambda t: (self.ring.monomial_degree(t[0]), t[0])):
-            mono = monomial_text(self.ring, exps)
-            cv = coeff.constant_value()
-            if cv is not None:
-                sgn = "-" if cv < 0 else ("+" if parts else "")
-                mag = abs(cv)
-                body = mono if mag == 1 else "%s%s" % (
-                    RationalFunction.const(self.ring.param, mag).text(), mono)
-                parts.append(sgn + body)
-            else:
-                body = "(%s)%s" % (coeff.text(), mono)
-                parts.append(("+" if parts else "") + body)
-        return "".join(parts)
-
 
 def _same_ring(a: Ring, b: Ring) -> None:
     if a != b:
@@ -313,15 +294,6 @@ class EquivariantClass(Record):
                + other.nilpotent.scale(self.scalar)
                + self.nilpotent * other.nilpotent)
         return EquivariantClass(self.scalar * other.scalar, nil)
-
-    def text(self) -> str:
-        s = self.scalar.text()
-        if self.nilpotent.is_zero():
-            return s
-        n = self.nilpotent.text()
-        if self.scalar.is_zero():
-            return n
-        return "%s%s%s" % (s, "" if n.startswith("-") else "+", n)
 
 
 def equiv_pow(x: EquivariantClass, k: int) -> EquivariantClass:

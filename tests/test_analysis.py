@@ -10,6 +10,7 @@ from coupledfut import (
     ParamPoly,
     RationalFunction,
     UsageError,
+    catalog_names,
     count_roots_open,
     cross_validate,
     fut_roots,
@@ -31,6 +32,7 @@ from coupledfut.analysis import (
 )
 from coupledfut.rationals import (UnitKernel, _factorize, _squarefree_layers,
                                   _squarefree_split)
+from test_localization import perfbench_module
 from test_rationals import ref_divmod
 
 INTERVAL = (F(1, 4), F(3, 4))
@@ -333,6 +335,39 @@ class TestCrossValidate:
         assert not record.ok
         assert record.messages == (
             "polytope 0 has redundant facets [2] at the midpoint",)
+
+    def test_the_verdict_is_the_messages(self, monkeypatch):
+        # ok is true exactly when no check wrote a message: on the catalog,
+        # on the benchmark's polytope-ladder models, and on one input for
+        # each kind of message, each of which must write one
+        run = perfbench_module(monkeypatch, "run")
+        scenarios = [load(name) for name in catalog_names()]
+        for seed in (1, 2, 3):
+            cases = run.polytope_ladder(seed)[0]
+            scenarios += [scenario_from_dict(case.data) for case in cases]
+        offset = scenario_to_dict(load("cp1-coupled"))
+        offset["toric"]["anticanonical"]["facets"][0]["offset"] = "2"
+        redundant = scenario_to_dict(load("cp1"))
+        redundant["toric"]["polytopes"][0]["facets"].append(
+            {"normal": [1], "offset": "2"})
+        cp1 = load("cp1")
+        south, north = cp1.localization.components
+        duplicate = cp1.localization.replace(
+            components=(south, north.replace(label=south.label)))
+        flagship = load("hultgren-c")
+        kinds = [("volume mismatch", flagship),
+                 ("invariant mismatch", flagship),
+                 ("invariant values differ", flagship),
+                 ("do not sum to the ambient polytope",
+                  scenario_from_dict(offset)),
+                 ("redundant facets", scenario_from_dict(redundant)),
+                 ("scenario validation failed", cp1.replace(
+                     localization=duplicate))]
+        for kind, scn in [("", scn) for scn in scenarios] + kinds:
+            record = cross_validate(scn.localization, scn.toric)
+            assert record.ok is (not record.messages), scn.localization.name
+            if kind:
+                assert any(kind in m for m in record.messages), kind
 
     def test_each_quantity_is_computed_once(self, monkeypatch):
         from coupledfut import analysis, localization, polytopes

@@ -1,8 +1,10 @@
 """Fixed-point localization: power sums, equivariant volumes, the invariant."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -31,16 +33,24 @@ from coupledfut import (
     ratfun_eval,
     render_factored,
     ring_create,
+    scenario_from_dict,
     shift_hamiltonians,
     validate_scenario,
     volume_localized,
 )
 
 RF = RationalFunction
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def c(text):
     return parse_poly(text, "c")
+
+
+def perfbench_module(monkeypatch, name):
+    """A module of the benchmark; its modules import each other by name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 def poly_rf(text):
@@ -179,6 +189,49 @@ class TestPowerSums:
         assert power_sum(twin, 1, 4) == poly_rf("-56c+53")
         assert power_sum(twin, 0, 5) == poly_rf("-30c+12")
         assert power_sum(twin, 1, 5) == poly_rf("30c-18")
+
+    def test_sums_below_the_dimension_vanish(self, monkeypatch):
+        # on a compact m-manifold a class of degree k < m integrates to 0
+        # (Atiyah-Bott), so p_0..p_(m-1) vanish on consistent data; p_m does
+        # not, which keeps the sweep from passing on empty tables
+        gen = perfbench_module(monkeypatch, "gen")
+        scenarios = [load(name).localization
+                     for name in ("hultgren-c-true", "cp1", "cp1-coupled")]
+        for seed in range(1, 6):
+            rng = gen.seeded_rng("power-sums", seed)
+            cases = [gen.box_family(rng, "box2", 2, 0, 2, False),
+                     gen.box_family(rng, "box3-zero1", 3, 1, 2, False),
+                     gen.box_family(rng, "box4-zero2", 4, 2, 1, False),
+                     gen.box_family(rng, "box5-zero3", 5, 3, 1, False),
+                     gen.simplex_family(rng, "simplex2", 2, 2),
+                     gen.simplex_family(rng, "simplex3", 3, 2),
+                     gen.simplex_family(rng, "simplex4", 4, 1),
+                     gen.sign_changing_box(rng, "sign2", 2, 3),
+                     gen.sign_changing_box(rng, "sign3", 3, 4)]
+            scenarios += [scenario_from_dict(case.data).localization
+                          for case in cases]
+        checks = 0
+        for scn in scenarios:
+            for alpha in range(scn.bundles):
+                for power in range(scn.dimension):
+                    assert power_sum(scn, alpha, power).is_zero(), (
+                        scn.name, alpha, power)
+                    checks += 1
+                assert not power_sum(scn, alpha, scn.dimension).is_zero()
+        assert checks == 201
+
+    @pytest.mark.parametrize("name,first", [
+        ("hultgren-c", ("-24", "-24")),
+        ("hultgren-c-corrupt", ("-96/5", "-24")),
+    ])
+    def test_flagship_data_break_the_vanishing_at_the_first_power(
+            self, name, first):
+        # the factor of 2 against the polytopes shows here already, with no
+        # polytope: p_1 should be 0 on a compact 4-manifold
+        scn = load(name).localization
+        for alpha, value in enumerate(first):
+            assert power_sum(scn, alpha, 0).is_zero()
+            assert power_sum(scn, alpha, 1) == poly_rf(value)
 
     def test_table_matches_component_integrals(self):
         scenarios = [load(name).localization
