@@ -6,7 +6,7 @@ against an independent moment-polytope oracle.
 from .analysis import (CrossValidationRecord, RootRecord, RootReport,
                        SampleComparison, cross_validate, fut_roots,
                        isolate_roots, sample_curve)
-from .catalog import catalog_names, load
+from .catalog import load
 from .errors import (ComputationError, CrossValidationError,
                      DegenerateDatumError, EngineError, GeometryError,
                      InconsistentResidueError, ParseError, PoleError,
@@ -22,11 +22,11 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
                         fut_toric_at, linear_moment, minkowski_check,
                         moment_curve, realize, triangulate, volume,
                         volume_curve)
-from .rationals import (ParamPoly, Rational, RationalFunction,
-                        count_roots_open, interpolate, parse_poly, poly_gcd,
-                        poly_text, positive_on_interval, rat, rat_text,
-                        ratfun_eval, ratfun_reduce, render_factored,
-                        sample_values, sturm_chain)
+from .rationals import (ParamPoly, RationalFunction, count_roots_open,
+                        interpolate, parse_poly, poly_gcd, poly_text,
+                        positive_on_interval, rat, rat_text, ratfun_eval,
+                        ratfun_reduce, render_factored, sample_values,
+                        sturm_chain)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, monomial_text,
                     parse_monomial, point_ring, ring_create)
@@ -42,7 +42,7 @@ __all__ = [
     "count_roots_open", "cross_validate", "fut_roots", "isolate_roots",
     "positive_on_interval", "sample_curve", "sturm_chain",
     # catalog
-    "catalog_names", "load",
+    "load",
     # errors
     "ComputationError", "CrossValidationError", "DegenerateDatumError",
     "EngineError", "GeometryError", "InconsistentResidueError", "ParseError",
@@ -58,9 +58,9 @@ __all__ = [
     "minkowski_check", "moment_curve", "realize", "triangulate", "volume",
     "volume_curve",
     # rationals
-    "ParamPoly", "Rational", "RationalFunction", "interpolate", "parse_poly",
-    "poly_gcd", "poly_text", "rat", "rat_text", "ratfun_eval",
-    "ratfun_reduce", "render_factored", "sample_values",
+    "ParamPoly", "RationalFunction", "interpolate", "parse_poly", "poly_gcd",
+    "poly_text", "rat", "rat_text", "ratfun_eval", "ratfun_reduce",
+    "render_factored", "sample_values",
     # rings
     "EquivariantClass", "Generator", "NilpotentClass", "Ring", "equiv_pow",
     "integrate", "invert_unit", "monomial_text", "parse_monomial",

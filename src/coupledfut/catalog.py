@@ -167,11 +167,6 @@ _ENTRIES = {
 NAMES = tuple(sorted(_ENTRIES))
 
 
-def catalog_names() -> tuple[str, ...]:
-    """Names of the built-in scenarios, in a stable order."""
-    return NAMES
-
-
 def load(name: str) -> Scenario:
     """Build one catalog scenario; unknown names raise UsageError."""
     if name not in _ENTRIES:

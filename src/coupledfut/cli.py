@@ -52,10 +52,13 @@ def _rational_arg(text: str) -> Fraction:
 
 def _direction_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x.strip()) for x in text.split(","))
+        direction = tuple(int(x.strip()) for x in text.split(","))
     except ValueError:
         raise ValueError("direction must be comma-separated integers: %r"
                          % text) from None
+    if any(x.bit_length() > MAX_COEFF_BITS for x in direction):
+        raise ValueError("a direction entry exceeds %d bits" % MAX_COEFF_BITS)
+    return direction
 
 
 def _format_arg(text: str) -> str:
@@ -189,7 +192,7 @@ HELP = Option("--help", tuple(COMMANDS), "", None, None,
 OPTIONS = (
     HELP,
     Option("--catalog", HELP.commands, "NAME", str, None,
-           "built-in scenario (%s)" % ", ".join(catalog.catalog_names())),
+           "built-in scenario (%s)" % ", ".join(catalog.NAMES)),
     Option("--scenario", HELP.commands, "PATH", str, None,
            "scenario JSON file"),
     Option("--format", HELP.commands, "{%s}" % ",".join(FORMATS), _format_arg,

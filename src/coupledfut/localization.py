@@ -41,10 +41,9 @@ from functools import cached_property
 
 from .errors import (ComputationError, DegenerateDatumError,
                      InconsistentResidueError, Record, UsageError)
-from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, Rational,
-                        RationalFunction, _ipoly_add, _ipoly_lcm, _ipoly_mul,
-                        _ipoly_quo, positive_on_interval, rat, rat_text,
-                        ratfun_reduce)
+from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, RationalFunction,
+                        _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
+                        positive_on_interval, rat, rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, point_ring)
 
@@ -352,7 +351,7 @@ def fut_isolated(scn: LocalizationScenario) -> RationalFunction:
 
 
 def shift_hamiltonians(scn: LocalizationScenario,
-                       shifts: tuple[Rational | int | str, ...]) -> LocalizationScenario:
+                       shifts: tuple[Fraction | int | str, ...]) -> LocalizationScenario:
     """Add a constant to every moment value of each bundle, componentwise."""
     if len(shifts) != scn.bundles:
         raise UsageError("need one shift per bundle (%d given, %d bundles)"
@@ -368,8 +367,8 @@ def shift_hamiltonians(scn: LocalizationScenario,
 
 
 def make_point_component(param: str, label: str, ambient_dim: int,
-                         euler_scalar: Rational | int | str,
-                         hamiltonians: tuple[Rational | int | str, ...]) -> FixedComponent:
+                         euler_scalar: Fraction | int | str,
+                         hamiltonians: tuple[Fraction | int | str, ...]) -> FixedComponent:
     """Convenience constructor for an isolated fixed point."""
     ring = point_ring(param)
     return FixedComponent(
@@ -413,6 +412,9 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
         if comp.ring.param != scn.param:
             messages.append("component %r uses parameter %r, scenario uses %r"
                             % (comp.label, comp.ring.param, scn.param))
+        if comp.codimension < 0:
+            messages.append("component %r has negative codimension %d"
+                            % (comp.label, comp.codimension))
         if comp.ring.dimension + comp.codimension != scn.dimension:
             messages.append(
                 "component %r: dimension %d plus codimension %d is not %d"

@@ -392,28 +392,16 @@ def _measure(rp: RealizedPolytope, simplices: Sequence[tuple[int, ...]]
             tuple(Fraction(m, scale * (n + 1) * denom) for m in moment))
 
 
-def _measures(rp: RealizedPolytope,
-              apex: Vector | None) -> tuple[Fraction, Vector]:
-    if apex is None or not rp.is_full_dimensional():
-        return rp.measures
-    if apex not in rp.vertices:
-        raise UsageError("the apex must be a vertex of the realization")
-    return _measure(rp, triangulate(rp, rp.vertices.index(apex)))
+def volume(rp: RealizedPolytope) -> Fraction:
+    """Exact Euclidean volume, from the star triangulation."""
+    return rp.measures[0]
 
 
-def volume(rp: RealizedPolytope, apex: Vector | None = None) -> Fraction:
-    """Exact Euclidean volume, from the star triangulation about the apex
-    (a vertex; by default the first)."""
-    return _measures(rp, apex)[0]
-
-
-def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...],
-                  apex: Vector | None = None) -> Fraction:
+def linear_moment(rp: RealizedPolytope, xi: tuple[int, ...]) -> Fraction:
     """Integral of the linear functional <y, xi> over the polytope."""
     if len(xi) != rp.ambient:
         raise UsageError("direction has wrong length")
-    return sum((m * x for m, x in zip(_measures(rp, apex)[1], xi)),
-               Fraction(0))
+    return sum((m * x for m, x in zip(rp.measures[1], xi)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

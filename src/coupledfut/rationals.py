@@ -33,7 +33,6 @@ from functools import cached_property, reduce
 
 from .errors import ComputationError, ParseError, PoleError, Record, UsageError
 
-Rational = Fraction
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -126,9 +125,6 @@ class ParamPoly(Record):
         """Degree, with the zero polynomial assigned -1."""
         return len(self.ints) - 1
 
-    def leading(self) -> Fraction:
-        return self.content * self.ints[-1] if self.ints else _ZERO
-
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         _same_param(self, other)
         if not self.ints or not other.ints:
@@ -163,14 +159,6 @@ class ParamPoly(Record):
         x = rat(x)
         acc, scale = _homogeneous(self.ints, x)
         return self.content * Fraction(acc * x.denominator, scale)
-
-    def derivative(self) -> "ParamPoly":
-        return ParamPoly.from_ints(self.param, _ipoly_derivative(self.ints),
-                                   self.content)
-
-    def monic(self) -> "ParamPoly":
-        return ParamPoly(self.param, self.ints, Fraction(1, self.ints[-1])
-                         ) if self.ints else self
 
     def text(self) -> str:
         return poly_text(self)
@@ -377,9 +365,6 @@ class RationalFunction(Record):
 
     def scale(self, q: int | str | Fraction) -> "RationalFunction":
         return RationalFunction(self.num.scale(q), self.den)
-
-    def eval(self, x: int | str | Fraction) -> Fraction:
-        return ratfun_eval(self, x)
 
     def to_poly(self) -> ParamPoly:
         """The underlying polynomial; error if the denominator is nontrivial."""

@@ -21,8 +21,9 @@ from .errors import ParseError, Record, ValidationError
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
-from .rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS, MAX_RING_MONOMIALS,
-                        RationalFunction, parse_poly, poly_text, rat, rat_text)
+from .rationals import (MAX_COEFF_BITS, MAX_DIMENSION, MAX_FACET_SUBSETS,
+                        MAX_RING_MONOMIALS, RationalFunction, parse_poly,
+                        poly_text, rat, rat_text)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
 
@@ -73,10 +74,18 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def _bounded(ints, where: str) -> None:
+    """Refuse integers past MAX_COEFF_BITS bits, as rat refuses rationals."""
+    if any(x.bit_length() > MAX_COEFF_BITS for x in ints):
+        raise ParseError("%s: integer exceeds the limit of %d bits"
+                         % (where, MAX_COEFF_BITS))
+
+
 def _need_int(raw: dict, key: str, where: str) -> int:
     val = _need(raw, key, where)
     if not _is_int(val):
         raise ParseError("%s.%s: expected an integer" % (where, key))
+    _bounded((val,), "%s.%s" % (where, key))
     return val
 
 
@@ -148,9 +157,9 @@ def _parse_ring(name: str, raw, param: str) -> Ring:
                               _need_int(g, "order", gw),
                               _need_int(g, "degree", gw)))
     top = _need(raw, "top", where)
-    if not isinstance(top, dict) or not all(
-            _is_int(v) for v in top.values()):
+    if not isinstance(top, dict) or not all(_is_int(v) for v in top.values()):
         raise ParseError("%s.top: expected generator-to-exponent map" % where)
+    _bounded(top.values(), where + ".top")
     dimension = _need_int(raw, "dimension", where)
     try:
         ring = ring_create(param, gens, top, dimension)
@@ -180,9 +189,9 @@ def _parse_polytope(raw, param: str, ambient: int, where: str,
         fw = "%s.facets[%d]" % (where, i)
         f = _object(f, fw)
         normal = _need(f, "normal", fw)
-        if (not isinstance(normal, list)
-                or not all(_is_int(x) for x in normal)):
+        if not isinstance(normal, list) or not all(_is_int(x) for x in normal):
             raise ParseError("%s.normal: expected a list of integers" % fw)
+        _bounded(normal, fw + ".normal")
         offset = _parse_expr(_need(f, "offset", fw), param, fw + ".offset",
                              memo).num
         facets.append((tuple(normal), offset))
@@ -204,6 +213,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     bundles = _need_int(raw, "bundles", "scenario")
     par = _object(_need(raw, "parameter", "scenario"), "parameter")
     param = _need_str(par, "name", "parameter")
+    if not (param.isascii() and param.isidentifier()):  # as ring_create's
+        raise ValidationError("parameter.name: invalid name %r" % param)
     iv = _need(par, "interval", "parameter")
     if not isinstance(iv, list) or len(iv) != 2:
         raise ParseError("parameter.interval: expected [lo, hi]")
@@ -262,6 +273,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 or not all(_is_int(x) for x in direction)
                 or len(direction) != ambient):
             raise ParseError("toric.direction: expected %d integers" % ambient)
+        _bounded(direction, "toric.direction")
         polys_raw = _list(_need(t, "polytopes", "toric"), "toric.polytopes")
         if len(polys_raw) != bundles:
             raise ParseError("toric.polytopes: %d polytopes for %d bundles"

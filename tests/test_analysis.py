@@ -10,7 +10,6 @@ from coupledfut import (
     ParamPoly,
     RationalFunction,
     UsageError,
-    catalog_names,
     count_roots_open,
     cross_validate,
     fut_roots,
@@ -30,10 +29,11 @@ from coupledfut.analysis import (
     _decimal_of_fraction,
     _quadratic_surds,
 )
+from coupledfut.catalog import NAMES
 from coupledfut.rationals import (UnitKernel, _factorize, _squarefree_layers,
                                   _squarefree_split)
 from test_localization import perfbench_module
-from test_rationals import ref_divmod
+from test_rationals import derivative, leading, monic, ref_divmod
 
 INTERVAL = (F(1, 4), F(3, 4))
 SAMPLES = [F(5, 16), F(3, 8), F(1, 2), F(5, 8), F(11, 16)]
@@ -150,7 +150,7 @@ class TestSturm:
             assert len(chain) == len(ref), p
             for q, r in zip(chain, ref):
                 assert q.degree() == r.degree()
-                ratio = q.leading() / r.leading()
+                ratio = leading(q) / leading(r)
                 assert ratio > 0 and q == r.scale(ratio), p
 
     def test_counts_distinct_roots_only(self):
@@ -168,7 +168,7 @@ class TestSturm:
             sf = ParamPoly.from_ints("c", _squarefree_split(p.ints)[0])
             from coupledfut import poly_gcd
 
-            assert poly_gcd(sf, sf.derivative()).degree() == 0
+            assert poly_gcd(sf, derivative(sf)).degree() == 0
             assert sf.degree() == len(roots)
 
     def test_certified_counts_randomized(self):
@@ -341,7 +341,7 @@ class TestCrossValidate:
         # on the benchmark's polytope-ladder models, and on one input for
         # each kind of message, each of which must write one
         run = perfbench_module(monkeypatch, "run")
-        scenarios = [load(name) for name in catalog_names()]
+        scenarios = [load(name) for name in NAMES]
         for seed in (1, 2, 3):
             cases = run.polytope_ladder(seed)[0]
             scenarios += [scenario_from_dict(case.data) for case in cases]
@@ -460,15 +460,15 @@ class TestCrossValidate:
 def _ref_gcd(a, b):
     while not b.is_zero():
         a, b = b, ref_divmod(a, b)[1]
-    return a.monic()
+    return monic(a)
 
 
 def _ref_squarefree(p):
-    return ref_divmod(p, _ref_gcd(p, p.derivative()))[0].monic()
+    return monic(ref_divmod(p, _ref_gcd(p, derivative(p)))[0])
 
 
 def _ref_sturm_chain(p):
-    chain = [p, p.derivative()]
+    chain = [p, derivative(p)]
     while chain[-1].degree() >= 1:
         _, r = ref_divmod(chain[-2], chain[-1])
         if r.is_zero():
@@ -492,7 +492,7 @@ def _ref_multiplicity_at(p, root):
     mult = 0
     while not p.is_zero() and p.eval(root) == 0:
         mult += 1
-        p = p.derivative()
+        p = derivative(p)
     return mult
 
 
@@ -506,7 +506,7 @@ def _ref_multiplicity_inside(p, rest, a, b):
         if g.degree() < 1 or _ref_count(g, a, b) == 0:
             break
         mult += 1
-        p = p.derivative()
+        p = derivative(p)
     return mult
 
 
@@ -534,7 +534,7 @@ def _ref_rational_root_factors(p):
         else:
             cands = (F(sgn * da, dl)
                      for da in _ref_divisors(int(rest.coeff(0)))
-                     for dl in _ref_divisors(int(rest.leading()))
+                     for dl in _ref_divisors(int(leading(rest)))
                      for sgn in (1, -1))
             found = next((x for x in cands if rest.eval(x) == 0), None)
         if found is None:

@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in commands.values():
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--catalog", metavar="NAME",
-                         help="built-in scenario (%s)" % ", ".join(
-                             catalog.catalog_names()))
+                         help="built-in scenario (%s)"
+                         % ", ".join(catalog.NAMES))
         src.add_argument("--scenario", metavar="PATH",
                          help="scenario JSON file")
         p.add_argument("--format", choices=FORMATS, default="text",

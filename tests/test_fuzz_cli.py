@@ -25,12 +25,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from coupledfut import catalog_names, load, scenario_to_dict  # noqa: E402
+from coupledfut import load, scenario_to_dict  # noqa: E402
+from coupledfut.catalog import NAMES  # noqa: E402
 from coupledfut.cli import COMMANDS, OPTIONS, main  # noqa: E402
 
 ATOMS = (0, -1, 10**400, 1.5, "c", "1/0", "(", None, True, [], {}, "c^101",
          "a^0")
-CATALOG = {name: scenario_to_dict(load(name)) for name in catalog_names()}
+CATALOG = {name: scenario_to_dict(load(name)) for name in NAMES}
 SECONDS = 5
 
 

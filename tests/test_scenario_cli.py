@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from coupledfut import (
+    EngineError,
     ParseError,
-    catalog_names,
     load,
     parse_scenario,
     scenario_from_dict,
@@ -24,7 +24,8 @@ from coupledfut import (
     scenario_to_json,
     validate_scenario,
 )
-from coupledfut.cli import main
+from coupledfut.catalog import NAMES
+from coupledfut.cli import COMMANDS, main
 from coupledfut.rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS,
                                   MAX_RING_MONOMIALS, MAX_SIMPLICES)
 from coupledfut.report import FORMATS
@@ -62,7 +63,7 @@ def run(capsys, *argv):
 
 class TestScenarioFiles:
     def test_catalog_listing(self):
-        assert catalog_names() == ALL_NAMES
+        assert NAMES == ALL_NAMES
 
     def test_catalog_names_are_the_data_keys(self):
         from coupledfut import catalog
@@ -83,7 +84,6 @@ class TestScenarioFiles:
             monkeypatch.setattr(catalog, builder, counting)
         for name in ALL_NAMES:
             assert load(name).localization.name == name
-        catalog_names()
         assert built == list(ALL_NAMES)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -328,6 +328,42 @@ class TestScenarioFiles:
         else:
             assert (got, err) == (0, "")
             assert out == run(capsys, "localize", "--catalog", "hultgren-c")[1]
+
+    @pytest.mark.parametrize("name,code", [
+        ("", 3), ("2c", 3), ("c d", 3), ("\u00e9", 3), ("c\n", 3),
+        ("t", 0), ("_", 0), ("c1", 0)])
+    def test_parameter_name_is_an_ascii_identifier(self, capsys, tmp_path,
+                                                   name, code):
+        # as a generator name, checked before any expression that uses it
+        data = scenario_to_dict(load("cp1"))
+        data["parameter"]["name"] = name
+        data["components"][1]["bundles"][0]["hamiltonian"] = "1+" + name
+        path = tmp_path / "param.json"
+        path.write_text(json.dumps(data))
+        got, out, err = run(capsys, "localize", "--scenario", str(path))
+        if code:
+            assert (got, out) == (code, "")
+            assert err == "error: parameter.name: invalid name %r\n" % name
+        else:
+            assert (got, err) == (0, "")
+            assert "parameter: %s on (0, 1)" % name in out
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_negative_codimension_is_refused(self, capsys, tmp_path, command):
+        # cp1 with its south pole on a ring of dimension 2 at codimension -1:
+        # the sum is still the dimension 1, but no such ring fits inside
+        data = scenario_to_dict(load("cp1"))
+        data["rings"]["plane"] = {
+            "generators": [{"name": "a", "order": 3, "degree": 2}],
+            "top": {"a": 2}, "dimension": 2}
+        data["components"][0].update(ring="plane", codimension=-1)
+        message = "component 'south' has negative codimension -1"
+        report = validate_scenario(scenario_from_dict(data).localization)
+        assert (report.ok, report.messages) == (False, (message,))
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, command, "--scenario", str(path)) == (
+            3, "", "error: %s\n" % message)
 
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A component's bundle count that differs from the scenario's parses
@@ -1078,6 +1114,58 @@ class TestCliOversizedInput:
         assert (code, out) == (2, "")
         assert "--samples" in err or "--root-width" in err
         assert "1024 bits" in err
+
+    @pytest.mark.parametrize("site,where", [
+        (("dimension",), "scenario.dimension"),
+        (("bundles",), "scenario.bundles"),
+        (("rings", "a-b-ring", "dimension"), "rings.a-b-ring.dimension"),
+        (("rings", "a-b-ring", "generators", 0, "order"),
+         "rings.a-b-ring.generators[0].order"),
+        (("rings", "a-b-ring", "generators", 0, "degree"),
+         "rings.a-b-ring.generators[0].degree"),
+        (("rings", "a-b-ring", "top", "a"), "rings.a-b-ring.top"),
+        (("components", 0, "codimension"), "components[0].codimension"),
+        (("toric", "ambient"), "toric.ambient"),
+        (("toric", "direction", 0), "toric.direction"),
+        (("toric", "polytopes", 0, "facets", 0, "normal", 0),
+         "toric.polytopes[0].facets[0].normal"),
+        (("toric", "anticanonical", "facets", 0, "normal", 0),
+         "toric.anticanonical.facets[0].normal"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_json_integer_fields_are_bounded(self, capsys, tmp_path, site,
+                                             where):
+        data = scenario_to_dict(load("hultgren-c"))
+        node = data
+        for key in site[:-1]:
+            node = node[key]
+        message = "%s: integer exceeds the limit of 1024 bits" % where
+        for value in (2 ** 1024, -2 ** 1024):  # 1025 bits
+            node[site[-1]] = value
+            with pytest.raises(ParseError) as exc:
+                scenario_from_dict(data)
+            assert str(exc.value) == message
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "localize", "--scenario", str(path)) == (
+            2, "", "error: %s\n" % message)
+        node[site[-1]] = 2 ** 1024 - 1  # 1024 bits: other checks may refuse
+        try:
+            scenario_from_dict(data)
+        except EngineError as exc:
+            assert "bits" not in str(exc)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_direction_entries_are_bounded(self, capsys, sign):
+        wide, widest = sign + str(2 ** 1024 - 1), sign + str(2 ** 1024)
+        code, out, err = run(capsys, "toric", "--catalog", "cp1",
+                             "--direction", widest)  # 1025 bits
+        assert (code, out) == (2, "")
+        assert err.endswith("coupledfut toric: error: argument --direction: "
+                            "a direction entry exceeds 1024 bits\n")
+        code, out, err = run(capsys, "toric", "--catalog", "cp1",
+                             "--direction", wide)  # 1024 bits
+        assert (code, err) == (0, "")
+        assert "direction: %s\n" % wide in out
 
     def test_narrowest_benchmark_width_is_accepted(self, capsys):
         code, out, _ = run(capsys, "roots", "--catalog", "hultgren-c",

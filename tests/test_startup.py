@@ -2,6 +2,7 @@
 names the package binds for its users and for the benchmark's tracer; and
 how a process enters the command line and ends."""
 
+import ast
 import gc
 import importlib
 import importlib.util
@@ -66,6 +67,29 @@ def test_every_public_name_resolves():
     assert len(set(coupledfut.__all__)) == len(coupledfut.__all__)
     for name in coupledfut.__all__:
         assert getattr(coupledfut, name) is not None, name
+
+
+def test_every_definition_has_a_reader():
+    # a function, method or class of src/ that is neither exported nor
+    # read by name or attribute in src/ or perfbench/ is code only tests
+    # reach; dunder methods are read by the language itself
+    defined, read = set(), set()
+    for path in sorted((SRC / "coupledfut").glob("*.py")) + sorted(
+            (ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif path.parent.name == "coupledfut" and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.ClassDef)):
+                defined.add(node.name)
+    assert {"realize", "ParamPoly", "_measure"} <= defined
+    unread = {name for name in defined - read - set(coupledfut.__all__)
+              if not (name.startswith("__") and name.endswith("__"))}
+    assert not unread, sorted(unread)
 
 
 def load_layertrace():
