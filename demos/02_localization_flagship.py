@@ -31,23 +31,23 @@ def main():
     print()
     print("power sums, bundle 0 then bundle 1:")
     for alpha in range(scn.bundles):
-        row = [power_sum(scn, alpha, p).text() for p in range(scn.dimension + 2)]
+        row = [power_sum(scn, alpha, p).text(scn.param) for p in range(scn.dimension + 2)]
         print("  alpha=%d: %s" % (alpha, " | ".join(row)))
 
     print()
     print("equivariant volumes:")
     for alpha in range(scn.bundles):
-        print("  bundle %d -> %s" % (alpha, volume_localized(scn, alpha).text()))
+        print("  bundle %d -> %s" % (alpha, volume_localized(scn, alpha).text(scn.param)))
 
     print()
     print("per-component split of the top power sum (bundle 0):")
     for comp in scn.components:
         value = component_integral(comp, 0, scn.dimension + 1)
-        print("  %-16s -> %s" % (comp.label, value.text()))
+        print("  %-16s -> %s" % (comp.label, value.text(scn.param)))
 
     print()
     f = fut_localized(scn)
-    print("invariant:", render_factored(f))
+    print("invariant:", render_factored(f, scn.param))
     for x in (Fraction(5, 16), Fraction(3, 8), Fraction(1, 2), Fraction(5, 8), Fraction(11, 16)):
         print("  value at c = %-5s -> %s" % (x, ratfun_eval(f, x)))
 

@@ -23,7 +23,8 @@ INTERVAL = (Fraction(1, 4), Fraction(3, 4))
 
 
 def main():
-    model = load("hultgren-c").toric
+    scn = load("hultgren-c")
+    model, param = scn.toric, scn.localization.param
     print("ambient dimension:", model.ambient)
     print("direction:", model.direction)
 
@@ -47,9 +48,10 @@ def main():
     for i, pp in enumerate(model.polytopes):
         v = volume_curve(pp, INTERVAL)
         m = moment_curve(pp, model.direction, INTERVAL)
-        print("  polytope %d: volume %s, moment %s" % (i, poly_text(v), poly_text(m)))
+        print("  polytope %d: volume %s, moment %s" % (i, poly_text(v, param),
+                                                    poly_text(m, param)))
     anti = volume_curve(model.anticanonical, INTERVAL)
-    print("  ambient polytope volume:", poly_text(anti))
+    print("  ambient polytope volume:", poly_text(anti, param))
 
     print()
     report = minkowski_check(model, INTERVAL)

@@ -14,8 +14,9 @@ INTERVAL = (Fraction(1, 4), Fraction(3, 4))
 
 
 def main():
-    f = fut_localized(load("hultgren-c").localization)
-    print("invariant:", render_factored(f))
+    scn = load("hultgren-c").localization
+    f = fut_localized(scn)
+    print("invariant:", render_factored(f, scn.param))
 
     report = fut_roots(f, INTERVAL, Fraction(1, 10**12))
     print("interval:", report.interval)

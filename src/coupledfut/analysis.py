@@ -187,7 +187,6 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
 class RootReport(Record):
     """Vanishing locus of the invariant inside the validity interval."""
 
-    param: str
     interval: tuple[Fraction, Fraction]
     width: Fraction
     invariant: RationalFunction
@@ -203,10 +202,9 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
     Roots come from the numerator (the canonical form has no common
     factors); poles inside the interval are reported as diagnostics.
     """
-    param = f.num.param
     messages: list[str] = []
     if f.is_zero():
-        return RootReport(param, interval, width, f, (), (),
+        return RootReport(interval, width, f, (), (),
                           ("the invariant vanishes identically",))
     roots = isolate_roots(f.num, interval, width)
     poles: list[tuple[Fraction, int]] = []  # ascending, each once
@@ -220,7 +218,7 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
         messages.append("poles inside the validity interval: %s" % ", ".join(
             rat_text(x) + (" (multiplicity %d)" % m if m > 1 else "")
             for x, m in poles))
-    return RootReport(param, interval, width, f, roots,
+    return RootReport(interval, width, f, roots,
                       tuple(x for x, _ in poles), tuple(messages))
 
 
@@ -288,8 +286,6 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     measured directly on the polytopes realized at that sample, never
     interpolated.  Any discrepancy is reported, never repaired.
     """
-    if model.param != scn.param:
-        raise UsageError("parameter names differ between scenario and model")
     if len(model.polytopes) != scn.bundles:
         raise UsageError("model has %d polytopes for %d bundles"
                          % (len(model.polytopes), scn.bundles))
@@ -313,13 +309,15 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
         if not same:
             messages.append(
                 "bundle %d volume mismatch: localization gives %s, "
-                "polytope gives %s" % (alpha, v_loc.text(), v_tor.text()))
+                "polytope gives %s" % (alpha, v_loc.text(scn.param),
+                                       v_tor.text(scn.param)))
     f_loc = fut_localized(scn)
     f_tor = fut_toric(model, scn.interval)
     fut_same = f_loc == f_tor
     if not fut_same:
         messages.append("invariant mismatch: localization gives %s, "
-                        "polytope gives %s" % (f_loc.text(), f_tor.text()))
+                        "polytope gives %s" % (f_loc.text(scn.param),
+                                               f_tor.text(scn.param)))
     rows: list[SampleComparison] = []
     for x in xs:
         v_l = ratfun_eval(f_loc, x)

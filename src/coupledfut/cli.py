@@ -69,15 +69,22 @@ def _format_arg(text: str) -> str:
 
 
 def _read_samples(text: str) -> int | list[Fraction]:
-    """An integer is a sample count; anything else lists exact abscissae."""
+    """An integer is a sample count, of at most MAX_COEFF_BITS bits;
+    anything else lists exact abscissae."""
     try:
-        return int(text)
-    except ValueError:
-        try:
-            samples = [rat(piece) for piece in text.split(",")
-                       if piece.strip()]
-        except ParseError as exc:
-            raise ParseError("--samples: %s" % exc) from None
+        count = int(text)
+    except ValueError:  # digits alone fail only past the conversion limit
+        count = (1 << MAX_COEFF_BITS if re.fullmatch(r"\s*[-+]?\d+\s*", text)
+                 else None)
+    if count is not None:
+        if count.bit_length() > MAX_COEFF_BITS:
+            raise ParseError("--samples: integer exceeds the limit of %d bits"
+                             % MAX_COEFF_BITS)
+        return count
+    try:
+        samples = [rat(piece) for piece in text.split(",") if piece.strip()]
+    except ParseError as exc:
+        raise ParseError("--samples: %s" % exc) from None
     if not samples:
         raise UsageError("no sample abscissae given")
     return samples
@@ -141,7 +148,7 @@ def _cmd_toric(args: SimpleNamespace, scn: Scenario) -> int:
 def _cmd_roots(args: SimpleNamespace, scn: Scenario) -> int:
     loc = scn.localization
     report = fut_roots(fut_localized(loc), loc.interval, args.root_width)
-    sys.stdout.write(emit_roots(report, loc.name, args.format))
+    sys.stdout.write(emit_roots(report, loc.name, loc.param, args.format))
     return 0
 
 
@@ -152,7 +159,7 @@ def _cmd_verify(args: SimpleNamespace, scn: Scenario) -> int:
                                          args.format))
         return 0
     record = cross_validate(loc, scn.toric, args.samples)
-    sys.stdout.write(emit_verify(loc.name, record, args.format))
+    sys.stdout.write(emit_verify(loc.name, loc.param, record, args.format))
     if not record.ok:
         raise CrossValidationError(
             "localization and the polytope oracle disagree")

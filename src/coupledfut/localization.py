@@ -95,7 +95,7 @@ class LocalizationScenario(Record):
         """
         powers = self.dimension + 2
         cleared: dict = {}  # shared by the components, see _dense
-        parts = [_component_residues(comp, self.param, self.bundles, cleared)
+        parts = [_component_residues(comp, self.bundles, cleared)
                  for comp in self.components]
         euler_den: IntPoly = (1,)
         bundle_dens: list[IntPoly] = [(1,)] * self.bundles
@@ -129,8 +129,8 @@ class LocalizationScenario(Record):
             row = []
             den = euler_den
             for total in sums:
-                row.append(ratfun_reduce(ParamPoly.from_ints(self.param, total),
-                                         ParamPoly.from_ints(self.param, den)))
+                row.append(ratfun_reduce(ParamPoly.from_ints(total),
+                                         ParamPoly.from_ints(den)))
                 den = _ipoly_mul(den, bundle_den)
             table.append(tuple(row))
         return tuple(table)
@@ -139,8 +139,7 @@ class LocalizationScenario(Record):
 # ---------------------------------------------------------------------------
 # the residue table over integer polynomials
 
-def _component_residues(comp: FixedComponent, param: str, bundles: int,
-                        cleared: dict
+def _component_residues(comp: FixedComponent, bundles: int, cleared: dict
                         ) -> tuple[IntPoly, list[tuple[IntPoly, list[IntPoly],
                                                        IntPoly]]]:
     """One component's integrals of (u + c1)^p / euler, as integer data.
@@ -158,11 +157,10 @@ def _component_residues(comp: FixedComponent, param: str, bundles: int,
         raise DegenerateDatumError(
             "equivariant Euler class with zero scalar part is not invertible")
     ring = comp.euler.ring
-    _check_param(ring.param, param)
     table = ring.monomial_table
     d = ring.dimension
     euler, e_den = _dense(comp.euler.scalar, comp.euler.nilpotent, table,
-                          param, cleared)
+                          cleared)
     s = euler[0]
     neg_nil = [()] + [tuple(-x for x in co) for co in euler[1:]]
     neg_pows = _dense_powers(neg_nil, table, d)
@@ -173,7 +171,7 @@ def _component_residues(comp: FixedComponent, param: str, bundles: int,
     for b in comp.bundles:
         if b.chern.ring != ring:
             raise UsageError("classes live in different rings")
-        cls, b_den = _dense(b.hamiltonian, b.chern, table, param, cleared)
+        cls, b_den = _dense(b.hamiltonian, b.chern, table, cleared)
         w = []
         for j, c1_j in enumerate(_dense_powers([()] + cls[1:], table, d)):
             acc: IntPoly = ()
@@ -185,19 +183,12 @@ def _component_residues(comp: FixedComponent, param: str, bundles: int,
     return s_pows[d + 1], rows
 
 
-def _check_param(name: str, param: str) -> None:
-    if name != param:
-        raise UsageError("mismatched parameter names: %r vs %r"
-                         % (param, name))
-
-
 def _dense(scalar: RationalFunction, nilpotent: NilpotentClass,
-           table: MonomialTable, param: str,
-           memo: dict) -> tuple[list[IntPoly], IntPoly]:
+           table: MonomialTable, memo: dict) -> tuple[list[IntPoly], IntPoly]:
     """Integer numerators over the monomials of table, and their denominator.
 
     Index 0 holds the scalar part.  Terms that do not divide the top
-    monomial never reach it and are dropped after their parameter check.
+    monomial never reach it and are dropped.
     memo keeps the result, not to be modified, by the identities of the two
     parts, which the scenario keeps alive, so each distinct pair is cleared
     once.
@@ -208,7 +199,6 @@ def _dense(scalar: RationalFunction, nilpotent: NilpotentClass,
     cleared = []
     for i, f in [(0, scalar)] + [(table.index.get(e), f)
                                  for e, f in nilpotent.terms]:
-        _check_param(f.param, param)
         if i is not None:  # f = (u ints) / (v ints') with u/v in lowest terms
             q = f.num.content / f.den.content
             cleared.append((i, (_ipoly_mul((q.numerator,), f.num.ints),
@@ -286,7 +276,8 @@ def _polynomial_sum(scn: LocalizationScenario, alpha: int, power: int) -> Ration
     if not s.is_polynomial():
         raise InconsistentResidueError(
             "power-%d sum for bundle %d is not a polynomial (%s); "
-            "the residues are mutually inconsistent" % (power, alpha, s.text()))
+            "the residues are mutually inconsistent"
+            % (power, alpha, s.text(scn.param)))
     return s
 
 
@@ -298,7 +289,7 @@ def volume_localized(scn: LocalizationScenario, alpha: int) -> RationalFunction:
 def fut_localized(scn: LocalizationScenario) -> RationalFunction:
     """The degenerate invariant as an exact rational function of the parameter."""
     m = scn.dimension
-    total = RationalFunction.const(scn.param, 0)
+    total = RationalFunction.const(0)
     for alpha in range(scn.bundles):
         num = _polynomial_sum(scn, alpha, m + 1)
         den = _polynomial_sum(scn, alpha, m)
@@ -333,12 +324,12 @@ def fut_isolated(scn: LocalizationScenario) -> RationalFunction:
         if comp.euler.scalar.is_zero():
             raise DegenerateDatumError(
                 "point %r has vanishing Jacobian determinant" % comp.label)
-    total = RationalFunction.const(scn.param, 0)
+    total = RationalFunction.const(0)
     for alpha in range(scn.bundles):
-        num = den = RationalFunction.const(scn.param, 0)
+        num = den = RationalFunction.const(0)
         for comp in scn.components:
             u = comp.bundles[alpha].hamiltonian
-            u_m = RationalFunction.const(scn.param, 1)
+            u_m = RationalFunction.const(1)
             for _ in range(m):
                 u_m = u_m * u
             den = den + u_m / comp.euler.scalar
@@ -356,7 +347,7 @@ def shift_hamiltonians(scn: LocalizationScenario,
     if len(shifts) != scn.bundles:
         raise UsageError("need one shift per bundle (%d given, %d bundles)"
                          % (len(shifts), scn.bundles))
-    consts = [RationalFunction.const(scn.param, rat(t)) for t in shifts]
+    consts = [RationalFunction.const(rat(t)) for t in shifts]
     new_components = []
     for comp in scn.components:
         new_bundles = tuple(
@@ -366,19 +357,19 @@ def shift_hamiltonians(scn: LocalizationScenario,
     return scn.replace(components=tuple(new_components))
 
 
-def make_point_component(param: str, label: str, ambient_dim: int,
+def make_point_component(label: str, ambient_dim: int,
                          euler_scalar: Fraction | int | str,
                          hamiltonians: tuple[Fraction | int | str, ...]) -> FixedComponent:
     """Convenience constructor for an isolated fixed point."""
-    ring = point_ring(param)
+    ring = point_ring()
     return FixedComponent(
         label=label,
         ring=ring,
         codimension=ambient_dim,
-        euler=EquivariantClass(RationalFunction.const(param, rat(euler_scalar)),
+        euler=EquivariantClass(RationalFunction.const(rat(euler_scalar)),
                                NilpotentClass.zero(ring)),
         bundles=tuple(
-            BundleRestriction(RationalFunction.const(param, rat(u)),
+            BundleRestriction(RationalFunction.const(rat(u)),
                               NilpotentClass.zero(ring))
             for u in hamiltonians))
 
@@ -409,9 +400,6 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
         if len(comp.bundles) != scn.bundles:
             messages.append("component %r restricts %d bundles; scenario has %d"
                             % (comp.label, len(comp.bundles), scn.bundles))
-        if comp.ring.param != scn.param:
-            messages.append("component %r uses parameter %r, scenario uses %r"
-                            % (comp.label, comp.ring.param, scn.param))
         if comp.codimension < 0:
             messages.append("component %r has negative codimension %d"
                             % (comp.label, comp.codimension))
@@ -434,7 +422,7 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
                 residues_polynomial = False
                 messages.append(
                     "power-%d sum for bundle %d is not a polynomial (%s)"
-                    % (power, alpha, s.text()))
+                    % (power, alpha, s.text(scn.param)))
     volume_positive: list[bool] = []
     if residues_polynomial:
         for alpha in range(scn.bundles):
@@ -444,7 +432,7 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
             if not pos:
                 messages.append(
                     "bundle %d volume %s is not positive on the whole interval"
-                    % (alpha, vol.text()))
+                    % (alpha, vol.text(scn.param)))
     ok = not messages
     return ValidationReport(ok, tuple(messages), residues_polynomial,
                             tuple(volume_positive))

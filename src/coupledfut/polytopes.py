@@ -188,8 +188,6 @@ class ParamPolytope(Record, hidden=("fan",)):
                 raise ValidationError("normal %r has wrong length" % (normal,))
             if all(x == 0 for x in normal):
                 raise ValidationError("zero facet normal")
-            if offset.param != param:
-                raise ValidationError("offset parameter mismatch")
             built.append(Facet(normal, offset))
         normals = tuple(f.normal for f in built)
         fan = Fan(normals)
@@ -454,7 +452,7 @@ def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
                   for k, b in enumerate(offsets[i])]
                  for i, f in enumerate(pp.facets)]
         for i, s in enumerate(slack):
-            poly = ParamPoly.from_ints(pp.param, s)
+            poly = ParamPoly.from_ints(s)
             if i not in tight and (key, poly) not in proved:
                 proved[key, poly] = positive_on_interval(poly, interval)
             if any(s) if i in tight else not proved[key, poly]:
@@ -485,7 +483,7 @@ def _chamber(pp: ParamPolytope, interval: tuple[Fraction, Fraction]
             moments[r] = _ipoly_add(moments[r], _ipoly_mul(w, coord))
     den = math.factorial(n + 1) * (common * q) ** (n + 1) * common
     chamber = pp._chambers[key] = tuple(
-        ParamPoly.from_ints(pp.param, m, Fraction(1, den)) for m in moments)
+        ParamPoly.from_ints(m, Fraction(1, den)) for m in moments)
     return chamber
 
 
@@ -501,13 +499,12 @@ def moment_curve(pp: ParamPolytope, xi: tuple[int, ...],
     if len(xi) != pp.ambient:
         raise UsageError("direction has wrong length")
     return sum((m.scale(a) for m, a in zip(_chamber(pp, interval), xi)),
-               ParamPoly.zero(pp.param))
+               ParamPoly.zero())
 
 
 class ToricModel(Record):
     """Moment polytopes of the bundles, a direction, and the ambient polytope."""
 
-    param: str
     ambient: int
     direction: tuple[int, ...]
     polytopes: tuple[ParamPolytope, ...]
@@ -518,7 +515,7 @@ def fut_toric(model: ToricModel, interval: tuple[Fraction, Fraction],
               direction: tuple[int, ...] | None = None) -> RationalFunction:
     """Sum over bundles of the barycenter coordinate along the direction."""
     xi = direction if direction is not None else model.direction
-    total = RationalFunction.const(model.param, 0)
+    total = RationalFunction.const(0)
     for pp in model.polytopes:
         vol = volume_curve(pp, interval)
         if vol.is_zero():
@@ -596,7 +593,7 @@ def minkowski_check(model: ToricModel,
                 "inconclusive",
                 ("incidence patterns differ; polytopes are not strongly "
                  "isomorphic",))
-    totals = [ParamPoly.zero(model.param)] * len(every)
+    totals = [ParamPoly.zero()] * len(every)
     for pp, targets in zip(model.polytopes, maps):
         for f, j in zip(pp.facets, targets):
             totals[j] = totals[j] + f.offset
@@ -606,5 +603,6 @@ def minkowski_check(model: ToricModel,
                 "fail",
                 ("bundle polytopes do not sum to the ambient polytope: "
                  "offsets along normal %s add to %s, expected %s"
-                 % (tf.normal, total.text(), tf.offset.text()),))
+                 % (tf.normal, total.text(target.param),
+                    tf.offset.text(target.param)),))
     return MinkowskiReport("pass", ())

@@ -72,46 +72,43 @@ IntPoly = tuple[int, ...]
 
 
 class ParamPoly(Record):
-    """content * ints in one named parameter: ints is primitive with a
-    positive leading coefficient, and the rational content carries the sign.
-    Zero is () with content 0."""
+    """content * ints in the parameter: ints is primitive with a positive
+    leading coefficient, and the rational content carries the sign.  Zero is
+    () with content 0.  The parameter's name is not stored: text takes it."""
 
-    param: str
     ints: IntPoly
     content: Fraction
 
-    def __init__(self, param: str, ints: IntPoly, content: Fraction):
-        object.__setattr__(self, "param", param)  # hot: no generic init
-        object.__setattr__(self, "ints", ints)
+    def __init__(self, ints: IntPoly, content: Fraction):
+        object.__setattr__(self, "ints", ints)  # hot: no generic init
         object.__setattr__(self, "content", content)
 
     @staticmethod
-    def from_ints(param: str, ints: Sequence[int],
-                  scale: Fraction = _ONE) -> "ParamPoly":
+    def from_ints(ints: Sequence[int], scale: Fraction = _ONE) -> "ParamPoly":
         """scale times an integer polynomial, in the normal form."""
         ints = list(ints)
         while ints and not ints[-1]:
             ints.pop()
         if not ints or not scale:
-            return ParamPoly(param, (), _ZERO)
+            return ParamPoly((), _ZERO)
         g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-        return ParamPoly(param, tuple(co // g for co in ints), scale * g)
+        return ParamPoly(tuple(co // g for co in ints), scale * g)
 
     @staticmethod
-    def create(param: str, coeffs: Iterable[int | str | Fraction]) -> "ParamPoly":
+    def create(coeffs: Iterable[int | str | Fraction]) -> "ParamPoly":
         qs = [rat(x) for x in coeffs]
         den = math.lcm(*[q.denominator for q in qs])
-        return ParamPoly.from_ints(param, [q.numerator * (den // q.denominator)
-                                           for q in qs], Fraction(1, den))
+        return ParamPoly.from_ints([q.numerator * (den // q.denominator)
+                                    for q in qs], Fraction(1, den))
 
     @staticmethod
-    def zero(param: str) -> "ParamPoly":
-        return ParamPoly(param, (), _ZERO)
+    def zero() -> "ParamPoly":
+        return ParamPoly((), _ZERO)
 
     @staticmethod
-    def const(param: str, value: int | str | Fraction) -> "ParamPoly":
+    def const(value: int | str | Fraction) -> "ParamPoly":
         q = rat(value)
-        return ParamPoly(param, (1,) if q else (), q)
+        return ParamPoly((1,) if q else (), q)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -126,12 +123,11 @@ class ParamPoly(Record):
         return len(self.ints) - 1
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        _same_param(self, other)
         if not self.ints or not other.ints:
             return other if not self.ints else self
         a, b = self.content, other.content
         den = math.lcm(a.denominator, b.denominator)
-        return ParamPoly.from_ints(self.param, _ipoly_add(
+        return ParamPoly.from_ints(_ipoly_add(
             _ipoly_mul((a.numerator * (den // a.denominator),), self.ints),
             _ipoly_mul((b.numerator * (den // b.denominator),), other.ints)),
             Fraction(1, den))
@@ -140,16 +136,15 @@ class ParamPoly(Record):
         return self + (-other)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.param, self.ints, -self.content)
+        return ParamPoly(self.ints, -self.content)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
-        _same_param(self, other)
-        return ParamPoly(self.param, _ipoly_mul(self.ints, other.ints),
+        return ParamPoly(_ipoly_mul(self.ints, other.ints),
                          self.content * other.content)
 
     def scale(self, q: int | str | Fraction) -> "ParamPoly":
         q = rat(q)
-        return ParamPoly(self.param, self.ints if q else (), self.content * q)
+        return ParamPoly(self.ints if q else (), self.content * q)
 
     def coeff(self, i: int) -> Fraction:
         return self.content * self.ints[i] if 0 <= i < len(self.ints) else _ZERO
@@ -160,31 +155,21 @@ class ParamPoly(Record):
         acc, scale = _homogeneous(self.ints, x)
         return self.content * Fraction(acc * x.denominator, scale)
 
-    def text(self) -> str:
-        return poly_text(self)
+    def text(self, param: str) -> str:
+        return poly_text(self, param)
 
     @cached_property
     def factorization(self) -> "Factorization":
         """This polynomial's factorization, computed on first use."""
         return _factorize(self.ints)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "ParamPoly(%s)" % poly_text(self)
-
-
-def _same_param(a: ParamPoly, b: ParamPoly) -> None:
-    if a.param != b.param:
-        raise UsageError(
-            "mismatched parameter names: %r vs %r" % (a.param, b.param))
-
 
 def poly_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     """Monic gcd, from the last term of the integer remainder sequence."""
-    _same_param(a, b)
     if a.is_zero() and b.is_zero():
         raise ComputationError("gcd of two zero polynomials is undefined")
     g = _int_gcd(a.ints, b.ints)
-    return ParamPoly(a.param, g, Fraction(1, g[-1]))
+    return ParamPoly(g, Fraction(1, g[-1]))
 
 
 def _remainder_sequence(x: Sequence[int],
@@ -297,8 +282,9 @@ def _ipoly_prod(xs: Iterable[IntPoly]) -> IntPoly:
     return reduce(_ipoly_mul, xs, (1,))
 
 
-def poly_text(p: ParamPoly) -> str:
-    """Render descending, ASCII only: '112c^2-112c+23', '-30c+12', '0'."""
+def poly_text(p: ParamPoly, param: str) -> str:
+    """Render descending in the named parameter, ASCII only:
+    '112c^2-112c+23', '-30c+12', '0'."""
     parts: list[str] = []
     for i in range(p.degree(), -1, -1):
         co = p.coeff(i)
@@ -309,7 +295,7 @@ def poly_text(p: ParamPoly) -> str:
         if i == 0:
             body = rat_text(mag)
         else:
-            var = p.param if i == 1 else "%s^%d" % (p.param, i)
+            var = param if i == 1 else "%s^%d" % (param, i)
             body = var if mag == 1 else rat_text(mag) + var
         parts.append(sign + body)
     return "".join(parts) or "0"
@@ -326,16 +312,12 @@ class RationalFunction(Record):
         object.__setattr__(self, "den", den)
 
     @staticmethod
-    def const(param: str, value: int | str | Fraction) -> "RationalFunction":
-        return RationalFunction.from_poly(ParamPoly.const(param, value))
+    def const(value: int | str | Fraction) -> "RationalFunction":
+        return RationalFunction.from_poly(ParamPoly.const(value))
 
     @staticmethod
     def from_poly(p: ParamPoly) -> "RationalFunction":
-        return RationalFunction(p, ParamPoly(p.param, (1,), _ONE))
-
-    @property
-    def param(self) -> str:
-        return self.num.param if not self.num.is_zero() else self.den.param
+        return RationalFunction(p, ParamPoly((1,), _ONE))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -369,23 +351,19 @@ class RationalFunction(Record):
     def to_poly(self) -> ParamPoly:
         """The underlying polynomial; error if the denominator is nontrivial."""
         if not self.is_polynomial():
-            raise ComputationError(
-                "not a polynomial: (%s)/(%s)" % (poly_text(self.num),
-                                                 poly_text(self.den)))
+            raise ComputationError("not a polynomial: the denominator has "
+                                   "degree %d" % self.den.degree())
         return self.num.scale(1 / self.den.content)
 
-    def text(self) -> str:
+    def text(self, param: str) -> str:
         if self.is_polynomial():
-            return poly_text(self.to_poly())
-        return "(%s)/(%s)" % (poly_text(self.num), poly_text(self.den))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "RationalFunction(%s)" % self.text()
+            return poly_text(self.to_poly(), param)
+        return "(%s)/(%s)" % (poly_text(self.num, param),
+                              poly_text(self.den, param))
 
 
 def ratfun_reduce(num: ParamPoly, den: ParamPoly) -> RationalFunction:
     """Canonical form: divide by the gcd, then make the denominator monic."""
-    _same_param(num, den)
     if den.is_zero():
         raise ComputationError("zero denominator")
     if num.is_zero():
@@ -396,8 +374,8 @@ def ratfun_reduce(num: ParamPoly, den: ParamPoly) -> RationalFunction:
         if len(g) > 1:  # the quotients are primitive, by Gauss's lemma
             n, d = _ipoly_quo(n, g), _ipoly_quo(d, g)
     return RationalFunction(
-        ParamPoly(num.param, n, num.content / (den.content * d[-1])),
-        ParamPoly(num.param, d, Fraction(1, d[-1])))
+        ParamPoly(n, num.content / (den.content * d[-1])),
+        ParamPoly(d, Fraction(1, d[-1])))
 
 
 def ratfun_eval(f: RationalFunction, x: int | str | Fraction) -> Fraction:
@@ -405,7 +383,7 @@ def ratfun_eval(f: RationalFunction, x: int | str | Fraction) -> Fraction:
     x = rat(x)
     d = f.den.eval(x)
     if d == 0:
-        raise PoleError("pole at %s = %s" % (f.param, rat_text(x)))
+        raise PoleError("pole at %s" % rat_text(x))
     return f.num.eval(x) / d
 
 
@@ -419,7 +397,7 @@ def sturm_chain(p: ParamPoly) -> list[ParamPoly]:
     if p.is_zero():
         return []
     sign = _ONE if p.content > 0 else -_ONE
-    return [ParamPoly.from_ints(p.param, q, sign) for q in _int_sturm(p.ints)]
+    return [ParamPoly.from_ints(q, sign) for q in _int_sturm(p.ints)]
 
 
 def count_roots_open(p: ParamPoly,
@@ -646,8 +624,7 @@ def _rational_roots(s: IntPoly) -> list[Fraction]:
     return roots
 
 
-def interpolate(param: str,
-                points: Sequence[tuple[Fraction, Fraction]]) -> ParamPoly:
+def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> ParamPoly:
     """Exact interpolation through distinct abscissae, in Newton form: the
     divided differences, then the nested form expanded from the inside out,
     O(k^2) operations on k points."""
@@ -667,7 +644,7 @@ def interpolate(param: str,
             shifted[t] -= xs[i] * a
         shifted[0] += diffs[i]
         coeffs = shifted
-    return ParamPoly.create(param, coeffs)
+    return ParamPoly.create(coeffs)
 
 
 def sample_values(interval: tuple[Fraction, Fraction],
@@ -756,8 +733,8 @@ def _value_bits(value: _Value) -> float:
 
 
 class _ExprParser:
-    """Recursive-descent parser over _Value, producing one ParamPoly in a
-    fixed parameter at the end."""
+    """Recursive-descent parser over _Value, in one named parameter,
+    producing one ParamPoly at the end."""
 
     def __init__(self, text: str, param: str):
         self.text = text
@@ -777,7 +754,7 @@ class _ExprParser:
         num, den = self.expr()
         if self.peek():
             raise ParseError("trailing input in expression %r" % self.text)
-        return ParamPoly.from_ints(self.param, num, Fraction(1, den))
+        return ParamPoly.from_ints(num, Fraction(1, den))
 
     def expr(self) -> _Value:
         if self.peek() in ("+", "-"):
@@ -899,8 +876,9 @@ def parse_poly(text: str, param: str) -> ParamPoly:
         raise ParseError("expression nested too deeply") from None
 
 
-def render_factored(f: RationalFunction) -> str:
-    """Human-readable factored form, e.g. '-3(112c^2-112c+23)/((56c-3)(56c-53))'.
+def render_factored(f: RationalFunction, param: str) -> str:
+    """Human-readable factored form in the named parameter, e.g.
+    '-3(112c^2-112c+23)/((56c-3)(56c-53))'.
 
     Each side is its linear factors in root order times its irrational
     factors multiplied out; the overall rational scale is printed in front.
@@ -909,8 +887,8 @@ def render_factored(f: RationalFunction) -> str:
         return "0"
     num, den = f.num.factorization, f.den.factorization
     scale = f.num.content / f.den.content
-    fac_n = _factor_texts(num, f.num.param)
-    fac_d = _factor_texts(den, f.num.param)
+    fac_n = _factor_texts(num, param)
+    fac_d = _factor_texts(den, param)
     if not fac_n:
         num_txt = rat_text(scale)
     elif scale == 1:
@@ -925,7 +903,7 @@ def render_factored(f: RationalFunction) -> str:
 
 def _factor_texts(fac: Factorization, param: str) -> list[tuple[str, int]]:
     """(text, exponent) of each linear factor, then of the irrational rest."""
-    as_poly = lambda x: poly_text(ParamPoly(param, x, _ONE))
+    as_poly = lambda x: poly_text(ParamPoly(x, _ONE), param)
     out = [(as_poly((-r.numerator, r.denominator)), m) for r, m in fac.roots]
     rest = _ipoly_prod(g for g, m in fac.factors for _ in range(m))
     return out + [(as_poly(rest), 1)] if len(rest) > 1 else out

@@ -56,9 +56,9 @@ def _curve_json(loc: LocalizationScenario, fut: RationalFunction,
         "parameter": loc.param,
         "interval": [rat_text(loc.interval[0]), rat_text(loc.interval[1])],
         "invariant": {
-            "factored": render_factored(fut),
-            "numerator": fut.num.text(),
-            "denominator": fut.den.text(),
+            "factored": render_factored(fut, loc.param),
+            "numerator": fut.num.text(loc.param),
+            "denominator": fut.den.text(loc.param),
         },
         **fields,
     }
@@ -88,7 +88,7 @@ def emit_obstruction(loc: LocalizationScenario,
         return _curve_json(loc, fut, value_at, {
             "dimension": loc.dimension,
             "bundles": loc.bundles,
-            "volumes": [v.text() for v in volumes],
+            "volumes": [v.text(loc.param) for v in volumes],
             "note": note,
         })
     lines = [
@@ -97,8 +97,9 @@ def emit_obstruction(loc: LocalizationScenario,
         "dimension: %d    bundles: %d" % (loc.dimension, loc.bundles),
     ]
     for i, v in enumerate(volumes):
-        lines.append("bundle %d equivariant volume: %s" % (i, v.text()))
-    lines.append("invariant: %s" % render_factored(fut))
+        lines.append("bundle %d equivariant volume: %s"
+                     % (i, v.text(loc.param)))
+    lines.append("invariant: %s" % render_factored(fut, loc.param))
     if value_at is not None:
         lines.append(_value_line(loc, value_at))
     lines.append("note: %s" % note)
@@ -117,8 +118,8 @@ def emit_toric(loc: LocalizationScenario, ambient: int,
         return _curve_json(loc, fut, value_at, {
             "ambient": ambient,
             "direction": list(direction),
-            "euclidean_volumes": [v.text() for v in volumes],
-            "scaled_volumes": [v.text() for v in scaled],
+            "euclidean_volumes": [v.text(loc.param) for v in volumes],
+            "scaled_volumes": [v.text(loc.param) for v in scaled],
             "minkowski": minkowski,
         })
     lines = [
@@ -129,8 +130,8 @@ def emit_toric(loc: LocalizationScenario, ambient: int,
     ]
     for i, (ev, sv) in enumerate(zip(volumes, scaled)):
         lines.append("polytope %d volume: %s (times dimension!: %s)"
-                     % (i, ev.text(), sv.text()))
-    lines.append("invariant: %s" % render_factored(fut))
+                     % (i, ev.text(loc.param), sv.text(loc.param)))
+    lines.append("invariant: %s" % render_factored(fut, loc.param))
     lines.append("additivity of polytopes: %s" % minkowski)
     if value_at is not None:
         lines.append(_value_line(loc, value_at))
@@ -150,18 +151,19 @@ def _surd_text(surd: tuple[int, int, int, int]) -> str:
     return "(%d%s)/%d" % (p, mid, r)
 
 
-def emit_roots(report: RootReport, scenario: str, fmt: str) -> str:
+def emit_roots(report: RootReport, scenario: str, param: str,
+               fmt: str) -> str:
     if fmt == "csv":
         return csv_table([(rec.midpoint(), Fraction(0))
                           for rec in report.roots])
     if fmt == "structured":
         payload = {
             "scenario": scenario,
-            "parameter": report.param,
+            "parameter": param,
             "interval": [rat_text(report.interval[0]),
                          rat_text(report.interval[1])],
             "width": rat_text(report.width),
-            "invariant": render_factored(report.invariant),
+            "invariant": render_factored(report.invariant, param),
             "roots": [
                 {
                     "lo": rat_text(rec.lo),
@@ -180,7 +182,7 @@ def emit_roots(report: RootReport, scenario: str, fmt: str) -> str:
         return _json_text(payload)
     lines = [
         "scenario: %s" % scenario,
-        "invariant: %s" % render_factored(report.invariant),
+        "invariant: %s" % render_factored(report.invariant, param),
         "interval: %s    bracket width: at most %s"
         % (_interval_text(report.interval), rat_text(report.width)),
         "roots found: %d" % len(report.roots),
@@ -248,17 +250,19 @@ def emit_validation(scenario: str, validation: ValidationReport,
         scenario, "ok" if validation.ok else "FAILED", _NO_TORIC)
 
 
-def emit_verify(scenario: str, record: CrossValidationRecord, fmt: str) -> str:
+def emit_verify(scenario: str, param: str, record: CrossValidationRecord,
+                fmt: str) -> str:
     if fmt == "structured":
         payload = {
             "scenario": scenario,
             "ok": record.ok,
             "validation": _validation_json(record.validation),
-            "volumes_localized": [v.text() for v in record.volumes_localized],
-            "volumes_toric": [v.text() for v in record.volumes_toric],
+            "volumes_localized": [v.text(param)
+                                  for v in record.volumes_localized],
+            "volumes_toric": [v.text(param) for v in record.volumes_toric],
             "volume_match": list(record.volume_match),
-            "invariant_localized": record.fut_localized.text(),
-            "invariant_toric": record.fut_toric.text(),
+            "invariant_localized": record.fut_localized.text(param),
+            "invariant_toric": record.fut_toric.text(param),
             "invariant_match": record.fut_match,
             "samples": [
                 {"at": rat_text(row.at),

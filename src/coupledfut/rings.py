@@ -40,7 +40,6 @@ class Generator(Record):
 class Ring(Record):
     """Truncated polynomial ring with a distinguished top monomial."""
 
-    param: str
     generators: tuple[Generator, ...]
     top: Exponents
     dimension: int
@@ -140,7 +139,7 @@ def ring_create(param: str,
             raise ValidationError(
                 "top monomial exponent %d of %r reaches truncation order %d"
                 % (e, g.name, g.order))
-    ring = Ring(param, gens, exps, dimension)
+    ring = Ring(gens, exps, dimension)
     if ring.monomial_degree(exps) != dimension:
         raise ValidationError(
             "top monomial has degree %d but the dimension is %d"
@@ -148,9 +147,9 @@ def ring_create(param: str,
     return ring
 
 
-def point_ring(param: str) -> Ring:
+def point_ring() -> Ring:
     """The ring of an isolated fixed point."""
-    return Ring(param, (), (), 0)
+    return Ring((), (), 0)
 
 
 class NilpotentClass(Record):
@@ -188,13 +187,13 @@ class NilpotentClass(Record):
         for e, c in self.terms:
             if e == exps:
                 return c
-        return RationalFunction.const(self.ring.param, 0)
+        return RationalFunction.const(0)
 
     def __add__(self, other: "NilpotentClass") -> "NilpotentClass":
         _same_ring(self.ring, other.ring)
         merged = dict(self.terms)
         for e, c in other.terms:
-            merged[e] = merged.get(e, RationalFunction.const(self.ring.param, 0)) + c
+            merged[e] = merged.get(e, RationalFunction.const(0)) + c
         return NilpotentClass.create(self.ring, merged)
 
     def __neg__(self) -> "NilpotentClass":
@@ -212,7 +211,7 @@ class NilpotentClass(Record):
                 if not self.ring.monomial_survives(exps):
                     continue
                 prod = c1 * c2
-                out[exps] = out.get(exps, RationalFunction.const(self.ring.param, 0)) + prod
+                out[exps] = out.get(exps, RationalFunction.const(0)) + prod
         return NilpotentClass.create(self.ring, out)
 
     def scale(self, q: RationalFunction) -> "NilpotentClass":
@@ -274,7 +273,7 @@ class EquivariantClass(Record):
 
     @staticmethod
     def one(ring: Ring) -> "EquivariantClass":
-        return EquivariantClass(RationalFunction.const(ring.param, 1),
+        return EquivariantClass(RationalFunction.const(1),
                                 NilpotentClass.zero(ring))
 
     def __add__(self, other: "EquivariantClass") -> "EquivariantClass":

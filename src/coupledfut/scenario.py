@@ -126,7 +126,8 @@ def _parse_expr(text, param: str, where: str,
     return value
 
 
-def _parse_class(raw, ring: Ring, where: str, memo: dict) -> NilpotentClass:
+def _parse_class(raw, ring: Ring, param: str, where: str,
+                 memo: dict) -> NilpotentClass:
     if not isinstance(raw, dict):
         raise ParseError("%s: expected an object of monomial terms" % where)
     terms = {}
@@ -135,8 +136,7 @@ def _parse_class(raw, ring: Ring, where: str, memo: dict) -> NilpotentClass:
             exps = parse_monomial(ring, key)
         except ParseError as exc:
             raise ParseError("%s: %s" % (where, exc))
-        terms[exps] = _parse_expr(val, ring.param, "%s.%s" % (where, key),
-                                  memo)
+        terms[exps] = _parse_expr(val, param, "%s.%s" % (where, key), memo)
     # every value is now a str or an int, so the items can be a key
     class_key = (id(ring), tuple(raw.items()))
     cls = memo.get(class_key)
@@ -243,7 +243,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         euler_raw = _object(_need(c, "euler", cw), cw + ".euler")
         euler_scalar = _parse_expr(_need(euler_raw, "scalar", cw + ".euler"),
                                    param, cw + ".euler.scalar", memo)
-        euler_nil = _parse_class(euler_raw.get("classes", {}), ring,
+        euler_nil = _parse_class(euler_raw.get("classes", {}), ring, param,
                                  cw + ".euler.classes", memo)
         euler = EquivariantClass(euler_scalar, euler_nil)
         restrictions = []
@@ -252,8 +252,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
             b = _object(b, bw)
             ham = _parse_expr(_need(b, "hamiltonian", bw), param,
                               bw + ".hamiltonian", memo)
-            chern = _parse_class(b.get("chern", {}), ring, bw + ".chern",
-                                 memo)
+            chern = _parse_class(b.get("chern", {}), ring, param,
+                                 bw + ".chern", memo)
             restrictions.append(BundleRestriction(ham, chern))
         components.append(FixedComponent(label, ring, codim, euler,
                                          tuple(restrictions)))
@@ -285,7 +285,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if t.get("anticanonical") is not None:
             anti = _parse_polytope(t["anticanonical"], param, ambient,
                                    "toric.anticanonical", memo)
-        toric = ToricModel(param, ambient, tuple(direction), pps, anti)
+        toric = ToricModel(ambient, tuple(direction), pps, anti)
     return Scenario(loc, toric)
 
 
@@ -293,15 +293,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
 # serialization
 
 
-def _class_to_dict(cls: NilpotentClass) -> dict:
-    return {monomial_text(cls.ring, exps): _rf_text(coeff)
+def _class_to_dict(cls: NilpotentClass, param: str) -> dict:
+    return {monomial_text(cls.ring, exps): _rf_text(coeff, param)
             for exps, coeff in cls.terms}
 
 
-def _rf_text(rf: RationalFunction) -> str:
+def _rf_text(rf: RationalFunction, param: str) -> str:
     if not rf.is_polynomial():
         raise ParseError("cannot serialize a non-polynomial coefficient")
-    return poly_text(rf.to_poly())
+    return poly_text(rf.to_poly(), param)
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
@@ -344,13 +344,14 @@ def scenario_to_dict(scn: Scenario) -> dict:
                 "ring": ring_names[comp.ring],
                 "codimension": comp.codimension,
                 "euler": {
-                    "scalar": _rf_text(comp.euler.scalar),
-                    "classes": _class_to_dict(comp.euler.nilpotent),
+                    "scalar": _rf_text(comp.euler.scalar, loc.param),
+                    "classes": _class_to_dict(comp.euler.nilpotent,
+                                              loc.param),
                 },
                 "bundles": [
                     {
-                        "hamiltonian": _rf_text(b.hamiltonian),
-                        "chern": _class_to_dict(b.chern),
+                        "hamiltonian": _rf_text(b.hamiltonian, loc.param),
+                        "chern": _class_to_dict(b.chern, loc.param),
                     }
                     for b in comp.bundles
                 ],
@@ -371,7 +372,8 @@ def scenario_to_dict(scn: Scenario) -> dict:
 
 
 def _polytope_to_dict(pp: ParamPolytope) -> dict:
-    return {"facets": [{"normal": list(f.normal), "offset": poly_text(f.offset)}
+    return {"facets": [{"normal": list(f.normal),
+                        "offset": poly_text(f.offset, pp.param)}
                        for f in pp.facets]}
 
 

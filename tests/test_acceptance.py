@@ -69,7 +69,7 @@ def test_c02_component_sums_of_fifth_powers():
     for alpha, expected in ((0, "-30c+12"), (1, "30c-18")):
         total = sum(
             (component_integral(comp, alpha, 5) for comp in scn.components),
-            RationalFunction.const("c", 0),
+            RationalFunction.const(0),
         )
         assert total == poly_rf(expected)
 
@@ -78,7 +78,7 @@ def test_c03_invariant_closed_form_and_normalization_note(capsys):
     """The invariant is -3(112c^2-112c+23)/((56c-3)(56c-53)), with the division by five stated."""
     scn = load("hultgren-c").localization
     f = fut_localized(scn)
-    assert render_factored(f) == "-3(112c^2-112c+23)/((56c-3)(56c-53))"
+    assert render_factored(f, "c") == "-3(112c^2-112c+23)/((56c-3)(56c-53))"
     code = main(["localize", "--catalog", "hultgren-c"])
     out = capsys.readouterr().out
     assert code == 0
@@ -173,14 +173,14 @@ def test_c08_shift_invariance_and_covariance():
         t1 = F(rng.randint(-60, 60), rng.randint(1, 25))
         t2 = F(rng.randint(-60, 60), rng.randint(1, 25))
         shifted = fut_localized(shift_hamiltonians(scn, (t1, t2)))
-        assert shifted == base + RationalFunction.const("c", t1 + t2)
+        assert shifted == base + RationalFunction.const(t1 + t2)
 
 
 def test_c09_uncoupled_and_coupled_projective_line():
     """The projective-line scenarios balance to zero, with equivariant volume two."""
     cp1 = load("cp1").localization
     assert fut_isolated(cp1).is_zero()
-    assert volume_localized(cp1, 0) == RationalFunction.const("c", 2)
+    assert volume_localized(cp1, 0) == RationalFunction.const(2)
     coupled = load("cp1-coupled").localization
     assert fut_localized(coupled).is_zero()
 
@@ -222,7 +222,7 @@ def test_c11_randomized_property_suites():
         return NilpotentClass.create(
             ring,
             {
-                k: RationalFunction.const("c", F(rng.randint(-6, 6), rng.randint(1, 4)))
+                k: RationalFunction.const(F(rng.randint(-6, 6), rng.randint(1, 4)))
                 for k in basis
             },
         )
@@ -243,13 +243,13 @@ def test_c11_randomized_property_suites():
         scalar = F(0)
         while scalar == 0:
             scalar = F(rng.randint(-8, 8), rng.randint(1, 5))
-        unit = EquivariantClass(RationalFunction.const("c", scalar), rand_nil())
+        unit = EquivariantClass(RationalFunction.const(scalar), rand_nil())
         assert unit * invert_unit(unit) == one
 
     # 3. powers add
     for _ in range(100):
         x = EquivariantClass(
-            RationalFunction.const("c", F(rng.randint(-6, 6), rng.randint(1, 4))),
+            RationalFunction.const(F(rng.randint(-6, 6), rng.randint(1, 4))),
             rand_nil(),
         )
         i, j = rng.randint(0, 4), rng.randint(0, 4)
@@ -260,7 +260,7 @@ def test_c11_randomized_property_suites():
         x, y = rand_nil(), rand_nil()
         s = F(rng.randint(-6, 6), rng.randint(1, 4))
         assert integrate(x + y) == integrate(x) + integrate(y)
-        assert integrate(x.scale(RationalFunction.const("c", s))) == integrate(
+        assert integrate(x.scale(RationalFunction.const(s))) == integrate(
             x
         ).scale(s)
 
@@ -282,9 +282,9 @@ def test_c11_randomized_property_suites():
     grid = [F(n, 6) for n in range(-18, 19)]
     for _ in range(100):
         roots = rng.sample(grid, rng.randint(0, 4))
-        p = ParamPoly.const("c", F(rng.choice([-3, -1, 1, 2])))
+        p = ParamPoly.const(F(rng.choice([-3, -1, 1, 2])))
         for r in roots:
-            p = p * ParamPoly.create("c", [-r, 1])
+            p = p * ParamPoly.create([-r, 1])
         a = F(rng.randint(-20, 20), rng.randint(1, 5))
         b = a + F(rng.randint(1, 30), rng.randint(1, 5))
         inside = sorted(r for r in roots if a < r < b)

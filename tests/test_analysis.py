@@ -140,7 +140,7 @@ class TestSturm:
         # negative leading coefficient would flip a sign
         rng = random.Random(11312)
         polys = [c("c^5-3c^2+1"), c("-c^4+2c+1")] + [
-            ParamPoly.create("c", [F(rng.randint(-6, 6), rng.randint(1, 4))
+            ParamPoly.create([F(rng.randint(-6, 6), rng.randint(1, 4))
                                    if rng.random() < 0.5 else 0
                                    for _ in range(rng.randint(2, 7))]
                              + [rng.choice([-3, -1, F(1, 2), 2])])
@@ -161,11 +161,11 @@ class TestSturm:
         rng = random.Random(11311)
         for _ in range(100):
             roots = rng.sample([F(n, 4) for n in range(-8, 9)], rng.randint(1, 3))
-            p = ParamPoly.const("c", 1)
+            p = ParamPoly.const(1)
             for r in roots:
                 for _ in range(rng.randint(1, 3)):
-                    p = p * ParamPoly.create("c", [-r, 1])
-            sf = ParamPoly.from_ints("c", _squarefree_split(p.ints)[0])
+                    p = p * ParamPoly.create([-r, 1])
+            sf = ParamPoly.from_ints(_squarefree_split(p.ints)[0])
             from coupledfut import poly_gcd
 
             assert poly_gcd(sf, derivative(sf)).degree() == 0
@@ -176,9 +176,9 @@ class TestSturm:
         grid = [F(n, 6) for n in range(-18, 19)]
         for _ in range(110):
             roots = rng.sample(grid, rng.randint(0, 4))
-            p = ParamPoly.const("c", F(rng.choice([-3, -1, 1, 2])))
+            p = ParamPoly.const(F(rng.choice([-3, -1, 1, 2])))
             for r in roots:
-                p = p * ParamPoly.create("c", [-r, 1])
+                p = p * ParamPoly.create([-r, 1])
             a = F(rng.randint(-20, 20), rng.randint(1, 5))
             b = a + F(rng.randint(1, 30), rng.randint(1, 5))
             inside = [r for r in roots if a < r < b]
@@ -241,7 +241,7 @@ class TestFutRoots:
             "poles inside the validity interval: 1/2 (multiplicity 2)",)
 
     def test_zero_invariant(self):
-        report = fut_roots(RationalFunction.const("c", 0), (F(0), F(1)))
+        report = fut_roots(RationalFunction.const(0), (F(0), F(1)))
         assert report.roots == ()
         assert report.messages == ("the invariant vanishes identically",)
 
@@ -521,7 +521,7 @@ def _ref_primitive(p):
     lcm = math.lcm(*(x.denominator for x in p.coeffs))
     ints = [int(x * lcm) for x in p.coeffs]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return ParamPoly.create("c", [x // g for x in ints])
+    return ParamPoly.create([x // g for x in ints])
 
 
 def _ref_rational_root_factors(p):
@@ -539,7 +539,7 @@ def _ref_rational_root_factors(p):
             found = next((x for x in cands if rest.eval(x) == 0), None)
         if found is None:
             break
-        lin = ParamPoly.create("c", [-found.numerator, found.denominator])
+        lin = ParamPoly.create([-found.numerator, found.denominator])
         factors.append(lin)
         quot, _ = ref_divmod(rest, lin)
         rest = _ref_primitive(quot)
@@ -550,12 +550,12 @@ def _factored(p):
     """p.factorization in the reference's shape: one primitive linear factor
     per unit of multiplicity, and the product of the rest."""
     fac = p.factorization
-    lin = [ParamPoly.create("c", [-r.numerator, r.denominator])
+    lin = [ParamPoly.create([-r.numerator, r.denominator])
            for r, m in fac.roots for _ in range(m)]
-    rest = ParamPoly.const("c", 1)
+    rest = ParamPoly.const(1)
     for g, m in fac.factors:
         for _ in range(m):
-            rest = rest * ParamPoly.create("c", g)
+            rest = rest * ParamPoly.create(g)
     return lin, rest
 
 
@@ -793,15 +793,14 @@ class TestFactorization:
     def test_factorization_multiplies_back(self):
         for p, _ in _seeded_polynomials(5107, 100):
             fac = p.factorization
-            back = ParamPoly.const("c", p.content)
+            back = ParamPoly.const(p.content)
             for root, m in fac.roots:
                 for _ in range(m):
-                    back = back * ParamPoly.create(
-                        "c", [-root.numerator, root.denominator])
+                    back = back * ParamPoly.create([-root.numerator, root.denominator])
             for g, m in fac.factors:
                 assert g[-1] > 0 and math.gcd(*g) == 1
                 for _ in range(m):
-                    back = back * ParamPoly.create("c", g)
+                    back = back * ParamPoly.create(g)
             assert back == p
             roots = [r for r, _ in fac.roots]
             assert roots == sorted(set(roots))

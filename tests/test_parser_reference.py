@@ -68,7 +68,7 @@ def test_parser_matches_sympy(text, other):
     # the normal form is canonical: the same polynomial built by the parser,
     # by the constructor and by arithmetic is one record with one hash
     q = parse_poly(other, "c")
-    built = [ParamPoly.create("c", reference(text)), (p + q) - q, (p - q) + q,
+    built = [ParamPoly.create(reference(text)), (p + q) - q, (p - q) + q,
              parse_poly("(%s)(%s)" % (text, other), "c") - p * q + p]
     for r in built:
         assert (r, hash(r)) == (p, hash(p))

@@ -90,12 +90,6 @@ class TestCreate:
                 "c", 2, [((1,), c("1")), ((0, 1), c("1")), ((-1, -1), c("0"))]
             )
 
-    def test_rejects_offset_parameter_mismatch(self):
-        with pytest.raises(ValidationError, match="offset parameter mismatch"):
-            ParamPolytope.create(
-                "c", 1, [((1,), parse_poly("t", "t")), ((-1,), c("0"))]
-            )
-
 
 class TestRealize:
     def test_unit_four_cube(self):
@@ -335,8 +329,7 @@ class TestCurves:
 
 def positive_poly(rng, degree):
     """A polynomial with positive coefficients, so positive for c > 0."""
-    return ParamPoly.create(
-        "c", [F(rng.randint(1, 6), rng.randint(1, 4))]
+    return ParamPoly.create([F(rng.randint(1, 6), rng.randint(1, 4))]
         + [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(degree)]
     )
 
@@ -559,7 +552,7 @@ class TestMinkowski:
         seg = lambda hi, lo: ParamPolytope.create(
             "c", 1, [((1,), c(hi)), ((-1,), c(lo))]
         )
-        bad = ToricModel("c", 1, (1,), (seg("1", "0"), seg("1", "0")), seg("1", "0"))
+        bad = ToricModel(1, (1,), (seg("1", "0"), seg("1", "0")), seg("1", "0"))
         report = minkowski_check(bad, (F(0), F(1)))
         assert report.status == "fail"
         assert "offsets along normal (1,) add to 2, expected 1" in report.messages[0]
@@ -569,7 +562,7 @@ class TestMinkowski:
         # [0, c] + [-c, 1] + [c-1, 2], the second listed from its lower end
         seg = lambda hi, lo: (((1,), c(hi)), ((-1,), c(lo)))
         bundles = [seg("c", "0"), seg("1", "c")[::-1], seg("2", "1-c")]
-        return ToricModel("c", 1, (1,), tuple(
+        return ToricModel(1, (1,), tuple(
             ParamPolytope.create("c", 1, list(facets)) for facets in bundles),
             ParamPolytope.create("c", 1, list(seg("c+3", ambient_lo))))
 
@@ -586,14 +579,14 @@ class TestMinkowski:
 
     def test_missing_ambient_polytope_is_inconclusive(self):
         seg = ParamPolytope.create("c", 1, [((1,), c("1")), ((-1,), c("0"))])
-        report = minkowski_check(ToricModel("c", 1, (1,), (seg,), None), (F(0), F(1)))
+        report = minkowski_check(ToricModel(1, (1,), (seg,), None), (F(0), F(1)))
         assert report.status == "inconclusive"
         assert any("no ambient polytope" in m for m in report.messages)
 
     def test_mismatched_normals_are_inconclusive(self):
         seg = ParamPolytope.create("c", 1, [((1,), c("1")), ((-1,), c("0"))])
         skew = ParamPolytope.create("c", 1, [((2,), c("2")), ((-1,), c("0"))])
-        report = minkowski_check(ToricModel("c", 1, (1,), (seg,), skew), (F(0), F(1)))
+        report = minkowski_check(ToricModel(1, (1,), (seg,), skew), (F(0), F(1)))
         assert report.status == "inconclusive"
         assert any("do not correspond" in m for m in report.messages)
 

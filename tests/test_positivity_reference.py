@@ -26,14 +26,14 @@ def polynomials_on_intervals(draw):
     degree = draw(st.integers(0, 4))
     sites = draw(st.lists(st.sampled_from(["lo", "hi", "inside", "outside"]),
                           max_size=degree))
-    p = ParamPoly.create("c", [draw(st.integers(-4, 4))
+    p = ParamPoly.create([draw(st.integers(-4, 4))
                                for _ in range(degree - len(sites))]
                          + [draw(st.sampled_from([1, -1, 2, -2, 3, -3]))])
     for site in sites:
         t = F(draw(SMALL), 7)  # in (0, 1)
         root = {"lo": lo, "hi": hi, "inside": lo + (hi - lo) * t,
                 "outside": draw(st.sampled_from([lo - t, hi + t]))}[site]
-        p = p * ParamPoly.create("c", [-root, 1])
+        p = p * ParamPoly.create([-root, 1])
     return p, lo, hi
 
 

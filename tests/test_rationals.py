@@ -41,7 +41,7 @@ def leading(p):
 
 
 def derivative(p):
-    return ParamPoly.create(p.param, [i * x for i, x in enumerate(p.coeffs)][1:])
+    return ParamPoly.create([i * x for i, x in enumerate(p.coeffs)][1:])
 
 
 def monic(p):
@@ -56,21 +56,21 @@ def ref_divmod(a, b):
         q = quot[i] = rem[i + shift] / lead
         for j, y in enumerate(b.coeffs):
             rem[i + j] -= q * y
-    return ParamPoly.create(a.param, quot), ParamPoly.create(a.param, rem)
+    return ParamPoly.create(quot), ParamPoly.create(rem)
 
 
 def rf(num, den="1"):
     return ratfun_reduce(c(num), c(den))
 
 
-def random_poly(rng, max_degree=4, param="c"):
+def random_poly(rng, max_degree=4):
     degree = rng.randint(0, max_degree)
     coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree + 1)]
-    return ParamPoly.create(param, coeffs)
+    return ParamPoly.create(coeffs)
 
 
 def random_ratfun(rng, num_degree=3, den_degree=2):
-    den = ParamPoly.zero("c")
+    den = ParamPoly.zero()
     while den.is_zero():
         den = random_poly(rng, den_degree)
     return ratfun_reduce(random_poly(rng, num_degree), den)
@@ -118,37 +118,37 @@ class TestRat:
 
 class TestParamPoly:
     def test_create_trims_trailing_zeros(self):
-        p = ParamPoly.create("c", [F(1), F(0), F(0)])
+        p = ParamPoly.create([F(1), F(0), F(0)])
         assert p.degree() == 0
-        assert p == ParamPoly.const("c", 1)
-        assert ParamPoly.create("c", [0, 0]).is_zero()
+        assert p == ParamPoly.const(1)
+        assert ParamPoly.create([0, 0]).is_zero()
 
     def test_eval_and_derivative(self):
         p = c("112c^2-112c+23")
         assert p.eval(F(1, 2)) == F(-5)
         assert derivative(p) == c("224c-112")
-        assert derivative(ParamPoly.zero("c")).is_zero()
+        assert derivative(ParamPoly.zero()).is_zero()
         assert (leading(c("56c-3")), monic(c("56c-3"))) == (56, c("c-3/56"))
 
     def test_text_descending_order(self):
-        assert poly_text(c("23-112c+112c^2")) == "112c^2-112c+23"
-        assert poly_text(ParamPoly.zero("c")) == "0"
-        assert poly_text(ParamPoly.const("c", F(-1, 4))) == "-1/4"
-        assert poly_text(c("-1/4c+1/10")) == "-1/4c+1/10"
+        assert poly_text(c("23-112c+112c^2"), "c") == "112c^2-112c+23"
+        assert poly_text(ParamPoly.zero(), "c") == "0"
+        assert poly_text(ParamPoly.const(F(-1, 4)), "c") == "-1/4"
+        assert poly_text(c("-1/4c+1/10"), "c") == "-1/4c+1/10"
 
 
 class TestParsePoly:
     def test_parses_affine_and_quadratic_forms(self):
-        assert c("2c-1/2") == ParamPoly.create("c", [F(-1, 2), F(2)])
-        assert c("(3-2c)/2") == ParamPoly.create("c", [F(3, 2), F(-1)])
-        assert c("-c") == ParamPoly.create("c", [0, -1])
-        assert c("112c^2-112c+23") == ParamPoly.create("c", [23, -112, 112])
+        assert c("2c-1/2") == ParamPoly.create([F(-1, 2), F(2)])
+        assert c("(3-2c)/2") == ParamPoly.create([F(3, 2), F(-1)])
+        assert c("-c") == ParamPoly.create([0, -1])
+        assert c("112c^2-112c+23") == ParamPoly.create([23, -112, 112])
 
     def test_round_trips_through_text(self):
         rng = random.Random(202)
         for _ in range(200):
             p = random_poly(rng)
-            assert parse_poly(poly_text(p), "c") == p
+            assert parse_poly(poly_text(p, "c"), "c") == p
 
     def test_rejects_unknown_symbols(self):
         with pytest.raises(ParseError, match="unknown symbol 'd'"):
@@ -202,7 +202,7 @@ class TestParsePoly:
     ])
     def test_degree_limit(self, text, message):
         assert parse_poly("(c+1)^%d" % MAX_DEGREE, "c").degree() == MAX_DEGREE
-        assert parse_poly("(2^100)^10", "c") == ParamPoly.const("c", 2 ** 1000)
+        assert parse_poly("(2^100)^10", "c") == ParamPoly.const(2 ** 1000)
         start = time.process_time()  # CPU time: other load does not count
         with pytest.raises(ParseError, match=message):
             parse_poly(text, "c")
@@ -210,12 +210,11 @@ class TestParsePoly:
 
     @pytest.mark.parametrize("text,value", [
         # log2(2^16 - 1) * 64 is just under MAX_COEFF_BITS
-        ("(2^16-1)^64", ParamPoly.const("c", (2 ** 16 - 1) ** 64)),
-        ("(2^16-1)^32*(2^16-1)^32", ParamPoly.const("c", (2 ** 16 - 1) ** 64)),
-        ("(c/(2^16-1))^64", ParamPoly.create(
-            "c", [0] * 64 + [F(1, (2 ** 16 - 1) ** 64)])),
-        ("c/(2^100)^10", ParamPoly.create("c", [0, F(1, 2 ** 1000)])),
-        ("1/(2^100)^10/2^24", ParamPoly.const("c", F(1, 2 ** 1024))),
+        ("(2^16-1)^64", ParamPoly.const((2 ** 16 - 1) ** 64)),
+        ("(2^16-1)^32*(2^16-1)^32", ParamPoly.const((2 ** 16 - 1) ** 64)),
+        ("(c/(2^16-1))^64", ParamPoly.create([0] * 64 + [F(1, (2 ** 16 - 1) ** 64)])),
+        ("c/(2^100)^10", ParamPoly.create([0, F(1, 2 ** 1000)])),
+        ("1/(2^100)^10/2^24", ParamPoly.const(F(1, 2 ** 1024))),
     ])
     def test_coefficient_size_just_under_the_limit(self, text, value):
         assert parse_poly(text, "c") == value
@@ -229,7 +228,7 @@ class TestParsePoly:
 class TestPolyArith:
     def test_sum_of_reference_volumes_is_constant(self):
         total = c("112c-6") + c("-112c+106")
-        assert total == ParamPoly.const("c", 100)
+        assert total == ParamPoly.const(100)
 
     def test_cross_multiplied_numerator(self):
         left = c("-30c+12") * c("-56c+53")
@@ -237,10 +236,6 @@ class TestPolyArith:
         total = left + right
         assert total == c("3360c^2-3360c+690")
         assert total == c("30") * c("112c^2-112c+23")
-
-    def test_mismatched_parameters_are_rejected(self):
-        with pytest.raises(UsageError, match="mismatched parameter names"):
-            c("c") + parse_poly("t", "t")
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(303)
@@ -251,8 +246,8 @@ class TestPolyArith:
             assert p * q == q * p
             assert (p * q) * r == p * (q * r)
             assert p * (q + r) == p * q + p * r
-            assert p + ParamPoly.zero("c") == p
-            assert p * ParamPoly.const("c", 1) == p
+            assert p + ParamPoly.zero() == p
+            assert p * ParamPoly.const(1) == p
             assert (p - p).is_zero()
 
 
@@ -271,16 +266,16 @@ class TestRefDivmod:
 
 class TestPolyGcd:
     def test_coprime_reference_pair(self):
-        assert poly_gcd(c("112c^2-112c+23"), c("56c-3")) == ParamPoly.const("c", 1)
+        assert poly_gcd(c("112c^2-112c+23"), c("56c-3")) == ParamPoly.const(1)
 
     def test_common_factor_is_extracted_monic(self):
         assert poly_gcd(c("c^2-1"), c("c-1")) == c("c-1")
         assert poly_gcd(c("2c-2"), c("4c-4")) == c("c-1")
 
     def test_gcd_with_zero(self):
-        assert poly_gcd(ParamPoly.zero("c"), c("3c-3")) == c("c-1")
+        assert poly_gcd(ParamPoly.zero(), c("3c-3")) == c("c-1")
         with pytest.raises(ComputationError, match="undefined"):
-            poly_gcd(ParamPoly.zero("c"), ParamPoly.zero("c"))
+            poly_gcd(ParamPoly.zero(), ParamPoly.zero())
 
     def test_divides_both_randomized(self):
         rng = random.Random(505)
@@ -310,7 +305,7 @@ def with_common_factor(rng, degree, common=4):
     """Two random rational polynomials of the given degree sharing a random
     factor of degree `common`."""
     def exact(d):
-        return ParamPoly.create("c", [F(rng.randint(-9, 9), rng.randint(1, 9))
+        return ParamPoly.create([F(rng.randint(-9, 9), rng.randint(1, 9))
                                       for _ in range(d)] + [F(rng.randint(1, 9), rng.randint(1, 9))])
     g = exact(common)
     return exact(degree - common) * g, exact(degree - common) * g
@@ -361,13 +356,13 @@ class TestIntegerForm:
             assert built(call, 10) == built(call, 40) <= 8
 
     def test_normal_form(self):
-        p = ParamPoly.create("c", [F(-3, 4), 0, F(3, 2), 0])
+        p = ParamPoly.create([F(-3, 4), 0, F(3, 2), 0])
         assert (p.ints, p.content) == ((-1, 0, 2), F(3, 4))
         assert (-p).content == F(-3, 4) and (-p).ints == p.ints
         assert p.coeffs == (F(-3, 4), 0, F(3, 2))
         zero = p - p
         assert (zero.ints, zero.content) == ((), 0)
-        assert zero == ParamPoly.zero("c") == p.scale(0)
+        assert zero == ParamPoly.zero() == p.scale(0)
         with pytest.raises(AttributeError):
             p.coeffs = ()
 
@@ -383,42 +378,42 @@ class TestInterpolate:
                 x = F(rng.randint(-30, 30), rng.randint(1, 8))
                 if x not in xs:
                     xs.append(x)
-            assert interpolate("c", [(x, p.eval(x)) for x in xs]) == p
+            assert interpolate([(x, p.eval(x)) for x in xs]) == p
 
     def test_repeated_abscissa_is_rejected(self):
         with pytest.raises(UsageError, match="repeated abscissa"):
-            interpolate("c", [(F(0), F(1)), (F(0), F(2))])
+            interpolate([(F(0), F(1)), (F(0), F(2))])
 
     def test_empty_data_gives_zero(self):
-        assert interpolate("c", []).is_zero()
+        assert interpolate([]).is_zero()
 
 
 class TestRationalFunction:
     def test_reduction_is_canonical(self):
         p = c("112c^2-112c+23")
-        assert ratfun_reduce(p, p) == RationalFunction.const("c", 1)
+        assert ratfun_reduce(p, p) == RationalFunction.const(1)
         assert rf("c^2-1", "c-1") == RationalFunction.from_poly(c("c+1"))
         assert rf("0", "56c-3").is_zero()
 
     def test_denominator_is_made_monic(self):
         f = rf("1", "2c-1")
         assert f.den == c("c-1/2")
-        assert f.num == ParamPoly.const("c", F(1, 2))
+        assert f.num == ParamPoly.const(F(1, 2))
 
     def test_zero_denominator_is_rejected(self):
         with pytest.raises(ComputationError, match="zero denominator"):
-            ratfun_reduce(c("1"), ParamPoly.zero("c"))
+            ratfun_reduce(c("1"), ParamPoly.zero())
 
     def test_factored_rendering_of_reference_ratio(self):
         num = c("30") * c("112c^2-112c+23")
         den = c("-2") * c("56c-3") * c("56c-53")
         f = ratfun_reduce(num, den)
-        assert render_factored(f) == "-15(112c^2-112c+23)/((56c-3)(56c-53))"
+        assert render_factored(f, "c") == "-15(112c^2-112c+23)/((56c-3)(56c-53))"
         assert ratfun_eval(f, F(1, 2)) == F(-3, 25)
 
     def test_eval_and_poles(self):
         assert ratfun_eval(RationalFunction.from_poly(c("112c-6")), F(1, 2)) == 50
-        with pytest.raises(PoleError, match="pole at c = 3/56"):
+        with pytest.raises(PoleError, match="pole at 3/56"):
             ratfun_eval(rf("1", "56c-3"), F(3, 56))
 
     def test_field_axioms_randomized(self):
@@ -433,7 +428,7 @@ class TestRationalFunction:
             assert (f + g) + h == f + (g + h)
             assert f * g == g * f
             assert f * (g + h) == f * g + f * h
-            assert f - f == RationalFunction.const("c", 0)
+            assert f - f == RationalFunction.const(0)
             if not g.is_zero():
                 assert (f / g) * g == f
 

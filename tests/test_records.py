@@ -67,8 +67,8 @@ def test_monomial_table_compares_by_identity():
 
 def test_source_polytope_is_left_out_of_equality():
     def segment(hi):
-        return ParamPolytope.create("c", 1, [((1,), ParamPoly.const("c", hi)),
-                                             ((-1,), ParamPoly.const("c", 0))])
+        return ParamPolytope.create("c", 1, [((1,), ParamPoly.const(hi)),
+                                             ((-1,), ParamPoly.const(0))])
 
     a = RealizedPolytope(1, 0, (), 1, (), (), (), segment(1))
     b = RealizedPolytope(1, 0, (), 1, (), (), (), segment(2))

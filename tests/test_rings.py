@@ -40,13 +40,13 @@ def flag():
 
 def ncl(ring, mapping):
     return NilpotentClass.create(
-        ring, {k: RF.const("c", v) for k, v in mapping.items()}
+        ring, {k: RF.const(v) for k, v in mapping.items()}
     )
 
 
 def eqc(ring, scalar, mapping=None):
     return EquivariantClass(
-        RF.const("c", scalar), ncl(ring, mapping or {})
+        RF.const(scalar), ncl(ring, mapping or {})
     )
 
 
@@ -62,7 +62,7 @@ class TestRingCreate:
         assert ring.dimension == 0
 
     def test_point_ring_helper(self):
-        ring = point_ring("c")
+        ring = point_ring()
         assert ring.generators == ()
         assert ring.dimension == 0
 
@@ -123,18 +123,18 @@ class TestNilpotentAlgebra:
 
     def test_constant_term_rejected(self, flag):
         with pytest.raises(UsageError, match="constant term"):
-            NilpotentClass.create(flag, {(0, 0): RF.const("c", 1)})
+            NilpotentClass.create(flag, {(0, 0): RF.const(1)})
 
     def test_wrong_exponent_arity_rejected(self, flag):
         with pytest.raises(UsageError, match="wrong length"):
-            NilpotentClass.create(flag, {(1,): RF.const("c", 1)})
+            NilpotentClass.create(flag, {(1,): RF.const(1)})
 
     def test_dead_monomials_are_dropped(self, flag):
-        assert NilpotentClass.create(flag, {(1, 7): RF.const("c", 1)}).is_zero()
+        assert NilpotentClass.create(flag, {(1, 7): RF.const(1)}).is_zero()
 
     def test_mixed_rings_rejected(self, flag):
         with pytest.raises(UsageError, match="different rings"):
-            ncl(flag, {(1, 0): 1}) * NilpotentClass.zero(point_ring("c"))
+            ncl(flag, {(1, 0): 1}) * NilpotentClass.zero(point_ring())
 
     def test_monomial_parsing_round_trip(self, flag):
         assert parse_monomial(flag, "a*b^2") == (1, 2)
@@ -166,7 +166,7 @@ class TestEquivariantClasses:
     def test_cube_of_unit_with_nilpotent_tail(self, flag):
         x = eqc(flag, F(-1, 2), {(1, 0): 1, (0, 1): 4})
         cube = equiv_pow(x, 3)
-        assert cube.scalar == RF.const("c", F(-1, 8))
+        assert cube.scalar == RF.const(F(-1, 8))
         assert cube.nilpotent == ncl(
             flag,
             {(1, 0): F(3, 4), (0, 1): 3, (1, 1): -12, (0, 2): -24, (1, 2): 48},
@@ -176,7 +176,7 @@ class TestEquivariantClasses:
     def test_inverse_of_unit(self, flag):
         y = eqc(flag, F(-1, 2), {(1, 0): -1, (0, 1): 1})
         inv = invert_unit(y)
-        assert inv.scalar == RF.const("c", -2)
+        assert inv.scalar == RF.const(-2)
         assert inv.nilpotent == ncl(
             flag, {(1, 0): 4, (0, 1): -4, (1, 1): 16, (0, 2): -8, (1, 2): 48}
         )
@@ -223,7 +223,7 @@ class TestEquivariantClasses:
                 flag,
                 {k: F(rng.randint(-5, 5), rng.randint(1, 4)) for k in basis},
             )
-            x = EquivariantClass(RF.const("c", scalar), nil)
+            x = EquivariantClass(RF.const(scalar), nil)
             assert x * invert_unit(x) == one
 
     def test_power_additivity_randomized(self, flag):
@@ -231,7 +231,7 @@ class TestEquivariantClasses:
         basis = [(1, 0), (0, 1), (1, 1), (0, 2)]
         for _ in range(120):
             x = EquivariantClass(
-                RF.const("c", F(rng.randint(-6, 6), rng.randint(1, 4))),
+                RF.const(F(rng.randint(-6, 6), rng.randint(1, 4))),
                 ncl(flag, {k: F(rng.randint(-5, 5), rng.randint(1, 4)) for k in basis}),
             )
             i = rng.randint(0, 4)
@@ -243,15 +243,15 @@ class TestIntegrate:
     def test_reads_top_coefficient(self, flag):
         n = ncl(flag, {(1, 0): 1, (0, 1): 4})
         n3 = n * n * n
-        assert integrate(n3) == RF.const("c", 48)
-        assert integrate(n) == RF.const("c", 0)
+        assert integrate(n3) == RF.const(48)
+        assert integrate(n) == RF.const(0)
 
     def test_equivariant_class_integrates_its_nilpotent_top(self, flag):
         x = eqc(flag, F(-1, 2), {(1, 0): 1, (0, 1): 4})
-        assert integrate(equiv_pow(x, 3)) == RF.const("c", 48)
+        assert integrate(equiv_pow(x, 3)) == RF.const(48)
 
     def test_point_ring_integrates_the_scalar(self):
-        pt = point_ring("c")
+        pt = point_ring()
         x = EquivariantClass(
             RF.from_poly(parse_poly("2c-1", "c")), NilpotentClass.zero(pt)
         )
@@ -268,4 +268,4 @@ class TestIntegrate:
             x, y = rand_class(), rand_class()
             s = F(rng.randint(-6, 6), rng.randint(1, 4))
             assert integrate(x + y) == integrate(x) + integrate(y)
-            assert integrate(x.scale(RF.const("c", s))) == integrate(x).scale(s)
+            assert integrate(x.scale(RF.const(s))) == integrate(x).scale(s)

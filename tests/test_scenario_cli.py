@@ -29,6 +29,7 @@ from coupledfut.cli import COMMANDS, main
 from coupledfut.rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS,
                                   MAX_RING_MONOMIALS, MAX_SIMPLICES)
 from coupledfut.report import FORMATS
+from test_localization import perfbench_module
 
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
 
@@ -349,6 +350,21 @@ class TestScenarioFiles:
             assert "parameter: %s on (0, 1)" % name in out
 
     @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_generator_named_like_the_parameter_is_refused(
+            self, capsys, tmp_path, command):
+        # the one place where ring names and the parameter's name meet
+        data = scenario_to_dict(load("hultgren-c"))
+        data["rings"] = {"section": data["rings"].pop("a-b-ring")}
+        data["rings"]["section"]["generators"][0]["name"] = "c"
+        for comp in data["components"]:
+            comp["ring"] = "section"
+        path = tmp_path / "collision.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, command, "--scenario", str(path)) == (
+            3, "", "error: rings.section: generator 'c' collides with the "
+                   "parameter name\n")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
     def test_negative_codimension_is_refused(self, capsys, tmp_path, command):
         # cp1 with its south pole on a ring of dimension 2 at codimension -1:
         # the sum is still the dimension 1, but no such ring fits inside
@@ -442,6 +458,47 @@ class TestScenarioFiles:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == "error: %s\n" % message
+
+
+# a c that is not part of a longer name; a number may precede it, as in 2c
+LONE_C = r"(?<![A-Za-z_])c(?![A-Za-z0-9_])"
+
+
+def renamed(node, name):
+    """Scenario data with every expression's parameter c renamed."""
+    if isinstance(node, dict):
+        return {key: renamed(value, name) for key, value in node.items()}
+    if isinstance(node, list):
+        return [renamed(value, name) for value in node]
+    if isinstance(node, str):
+        return re.sub(LONE_C, name, node)
+    return node
+
+
+class TestParameterName:
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_the_scenario_name_reaches_every_output(self, capsys, tmp_path,
+                                                    name):
+        # every c in every output stands for the parameter, except the two
+        # fixed schema keys: the samples' "c" and the csv header c,fut
+        data = scenario_to_dict(load(name))
+        data.update(name="entry", description="neutral", note="none")
+        paths = {}
+        for param in ("c", "W"):
+            paths[param] = tmp_path / ("%s.json" % param)
+            paths[param].write_text(json.dumps(renamed(data, param)))
+        renamed_scn = parse_scenario(paths["W"].read_text())
+        assert renamed_scn.localization.param == "W"
+        assert parse_scenario(scenario_to_json(renamed_scn)) == renamed_scn
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                got = [run(capsys, command, "--scenario", str(paths[param]),
+                           "--format", fmt) for param in ("c", "W")]
+                code, out, err = got[0]
+                expected = [re.sub(LONE_C, "W", text).replace('"W":', '"c":')
+                            .replace("W,fut\n", "c,fut\n")
+                            for text in (out, err)]
+                assert got[1] == (code, *expected), (command, fmt)
 
 
 class TestCliLocalize:
@@ -1180,6 +1237,20 @@ class TestCliOversizedInput:
         assert (code, out) == (3, "")
         assert "1001 samples exceed the limit 1000" in err
 
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    @pytest.mark.parametrize("count", [
+        str(2 ** 1024), str(2 ** 3000), "1" * 5000, "-" + str(2 ** 1024)],
+        ids=["2^1024", "2^3000", "5000-digits", "-2^1024"])
+    def test_sample_count_integer_is_bounded(self, capsys, command, count):
+        # also a count too long for int(), which is not read as a rational
+        assert run(capsys, command, "--catalog", "cp1", "--samples",
+                   count) == (2, "", "error: --samples: integer exceeds "
+                                     "the limit of 1024 bits\n")
+        widest = str(2 ** 1024 - 1)  # 1024 bits: the count limit refuses it
+        assert run(capsys, command, "--catalog", "cp1", "--samples",
+                   widest) == (3, "", "error: %s samples exceed the limit "
+                                      "1000\n" % widest)
+
     @pytest.mark.parametrize("site", ["scenario", "ring", "monomials"])
     def test_dimension_and_ring_size_are_bounded(self, capsys, tmp_path,
                                                  site):
@@ -1422,6 +1493,44 @@ class TestStructuredGolden:
             for n in ALL_NAMES for f in FORMATS} | {
             ("toric", "hultgren-c", ("--format", f) + ALONG_Z)
             for f in FORMATS}
+
+
+# one sha256 over every call of the benchmark's four workloads at seed 1,
+# and over the paths those calls never take, in text and structured: argv
+# (the scenario directory as <DIR>), exit code, stdout and stderr
+WORKLOAD_GOLDEN = ("89cb523018a8d28ac2687439e05379c0"
+                   "cda32169506950e7b0b1fb6fe3ea7a07")
+
+
+class TestWorkloadGolden:
+    def test_benchmark_calls_are_pinned(self, capsys, monkeypatch, tmp_path):
+        bench = perfbench_module(monkeypatch, "run")
+        argvs = []
+        for make_calls, _ in bench.WORKLOADS.values():
+            cases, calls, _ = make_calls(1)
+            bench.write_inputs(cases, str(tmp_path))
+            argvs += [call.argv(str(tmp_path)) for call in calls]
+        assert len(argvs) == 62
+        data = scenario_to_dict(load("cp1"))
+        del data["toric"]
+        (tmp_path / "cp1-no-toric.json").write_text(json.dumps(data))
+        for fmt in ("text", "structured"):
+            tail = ("--format", fmt)
+            argvs += [
+                ["toric", "--catalog", "hultgren-c", "--direction",
+                 "-1,0,0,1", *tail],
+                ["localize", "--catalog", "hultgren-c", "--param-value",
+                 "1/3", *tail],
+                ["toric", "--catalog", "hultgren-c", "--param-value", "1/3",
+                 *tail],
+                ["verify", "--scenario", "%s/cp1-no-toric.json" % tmp_path,
+                 *tail]]
+        digest = hashlib.sha256()
+        for argv in argvs:
+            shown = [a.replace(str(tmp_path), "<DIR>") for a in argv]
+            digest.update(json.dumps([shown, *run(capsys, *argv)])
+                          .encode("utf-8"))
+        assert digest.hexdigest() == WORKLOAD_GOLDEN
 
 
 class TestCliArgumentHandling:
