@@ -28,7 +28,7 @@ from .analysis import (DEFAULT_SAMPLES, DEFAULT_WIDTH, _sample_points,
                        cross_validate, fut_roots, sample_curve)
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
-from .localization import fut_localized, volume_localized
+from .localization import fut_localized, refuse, volume_localized
 from .polytopes import fut_toric, minkowski_check, volume_curve
 from .rationals import MAX_COEFF_BITS, RationalFunction, rat, ratfun_eval
 from .report import (FORMATS, emit_obstruction, emit_roots, emit_samples,
@@ -58,6 +58,8 @@ def _direction_arg(text: str) -> tuple[int, ...]:
                          % text) from None
     if any(x.bit_length() > MAX_COEFF_BITS for x in direction):
         raise ValueError("a direction entry exceeds %d bits" % MAX_COEFF_BITS)
+    if not any(direction):  # generates no circle action
+        raise ValueError("zero direction")
     return direction
 
 
@@ -110,9 +112,7 @@ def _admit(args: SimpleNamespace) -> Scenario:
         raise UsageError("--root-width must be positive")
     if hasattr(args, "samples"):
         args.samples = _sample_points(interval, _read_samples(args.samples))
-    validation = scn.localization.validation
-    if not validation.ok:
-        raise ValidationError("; ".join(validation.messages))
+    refuse(scn.localization.validation.messages)
     return scn
 
 

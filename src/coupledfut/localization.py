@@ -12,10 +12,11 @@ invariant is the weighted average of the ratios
 one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
 
-A scenario computes its residue table and its validation report once, on
-first use; the table holds the power sums p = 0..m+1 of every bundle.  It
-is built fraction-free.  On a component of ring dimension d with Euler class
-s + N (N nilpotent) and bundle restriction u + c1, the two finite expansions
+A scenario computes its findings, residue table and validation report once,
+on first use; the table and fut_isolated refuse the findings before any
+work.  The table, built fraction-free, holds the power sums p = 0..m+1 of
+every bundle.  On a component of ring dimension d with Euler class s + N
+(N nilpotent) and bundle restriction u + c1, the two finite expansions
 
     1/(s + N) = sum_{k<=d} (-N)^k / s^(k+1),
     (u + c1)^p = sum_{j<=min(p,d)} C(p,j) u^(p-j) c1^j
@@ -39,8 +40,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (ComputationError, DegenerateDatumError,
-                     InconsistentResidueError, Record, UsageError)
+from .errors import (ComputationError, InconsistentResidueError, Record,
+                     UsageError, ValidationError)
 from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, RationalFunction,
                         _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
                         positive_on_interval, rat, rat_text, ratfun_reduce)
@@ -62,9 +63,6 @@ class FixedComponent(Record):
     euler: EquivariantClass
     bundles: tuple[BundleRestriction, ...]
 
-    def is_point(self) -> bool:
-        return not self.ring.generators
-
 
 class LocalizationScenario(Record):
     """Complete fixed-point data set plus the parameter's validity interval."""
@@ -77,6 +75,45 @@ class LocalizationScenario(Record):
     bundles: int
     interval: tuple[Fraction, Fraction]
     components: tuple[FixedComponent, ...]
+
+    @cached_property
+    def findings(self) -> tuple[str, ...]:
+        """The structural faults of the data, judged once, on first use."""
+        messages: list[str] = []
+        if self.dimension < 1:
+            messages.append("ambient dimension must be positive")
+        if self.bundles < 1:
+            messages.append("need at least one bundle")
+        lo, hi = self.interval
+        if not lo < hi:
+            messages.append("empty validity interval [%s, %s]"
+                            % (rat_text(lo), rat_text(hi)))
+        if not self.components:
+            messages.append("no fixed components")
+        labels = [comp.label for comp in self.components]
+        if len(set(labels)) != len(labels):
+            messages.append("duplicate component labels")
+        for comp in self.components:
+            if len(comp.bundles) != self.bundles:
+                messages.append(
+                    "component %r restricts %d bundles; scenario has %d"
+                    % (comp.label, len(comp.bundles), self.bundles))
+            if comp.codimension < 0:
+                messages.append("component %r has negative codimension %d"
+                                % (comp.label, comp.codimension))
+            if comp.ring.dimension + comp.codimension != self.dimension:
+                messages.append(
+                    "component %r: dimension %d plus codimension %d is not %d"
+                    % (comp.label, comp.ring.dimension, comp.codimension,
+                       self.dimension))
+            if comp.euler.scalar.is_zero():
+                messages.append("component %r has a degenerate Euler class "
+                                "(zero scalar part)" % comp.label)
+            if any(x.ring != comp.ring for x in
+                   [comp.euler] + [b.chern for b in comp.bundles]):
+                messages.append("component %r: class in another ring"
+                                % comp.label)
+        return tuple(messages)
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -93,9 +130,10 @@ class LocalizationScenario(Record):
         Z[param] of the components' B_alpha and S^(d+1), and reduced once.
         The Euler lcm may reach degree MAX_DEGREE, checked as it grows.
         """
+        refuse(self.findings)
         powers = self.dimension + 2
         cleared: dict = {}  # shared by the components, see _dense
-        parts = [_component_residues(comp, self.bundles, cleared)
+        parts = [_component_residues(comp, cleared)
                  for comp in self.components]
         euler_den: IntPoly = (1,)
         bundle_dens: list[IntPoly] = [(1,)] * self.bundles
@@ -139,9 +177,8 @@ class LocalizationScenario(Record):
 # ---------------------------------------------------------------------------
 # the residue table over integer polynomials
 
-def _component_residues(comp: FixedComponent, bundles: int, cleared: dict
-                        ) -> tuple[IntPoly, list[tuple[IntPoly, list[IntPoly],
-                                                       IntPoly]]]:
+def _component_residues(comp: FixedComponent, cleared: dict) -> tuple[
+        IntPoly, list[tuple[IntPoly, list[IntPoly], IntPoly]]]:
     """One component's integrals of (u + c1)^p / euler, as integer data.
 
     Returns (den, rows) with rows[alpha] = (U, W, B), so that
@@ -150,15 +187,8 @@ def _component_residues(comp: FixedComponent, bundles: int, cleared: dict
     and the bundle class to (U + C) / B, den = S^(d+1) and
     W[j] = E * sum_k S^(d-k) <C^j, (-N)^k> for j <= d.
     """
-    if len(comp.bundles) != bundles:
-        raise UsageError("component %r restricts %d bundles; scenario has %d"
-                         % (comp.label, len(comp.bundles), bundles))
-    if comp.euler.scalar.is_zero():
-        raise DegenerateDatumError(
-            "equivariant Euler class with zero scalar part is not invertible")
-    ring = comp.euler.ring
-    table = ring.monomial_table
-    d = ring.dimension
+    table = comp.ring.monomial_table
+    d = comp.ring.dimension
     euler, e_den = _dense(comp.euler.scalar, comp.euler.nilpotent, table,
                           cleared)
     s = euler[0]
@@ -169,8 +199,6 @@ def _component_residues(comp: FixedComponent, bundles: int, cleared: dict
         s_pows.append(_ipoly_mul(s_pows[-1], s))
     rows = []
     for b in comp.bundles:
-        if b.chern.ring != ring:
-            raise UsageError("classes live in different rings")
         cls, b_den = _dense(b.hamiltonian, b.chern, table, cleared)
         w = []
         for j, c1_j in enumerate(_dense_powers([()] + cls[1:], table, d)):
@@ -237,6 +265,12 @@ def _pair(x: list[IntPoly], y: list[IntPoly], table: MonomialTable) -> IntPoly:
     return acc
 
 
+def refuse(messages: tuple[str, ...]) -> None:
+    """Raise one ValidationError listing the messages, if there are any."""
+    if messages:
+        raise ValidationError("; ".join(messages))
+
+
 class ValidationReport(Record):
     """Outcome of the structural and analytic checks on a scenario."""
 
@@ -250,8 +284,6 @@ def component_integral(comp: FixedComponent, alpha: int, power: int) -> Rational
     """One component's contribution to the power-p sum of bundle alpha."""
     if not 0 <= alpha < len(comp.bundles):
         raise UsageError("bundle index %d out of range" % alpha)
-    if power < 0:
-        raise UsageError("negative power %d" % power)
     b = comp.bundles[alpha]
     integrand = (equiv_pow(EquivariantClass(b.hamiltonian, b.chern), power)
                  * invert_unit(comp.euler))
@@ -309,21 +341,11 @@ def fut_isolated(scn: LocalizationScenario) -> RationalFunction:
     ring arithmetic nor the residue table is involved, so this is an
     independent check of the general engine on point scenarios.
     """
-    m = scn.dimension
-    if m < 1:
-        raise UsageError("ambient dimension must be positive")
-    if not scn.components:
-        raise UsageError("no fixed points")
-    bad = [comp.label for comp in scn.components if not comp.is_point()]
+    refuse(scn.findings)
+    bad = [comp.label for comp in scn.components if comp.ring.generators]
     if bad:
         raise UsageError("components %r are not isolated points" % (bad,))
-    for comp in scn.components:
-        if len(comp.bundles) != scn.bundles:
-            raise UsageError("point %r restricts %d bundles; scenario has %d"
-                             % (comp.label, len(comp.bundles), scn.bundles))
-        if comp.euler.scalar.is_zero():
-            raise DegenerateDatumError(
-                "point %r has vanishing Jacobian determinant" % comp.label)
+    m = scn.dimension
     total = RationalFunction.const(0)
     for alpha in range(scn.bundles):
         num = den = RationalFunction.const(0)
@@ -375,45 +397,17 @@ def make_point_component(label: str, ambient_dim: int,
 
 
 def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
-    """Run structural checks, the residue-consistency check, and positivity.
+    """Report the scenario's findings, or else check residue consistency and
+    positivity.
 
-    Structural findings and failed analytic checks all land in the message
-    list; ok is True only when every check passes.  Positivity of each
-    bundle's volume is required on the open validity interval, matching the
-    ampleness window the scenario declares.
+    Findings and failed analytic checks all land in the message list; ok is
+    True only when every check passes.  Positivity of each bundle's volume
+    is required on the open validity interval, matching the ampleness window
+    the scenario declares.
     """
+    if scn.findings:
+        return ValidationReport(False, scn.findings, False, ())
     messages: list[str] = []
-    if scn.dimension < 1:
-        messages.append("ambient dimension must be positive")
-    if scn.bundles < 1:
-        messages.append("need at least one bundle")
-    lo, hi = scn.interval
-    if not lo < hi:
-        messages.append("empty validity interval [%s, %s]"
-                        % (rat_text(lo), rat_text(hi)))
-    if not scn.components:
-        messages.append("no fixed components")
-    labels = [comp.label for comp in scn.components]
-    if len(set(labels)) != len(labels):
-        messages.append("duplicate component labels")
-    for comp in scn.components:
-        if len(comp.bundles) != scn.bundles:
-            messages.append("component %r restricts %d bundles; scenario has %d"
-                            % (comp.label, len(comp.bundles), scn.bundles))
-        if comp.codimension < 0:
-            messages.append("component %r has negative codimension %d"
-                            % (comp.label, comp.codimension))
-        if comp.ring.dimension + comp.codimension != scn.dimension:
-            messages.append(
-                "component %r: dimension %d plus codimension %d is not %d"
-                % (comp.label, comp.ring.dimension, comp.codimension,
-                   scn.dimension))
-        if comp.euler.scalar.is_zero():
-            messages.append("component %r has a degenerate Euler class "
-                            "(zero scalar part)" % comp.label)
-    if messages:
-        return ValidationReport(False, tuple(messages), False, ())
-
     residues_polynomial = True
     for alpha in range(scn.bundles):
         for power in range(scn.dimension + 2):
@@ -427,7 +421,11 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
     if residues_polynomial:
         for alpha in range(scn.bundles):
             vol = volume_localized(scn, alpha)
-            pos = positive_on_interval(vol.to_poly(), scn.interval)
+            try:  # the root kernel's degree limit
+                pos = positive_on_interval(vol.to_poly(), scn.interval)
+            except UsageError as exc:
+                raise UsageError("bundle %d volume: %s"
+                                 % (alpha, exc)) from None
             volume_positive.append(pos)
             if not pos:
                 messages.append(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -60,11 +61,22 @@ def rat(value: int | str | Fraction) -> Fraction:
     return q
 
 
-def rat_text(q: Fraction) -> str:
-    """Render a rational as 'p' or 'p/q'."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def rat_text(q: Fraction | int) -> str:
+    """Render a rational as 'p' or 'p/q', and an integer as 'p'.
+
+    A numerator or denominator longer than the interpreter's limit of
+    printable digits, sys.get_int_max_str_digits() (0 for none), is a
+    UsageError that names its digit count and the limit.
+    """
+    try:
+        return str(q)
+    except ValueError:  # the limit is set and passed
+        n = max(abs(q.numerator), q.denominator)
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+        digits += n >= 10 ** digits  # n has digits or digits + 1 of them
+        limit = sys.get_int_max_str_digits()
+        raise UsageError("a number of %d digits exceeds the printing limit "
+                         "of %d digits" % (digits, limit)) from None
 
 
 # integer coefficients, ascending by degree, no trailing zeros; () is zero

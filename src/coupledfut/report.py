@@ -139,16 +139,11 @@ def emit_toric(loc: LocalizationScenario, ambient: int,
 
 
 def _surd_text(surd: tuple[int, int, int, int]) -> str:
+    """(p+q*sqrt(d))/r, the factor q left out when it is 1 or -1."""
     p, q, d, r = surd
-    if q == 1:
-        mid = "+sqrt(%d)" % d
-    elif q == -1:
-        mid = "-sqrt(%d)" % d
-    elif q < 0:
-        mid = "-%d*sqrt(%d)" % (-q, d)
-    else:
-        mid = "+%d*sqrt(%d)" % (q, d)
-    return "(%d%s)/%d" % (p, mid, r)
+    scale = "" if abs(q) == 1 else rat_text(abs(q)) + "*"
+    return "(%s%s%ssqrt(%s))/%s" % (rat_text(p), "-" if q < 0 else "+", scale,
+                                    rat_text(d), rat_text(r))
 
 
 def emit_roots(report: RootReport, scenario: str, param: str,

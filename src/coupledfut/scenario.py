@@ -274,6 +274,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 or len(direction) != ambient):
             raise ParseError("toric.direction: expected %d integers" % ambient)
         _bounded(direction, "toric.direction")
+        if not any(direction):  # generates no circle action
+            raise ValidationError("toric.direction: zero direction")
         polys_raw = _list(_need(t, "polytopes", "toric"), "toric.polytopes")
         if len(polys_raw) != bundles:
             raise ParseError("toric.polytopes: %d polytopes for %d bundles"

@@ -10,6 +10,7 @@ from coupledfut import (
     ParamPoly,
     RationalFunction,
     UsageError,
+    ValidationError,
     count_roots_open,
     cross_validate,
     fut_roots,
@@ -350,10 +351,11 @@ class TestCrossValidate:
         redundant = scenario_to_dict(load("cp1"))
         redundant["toric"]["polytopes"][0]["facets"].append(
             {"normal": [1], "offset": "2"})
+        # negated Euler scalars: a volume of -2, which validation refuses
         cp1 = load("cp1")
-        south, north = cp1.localization.components
-        duplicate = cp1.localization.replace(
-            components=(south, north.replace(label=south.label)))
+        negated = cp1.localization.replace(components=tuple(
+            comp.replace(euler=comp.euler.replace(scalar=-comp.euler.scalar))
+            for comp in cp1.localization.components))
         flagship = load("hultgren-c")
         kinds = [("volume mismatch", flagship),
                  ("invariant mismatch", flagship),
@@ -362,12 +364,19 @@ class TestCrossValidate:
                   scenario_from_dict(offset)),
                  ("redundant facets", scenario_from_dict(redundant)),
                  ("scenario validation failed", cp1.replace(
-                     localization=duplicate))]
+                     localization=negated))]
         for kind, scn in [("", scn) for scn in scenarios] + kinds:
             record = cross_validate(scn.localization, scn.toric)
             assert record.ok is (not record.messages), scn.localization.name
             if kind:
                 assert any(kind in m for m in record.messages), kind
+        # a structural finding is refused before any work
+        south, north = cp1.localization.components
+        duplicate = cp1.localization.replace(
+            components=(south, north.replace(label=south.label)))
+        with pytest.raises(ValidationError,
+                           match="^duplicate component labels$"):
+            cross_validate(duplicate, cp1.toric)
 
     def test_each_quantity_is_computed_once(self, monkeypatch):
         from coupledfut import analysis, localization, polytopes

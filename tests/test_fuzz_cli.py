@@ -1,9 +1,12 @@
 """Mutated catalog scenarios and option values through every subcommand,
 in process.
 
-Hypothesis takes a catalog entry as plain data and applies a few mutations:
-it drops a key or a list item, replaces a value with an atom, or duplicates
-a list item.  It also draws a value, or none, for each of --samples,
+Hypothesis takes a catalog entry, or the widest admissible scenario, as
+plain data and applies a few mutations: it drops a key or a list item,
+replaces a value with an atom, or duplicates a list item.  The widest
+scenario takes the largest values within every bound: dimension 16, a
+1001-bit Hamiltonian and a 16-simplex of that size, written (2^100)^10, so
+its volumes and invariants pass the interpreter's 4300 printable digits.  It also draws a value, or none, for each of --samples,
 --root-width, --param-value and --direction from atoms fitted to the entry:
 inside its interval, on an endpoint, outside it, zero, negative, malformed,
 and past the 1024-bit limit.  Each of the five subcommands then reads the
@@ -28,10 +31,29 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from coupledfut import load, scenario_to_dict  # noqa: E402
 from coupledfut.catalog import NAMES  # noqa: E402
 from coupledfut.cli import COMMANDS, OPTIONS, main  # noqa: E402
+from coupledfut.rationals import MAX_DIMENSION  # noqa: E402
+from test_scenario_cli import points_in_dimension, simplex_block  # noqa: E402
 
+WIDE = "(2^100)^10"
 ATOMS = (0, -1, 10**400, 1.5, "c", "1/0", "(", None, True, [], {}, "c^101",
-         "a^0")
+         "a^0", MAX_DIMENSION, WIDE)
+
+
+def widest():
+    """Two isolated points at dimension 16 with Hamiltonians 1 and WIDE, and
+    the 16-simplex with offset WIDE as its polytope and ambient polytope."""
+    data = points_in_dimension(MAX_DIMENSION)
+    for comp, hamiltonian in zip(data["components"], ("1", WIDE)):
+        comp["bundles"][0]["hamiltonian"] = hamiltonian
+    simplex = simplex_block(MAX_DIMENSION, WIDE)
+    data["toric"] = {"ambient": MAX_DIMENSION,
+                     "direction": [1] * MAX_DIMENSION,
+                     "polytopes": [simplex], "anticanonical": simplex}
+    return data
+
+
 CATALOG = {name: scenario_to_dict(load(name)) for name in NAMES}
+CATALOG["widest"] = widest()
 SECONDS = 5
 
 

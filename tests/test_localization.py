@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from coupledfut import localization
 from coupledfut import (
     BundleRestriction,
     ratfun_reduce,
@@ -22,6 +23,7 @@ from coupledfut import (
     ParamPoly,
     RationalFunction,
     UsageError,
+    ValidationError,
     component_integral,
     fut_isolated,
     fut_localized,
@@ -262,7 +264,8 @@ class TestPowerSums:
             assert any(f.den.degree() > 0 for f in coeffs), place
             assert any(co.denominator > 1 for f in coeffs for co in f.num.coeffs), place
         for seed in SEEDS:
-            kinds = {comp.is_point() for comp in seeded_scenario(seed).components}
+            kinds = {not comp.ring.generators
+                     for comp in seeded_scenario(seed).components}
             assert kinds == {True, False}, seed
 
     def test_indices_outside_the_table_are_rejected(self, flagship):
@@ -348,8 +351,9 @@ class TestValidation:
         assert any("degenerate Euler class" in m for m in report.messages)
         with pytest.raises(DegenerateDatumError):
             component_integral(bad.components[0], 0, 1)
-        with pytest.raises(DegenerateDatumError, match="zero scalar part"):
+        with pytest.raises(ValidationError) as exc:
             power_sum(bad, 0, 1)
+        assert str(exc.value) == "; ".join(report.messages)
 
     def test_bundle_count_mismatch(self, flagship):
         wrong = LocalizationScenario(
@@ -358,8 +362,12 @@ class TestValidation:
         report = validate_scenario(wrong)
         assert not report.ok
         assert any("restricts 2 bundles; scenario has 1" in m for m in report.messages)
-        with pytest.raises(UsageError, match="restricts 2 bundles; scenario has 1"):
+        with pytest.raises(ValidationError) as exc:
             power_sum(wrong, 0, 0)
+        assert str(exc.value) == "; ".join(report.messages)
+        with pytest.raises(ValidationError) as exc:  # before "not points"
+            fut_isolated(wrong)
+        assert str(exc.value) == "; ".join(report.messages)
 
     def test_empty_interval(self):
         bad = two_point_line(["1", "-1"], [["0"], ["1"]])
@@ -369,6 +377,62 @@ class TestValidation:
         report = validate_scenario(bad)
         assert not report.ok
         assert any("empty validity interval" in m for m in report.messages)
+
+
+def with_bundle(scn, index, **changes):
+    """scn with the first bundle of component index changed."""
+    comps = list(scn.components)
+    first, *rest = comps[index].bundles
+    comps[index] = comps[index].replace(
+        bundles=(first.replace(**changes), *rest))
+    return scn.replace(components=tuple(comps))
+
+
+class TestFindings:
+    """Each structural rule is judged once: validate_scenario reports it, and
+    the residue table and the isolated-point reference each refuse with one
+    ValidationError listing the same messages, before any work."""
+
+    LINE = ring_create("c", [Generator("x", 2, 2)], {"x": 1}, 1)
+    MALFORMED = {
+        "bundle count": (two_point_line(("1", "-1"), (("1", "2"), ("3",))),
+                         "component 'pt1' restricts 1 bundles; scenario "
+                         "has 2"),
+        "zero euler scalar": (two_point_line(("0", "-1"), (("1",), ("2",))),
+                              "component 'pt0' has a degenerate Euler class "
+                              "(zero scalar part)"),
+        "chern on another ring": (
+            with_bundle(two_point_line(("1", "-1"), (("1",), ("2",))), 1,
+                        chern=NilpotentClass.zero(LINE)),
+            "component 'pt1': class in another ring"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(MALFORMED))
+    def test_one_list_of_findings(self, monkeypatch, rule):
+        scn, message = self.MALFORMED[rule]
+        messages = validate_scenario(scn).messages
+        assert messages == (message,)
+        assert scn.findings == messages
+
+        def no_work(*args):
+            raise AssertionError("the residue table was started")
+
+        monkeypatch.setattr(localization, "_component_residues", no_work)
+        for call in (lambda: power_sum(scn, 0, 1), lambda: fut_isolated(scn)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == "; ".join(messages)
+
+    def test_every_class_lives_in_its_component_ring(self, flagship):
+        cp1 = load("cp1").localization
+        other = flagship.components[0].ring
+        south, north = cp1.components
+        moved = cp1.replace(components=(south, north.replace(
+            euler=EquivariantClass(north.euler.scalar,
+                                   NilpotentClass.zero(other)))))
+        assert moved.findings == ("component 'north': class in another "
+                                  "ring",)
+        assert cp1.findings == ()
 
 
 class TestShifts:
@@ -417,8 +481,10 @@ class TestIsolatedPoints:
 
     def test_vanishing_jacobian_is_an_error(self):
         data = two_point_line(("0",), (("1",),))
-        with pytest.raises(DegenerateDatumError, match="vanishing Jacobian"):
+        with pytest.raises(ValidationError) as exc:
             fut_isolated(data)
+        assert str(exc.value) == ("component 'pt0' has a degenerate Euler "
+                                  "class (zero scalar part)")
 
     def test_catalog_point_scenarios_agree_with_general_path(self):
         for name in ("cp1", "cp1-coupled"):
@@ -436,7 +502,7 @@ class TestIsolatedPoints:
 
     def test_make_point_component_shape(self):
         comp = make_point_component("north", 3, -2, ("1/2", "3"))
-        assert comp.is_point()
+        assert comp.ring == point_ring()
         assert comp.codimension == 3
         assert comp.euler.scalar == RF.const(-2)
         assert [b.hamiltonian for b in comp.bundles] == [

@@ -17,6 +17,7 @@ import pytest
 from coupledfut import (
     EngineError,
     ParseError,
+    ValidationError,
     load,
     parse_scenario,
     scenario_from_dict,
@@ -573,6 +574,28 @@ class TestCliToric:
                              "--direction", "1,2")
         assert (code, out) == (3, "")
         assert err == "error: direction needs 1 entries\n"
+
+    @pytest.mark.parametrize("direction", ["0,0,0,0", "-0,0,+0,0"])
+    def test_zero_direction_is_an_argument_error(self, capsys, direction):
+        # a zero direction generates no circle action
+        code, out, err = run(capsys, "toric", "--catalog", "hultgren-c-true",
+                             "--direction", direction)
+        assert (code, out) == (2, "")
+        assert err.endswith("coupledfut toric: error: argument --direction: "
+                            "zero direction\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_direction_in_a_file_is_located(self, capsys, tmp_path,
+                                                  command):
+        data = scenario_to_dict(load("hultgren-c-true"))
+        data["toric"]["direction"] = [0, 0, 0, 0]
+        with pytest.raises(ValidationError,
+                           match="^toric.direction: zero direction$"):
+            scenario_from_dict(data)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, command, "--scenario", str(path)) == (
+            3, "", "error: toric.direction: zero direction\n")
 
     def test_chamber_wall_past_the_last_sample_exits_4(self, capsys, tmp_path):
         # on (0, 1) the facet y <= 9/10 starts to cut the segment [0, c] at
@@ -1423,8 +1446,8 @@ class TestCliOversizedInput:
     @pytest.mark.parametrize("k,code", [(6, 0), (7, 3), (12, 3)])
     def test_root_finding_degree_is_bounded(self, capsys, tmp_path, k, code):
         # two isolated points at dimension 16: a Hamiltonian of degree k
-        # gives a first bundle volume of degree 16k, which the positivity
-        # check hands to the root kernel first
+        # gives bundle 1 a volume of degree 16k, which the positivity check
+        # hands to the root kernel first
         data = scenario_to_dict(load("cp1-coupled"))
         del data["toric"]
         data["dimension"] = 16
@@ -1446,8 +1469,80 @@ class TestCliOversizedInput:
                 "6c4e5df9a0d177c3a6d9d6d151ef55abcd07d1c5455d0cca6699001e850c6926")
         else:
             assert time.perf_counter() - start < 1
-            assert err == ("error: a polynomial of degree %d exceeds the limit "
-                           "100 of exact root finding\n" % (16 * k))
+            assert err == ("error: bundle 1 volume: a polynomial of degree %d "
+                           "exceeds the limit 100 of exact root finding\n"
+                           % (16 * k))
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_root_finding_refusal_names_the_volume(self, capsys, tmp_path,
+                                                    command):
+        # bundle 0's volume, of degree 4 * 50, in the positivity check
+        data = scenario_to_dict(load("hultgren-c-true"))
+        data["components"][0]["bundles"][0]["hamiltonian"] = "c^50"
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, command, "--scenario", str(path)) == (
+            3, "", "error: bundle 0 volume: a polynomial of degree 200 "
+                   "exceeds the limit 100 of exact root finding\n")
+
+    @pytest.fixture
+    def digit_limit(self):
+        """The interpreter's limit of printable digits, restored after."""
+        before = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(before)
+
+    @staticmethod
+    def widest_values(tmp_path):
+        """Two scenarios within every bound whose outputs pass 4300 digits:
+        isolated points at dimension 16 with a 1001-bit Hamiltonian, whose
+        volume is 2^16000 - 1, and a 16-simplex of that size."""
+        wide = "(2^100)^10"
+        points = points_in_dimension(MAX_DIMENSION)
+        del points["toric"]
+        for comp, hamiltonian in zip(points["components"], ("1", wide)):
+            comp["bundles"][0]["hamiltonian"] = hamiltonian
+        simplex = points_in_dimension(MAX_DIMENSION)
+        simplex["toric"] = {"ambient": MAX_DIMENSION,
+                            "direction": [1] * MAX_DIMENSION,
+                            "polytopes": [simplex_block(MAX_DIMENSION, wide)]}
+        paths = []
+        for name, data in (("points", points), ("simplex", simplex)):
+            paths.append(tmp_path / ("%s.json" % name))
+            paths[-1].write_text(json.dumps(data))
+        return [str(path) for path in paths]
+
+    def test_values_past_the_printing_limit_are_refused(self, capsys,
+                                                         tmp_path,
+                                                         digit_limit):
+        digit_limit(4300)
+        refused = []
+        for path in self.widest_values(tmp_path):
+            for command in COMMANDS:
+                for fmt in FORMATS:
+                    code, out, err = run(capsys, command, "--scenario", path,
+                                         "--format", fmt)
+                    assert code in (0, 3), (path, command, fmt, err)
+                    if code:
+                        assert out == "" and err.count("\n") == 1, err
+                        assert err.startswith("error: "), err
+                    if "printing limit" in err:
+                        refused.append((Path(path).stem, command, fmt, err))
+        message = ("error: a number of %d digits exceeds the printing limit "
+                   "of 4300 digits\n")
+        assert ("points", "localize", "text", message % 4817) in refused
+        assert ("simplex", "toric", "structured", message % 4812) in refused
+        assert {(name, command) for name, command, _, _ in refused} == {
+            ("points", "localize"), ("points", "roots"), ("points", "sample"),
+            ("simplex", "toric"), ("simplex", "verify")}
+
+    def test_no_printing_limit_prints_every_digit(self, capsys, tmp_path,
+                                                  digit_limit):
+        digit_limit(0)
+        points = self.widest_values(tmp_path)[0]
+        code, out, err = run(capsys, "localize", "--scenario", points)
+        assert (code, err) == (0, "")
+        assert "bundle 0 equivariant volume: %d\n" % (2 ** 16000 - 1) in out
 
 
 class TestStructuredGolden:
