@@ -9,8 +9,7 @@ from .analysis import (CrossValidationRecord, RootRecord, RootReport,
 from .catalog import load
 from .errors import (ComputationError, CrossValidationError,
                      DegenerateDatumError, EngineError, GeometryError,
-                     InconsistentResidueError, ParseError, PoleError,
-                     UsageError, ValidationError)
+                     ParseError, PoleError, UsageError, ValidationError)
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario, ValidationReport,
                            component_integral, fut_isolated, fut_localized,
@@ -45,8 +44,8 @@ __all__ = [
     "load",
     # errors
     "ComputationError", "CrossValidationError", "DegenerateDatumError",
-    "EngineError", "GeometryError", "InconsistentResidueError", "ParseError",
-    "PoleError", "UsageError", "ValidationError",
+    "EngineError", "GeometryError", "ParseError", "PoleError", "UsageError",
+    "ValidationError",
     # localization
     "BundleRestriction", "FixedComponent", "LocalizationScenario",
     "ValidationReport", "component_integral", "fut_isolated",

@@ -87,9 +87,7 @@ def _decimal_of_simple_root(kernel: UnitKernel, k: int, j: int) -> str:
         low = _decimal_of_fraction(kernel.point(k, j))
         if low == _decimal_of_fraction(kernel.point(k + 1, j)):
             return low
-        k, j, hit = kernel.refine(k, j, j + 1)
-        if hit:  # unreachable: the root is irrational
-            raise UsageError("bisection midpoint is a root")
+        k, j, _ = kernel.refine(k, j, j + 1)
 
 
 def _quadratic_surds(quad: IntPoly) -> list[tuple[int, int, int, int]]:
@@ -106,8 +104,6 @@ def _quadratic_surds(quad: IntPoly) -> list[tuple[int, int, int, int]]:
     disc = b * b - 4 * a * c
     if disc <= 0:
         return []
-    if math.isqrt(disc) ** 2 == disc:
-        return []  # rational roots are handled elsewhere
     core, square = disc, 1
     f = 2
     while f <= SURD_SQUARE_FACTOR_LIMIT and f * f <= core:
@@ -148,24 +144,16 @@ def isolate_roots(p: ParamPoly, interval: tuple[Fraction, Fraction],
     exact = [rec.exact for rec in records]
     rest = _ipoly_prod(g for g, _ in fac.factors)
     if len(rest) > 1:
+        # rest has no rational root, so no end or midpoint met is a root
         kernel = UnitKernel(rest, lo, hi)
-        if kernel.sign(0, 0) == 0 or kernel.sign(1, 0) == 0:
-            # cannot happen: rest has no rational roots
-            raise UsageError("endpoint is a root of an irrational factor")
         surds = _quadratic_surds(rest) if len(rest) == 3 else []
         fine = _halvings_to_width(hi - lo, width)
-        hits, found = kernel.brackets()
-        if hits:  # cannot happen: rest has no rational roots
-            raise UsageError("bisection midpoint is a root")
-        for k, j in found:
-            k, j, hit = kernel.refine(k, j, fine)
+        for k, j in kernel.brackets()[1]:
+            k, j, _ = kernel.refine(k, j, fine)
             # halve on until the bracket holds no exact root, ends included
-            while not hit and any(
-                    kernel.point(k, j) <= x <= kernel.point(k + 1, j)
-                    for x in exact):
-                k, j, hit = kernel.refine(k, j, j + 1)
-            if hit:  # cannot happen either
-                raise UsageError("bisection midpoint is a root")
+            while any(kernel.point(k, j) <= x <= kernel.point(k + 1, j)
+                      for x in exact):
+                k, j, _ = kernel.refine(k, j, j + 1)
             a, b = kernel.point(k, j), kernel.point(k + 1, j)
             # a quadratic rest, leading coefficient positive, falls
             # through its smaller root and rises through the larger

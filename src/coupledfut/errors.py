@@ -4,7 +4,8 @@ Each error class carries the process exit code used by the command-line
 driver, so library failures map onto stable, machine-readable categories:
 
   2  parse errors          (malformed scenario text)
-  3  validation errors     (well-formed input violating a structural invariant)
+  3  validation errors     (well-formed input violating a structural invariant
+                           or the consistency of the residues)
   4  computation errors    (poles, degeneracies, unbounded geometry)
   5  cross-validation mismatches
 """
@@ -51,10 +52,6 @@ class PoleError(ComputationError):
 class DegenerateDatumError(ComputationError):
     """An equivariant Euler class with zero scalar part; the fixed-point
     datum violates the nondegeneracy hypothesis of the residue formula."""
-
-
-class InconsistentResidueError(ComputationError):
-    """A residue sum that should be polynomial has a genuine denominator."""
 
 
 class GeometryError(ComputationError):

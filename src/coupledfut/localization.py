@@ -12,10 +12,13 @@ invariant is the weighted average of the ratios
 one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
 
-A scenario computes its findings, residue table and validation report once,
-on first use; the table and fut_isolated refuse the findings before any
-work.  The table, built fraction-free, holds the power sums p = 0..m+1 of
-every bundle.  On a component of ring dimension d with Euler class s + N
+A scenario computes its findings, residue table, inconsistencies and
+validation report once, on first use; the table and fut_isolated refuse the
+findings before any work.  The table, built fraction-free, holds the power
+sums p = 0..m+1 of every bundle.  Each must be a polynomial in the
+parameter, else the residues contradict each other; the inconsistencies
+list those that are not, and volume_localized and fut_localized refuse them
+before any work.  On a component of ring dimension d with Euler class s + N
 (N nilpotent) and bundle restriction u + c1, the two finite expansions
 
     1/(s + N) = sum_{k<=d} (-N)^k / s^(k+1),
@@ -40,8 +43,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (ComputationError, InconsistentResidueError, Record,
-                     UsageError, ValidationError)
+from .errors import ComputationError, Record, UsageError, ValidationError
 from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, RationalFunction,
                         _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
                         positive_on_interval, rat, rat_text, ratfun_reduce)
@@ -114,6 +116,15 @@ class LocalizationScenario(Record):
                 messages.append("component %r: class in another ring"
                                 % comp.label)
         return tuple(messages)
+
+    @cached_property
+    def inconsistencies(self) -> tuple[str, ...]:
+        """The power sums that are not polynomials, bundle-major, judged
+        once, on first use; the residue table refuses the findings first."""
+        return tuple("power-%d sum for bundle %d is not a polynomial (%s)"
+                     % (power, alpha, s.text(self.param))
+                     for alpha, row in enumerate(self.residue_table)
+                     for power, s in enumerate(row) if not s.is_polynomial())
 
     @cached_property
     def validation(self) -> "ValidationReport":
@@ -303,28 +314,20 @@ def power_sum(scn: LocalizationScenario, alpha: int, power: int) -> RationalFunc
     return scn.residue_table[alpha][power]
 
 
-def _polynomial_sum(scn: LocalizationScenario, alpha: int, power: int) -> RationalFunction:
-    s = power_sum(scn, alpha, power)
-    if not s.is_polynomial():
-        raise InconsistentResidueError(
-            "power-%d sum for bundle %d is not a polynomial (%s); "
-            "the residues are mutually inconsistent"
-            % (power, alpha, s.text(scn.param)))
-    return s
-
-
 def volume_localized(scn: LocalizationScenario, alpha: int) -> RationalFunction:
     """Equivariant volume of bundle alpha: the power-m sum over the fixed locus."""
-    return _polynomial_sum(scn, alpha, scn.dimension)
+    refuse(scn.inconsistencies)
+    return power_sum(scn, alpha, scn.dimension)
 
 
 def fut_localized(scn: LocalizationScenario) -> RationalFunction:
     """The degenerate invariant as an exact rational function of the parameter."""
+    refuse(scn.inconsistencies)
     m = scn.dimension
     total = RationalFunction.const(0)
     for alpha in range(scn.bundles):
-        num = _polynomial_sum(scn, alpha, m + 1)
-        den = _polynomial_sum(scn, alpha, m)
+        num = power_sum(scn, alpha, m + 1)
+        den = power_sum(scn, alpha, m)
         if den.is_zero():
             raise ComputationError(
                 "bundle %d has identically vanishing volume" % alpha)
@@ -397,8 +400,8 @@ def make_point_component(label: str, ambient_dim: int,
 
 
 def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
-    """Report the scenario's findings, or else check residue consistency and
-    positivity.
+    """Report the scenario's findings, or else its inconsistencies, or else
+    check positivity.
 
     Findings and failed analytic checks all land in the message list; ok is
     True only when every check passes.  Positivity of each bundle's volume
@@ -407,30 +410,20 @@ def validate_scenario(scn: LocalizationScenario) -> ValidationReport:
     """
     if scn.findings:
         return ValidationReport(False, scn.findings, False, ())
+    if scn.inconsistencies:
+        return ValidationReport(False, scn.inconsistencies, False, ())
     messages: list[str] = []
-    residues_polynomial = True
-    for alpha in range(scn.bundles):
-        for power in range(scn.dimension + 2):
-            s = power_sum(scn, alpha, power)
-            if not s.is_polynomial():
-                residues_polynomial = False
-                messages.append(
-                    "power-%d sum for bundle %d is not a polynomial (%s)"
-                    % (power, alpha, s.text(scn.param)))
     volume_positive: list[bool] = []
-    if residues_polynomial:
-        for alpha in range(scn.bundles):
-            vol = volume_localized(scn, alpha)
-            try:  # the root kernel's degree limit
-                pos = positive_on_interval(vol.to_poly(), scn.interval)
-            except UsageError as exc:
-                raise UsageError("bundle %d volume: %s"
-                                 % (alpha, exc)) from None
-            volume_positive.append(pos)
-            if not pos:
-                messages.append(
-                    "bundle %d volume %s is not positive on the whole interval"
-                    % (alpha, vol.text(scn.param)))
-    ok = not messages
-    return ValidationReport(ok, tuple(messages), residues_polynomial,
+    for alpha in range(scn.bundles):
+        vol = power_sum(scn, alpha, scn.dimension)
+        try:  # the root kernel's degree limit
+            pos = positive_on_interval(vol.to_poly(), scn.interval)
+        except UsageError as exc:
+            raise UsageError("bundle %d volume: %s" % (alpha, exc)) from None
+        volume_positive.append(pos)
+        if not pos:
+            messages.append(
+                "bundle %d volume %s is not positive on the whole interval"
+                % (alpha, vol.text(scn.param)))
+    return ValidationReport(not messages, tuple(messages), True,
                             tuple(volume_positive))

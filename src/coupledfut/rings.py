@@ -199,9 +199,6 @@ class NilpotentClass(Record):
     def __neg__(self) -> "NilpotentClass":
         return NilpotentClass(self.ring, tuple((e, -c) for e, c in self.terms))
 
-    def __sub__(self, other: "NilpotentClass") -> "NilpotentClass":
-        return self + (-other)
-
     def __mul__(self, other: "NilpotentClass") -> "NilpotentClass":
         _same_ring(self.ring, other.ring)
         out: dict[Exponents, RationalFunction] = {}

@@ -17,7 +17,6 @@ from coupledfut import (
     EquivariantClass,
     FixedComponent,
     Generator,
-    InconsistentResidueError,
     LocalizationScenario,
     NilpotentClass,
     ParamPoly,
@@ -335,9 +334,9 @@ class TestValidation:
         # Raw power sums report the residue total as-is, even off the
         # polynomial locus; the checked volume and invariant paths refuse.
         assert power_sum(bad, 0, 1) == ratfun_reduce(c("-c+1"), c("c"))
-        with pytest.raises(InconsistentResidueError, match="mutually inconsistent"):
+        with pytest.raises(ValidationError, match="not a polynomial"):
             volume_localized(bad, 0)
-        with pytest.raises(InconsistentResidueError, match="mutually inconsistent"):
+        with pytest.raises(ValidationError, match="not a polynomial"):
             fut_localized(bad)
         report = validate_scenario(bad)
         assert not report.ok
@@ -433,6 +432,62 @@ class TestFindings:
         assert moved.findings == ("component 'north': class in another "
                                   "ring",)
         assert cp1.findings == ()
+
+
+class TestInconsistencies:
+    """Residue consistency is judged once: validate_scenario reports the
+    inconsistencies, and volume_localized and fut_localized refuse them,
+    after the findings, with one ValidationError; positivity is left to
+    validation alone."""
+
+    @staticmethod
+    def refused():
+        cp1 = load("cp1").localization
+        south, north = cp1.components
+        return {
+            "not a polynomial": two_point_line(["c", "-1"], [["1"], ["1"]]),
+            "duplicate labels": cp1.replace(components=(
+                south, north.replace(label=south.label))),
+        }
+
+    @pytest.mark.parametrize("case", ["not a polynomial", "duplicate labels"])
+    def test_volume_and_invariant_refuse_the_validation_messages(self, case):
+        scn = self.refused()[case]
+        messages = validate_scenario(scn).messages
+        assert messages
+        for call in (lambda: volume_localized(scn, 0),
+                     lambda: fut_localized(scn)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == "; ".join(messages)
+
+    def test_every_inconsistent_sum_in_order(self):
+        bad = two_point_line(["c", "-1"], [["1", "2"], ["1", "3"]])
+        report = validate_scenario(bad)
+        assert report.messages == bad.inconsistencies
+        assert not report.residues_polynomial
+        assert report.volume_positive == ()
+        assert [m.split(" is not")[0] for m in bad.inconsistencies] == [
+            "power-%d sum for bundle %d" % (power, alpha)
+            for alpha in (0, 1) for power in (0, 1, 2)]
+        assert bad.inconsistencies[0] == (
+            "power-0 sum for bundle 0 is not a polynomial (%s)"
+            % power_sum(bad, 0, 0).text("c"))
+
+    def test_a_volume_that_is_not_positive_is_still_computed(self):
+        cp1 = load("cp1").localization
+        negated = cp1.replace(components=tuple(
+            comp.replace(euler=comp.euler.replace(scalar=-comp.euler.scalar))
+            for comp in cp1.components))
+        report = validate_scenario(negated)
+        assert report.messages == (
+            "bundle 0 volume -2 is not positive on the whole interval",)
+        assert report.residues_polynomial
+        assert negated.inconsistencies == ()
+        assert volume_localized(negated, 0) == RF.const(-2)
+        assert fut_localized(negated) == fut_localized(cp1)
+        for power in range(3):
+            assert power_sum(negated, 0, power) == -power_sum(cp1, 0, power)
 
 
 class TestShifts:

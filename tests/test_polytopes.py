@@ -590,6 +590,31 @@ class TestMinkowski:
         assert report.status == "inconclusive"
         assert any("do not correspond" in m for m in report.messages)
 
+    def test_a_pyramid_is_inconclusive(self):
+        # four facets meet at the apex of a square pyramid
+        pyramid = ParamPolytope.create("c", 3, [((0, 0, -1), c("0"))] + [
+            (normal, c("1")) for normal in
+            ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))])
+        report = minkowski_check(
+            ToricModel(3, (1, 0, 0), (pyramid,), pyramid), (F(0), F(1)))
+        assert report == MinkowskiReport("inconclusive", (
+            "a realization at the midpoint is not simple and "
+            "full-dimensional",))
+
+    def test_a_redundant_facet_is_inconclusive(self):
+        # the square |x|, |y| <= 1, whose facet x + y <= 3 touches nothing,
+        # against the pentagon its normals cut with x + y <= 1
+        def square(corner):
+            return ParamPolytope.create("c", 2, [
+                ((1, 0), c("1")), ((-1, 0), c("1")), ((0, 1), c("1")),
+                ((0, -1), c("1")), ((1, 1), c(corner))])
+
+        report = minkowski_check(
+            ToricModel(2, (1, 0), (square("3"),), square("1")), (F(0), F(1)))
+        assert report == MinkowskiReport("inconclusive", (
+            "incidence patterns differ; polytopes are not strongly "
+            "isomorphic",))
+
 
 class TestRandomizedGeometry:
     def test_box_measures_randomized(self):

@@ -54,6 +54,21 @@ def simplex_block(n, offset="1"):
             + [{"normal": [1] * n, "offset": offset}]}
 
 
+def edited(name, edit):
+    """The catalog entry's data, changed in place by edit."""
+    data = scenario_to_dict(load(name))
+    edit(data)
+    return data
+
+
+def zero_dimensional(data):
+    """cp1's points at dimension 0 and codimension 0, with no toric model."""
+    del data["toric"]
+    data["dimension"] = 0
+    for comp in data["components"]:
+        comp["codimension"] = 0
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -381,6 +396,58 @@ class TestScenarioFiles:
         path.write_text(json.dumps(data))
         assert run(capsys, command, "--scenario", str(path)) == (
             3, "", "error: %s\n" % message)
+
+    # (data, exit code and message, or one per subcommand as a dict)
+    REFUSED = {
+        "no-components": (
+            edited("cp1", lambda data: data.update(components=[])),
+            (3, "no fixed components")),
+        "codimension": (
+            edited("cp1", lambda data: data["components"][0].update(
+                codimension=2)),
+            (3, "component 'south': dimension 0 plus codimension 2 is not 1")),
+        "dimension-zero": (
+            edited("cp1", zero_dimensional),
+            {command: (3, "scenario carries no toric model"
+                       if command == "toric"
+                       else "ambient dimension must be positive")
+             for command in COMMANDS}),
+        "interval": (
+            edited("cp1", lambda data: data["parameter"].update(
+                interval=["0"])),
+            (2, "parameter.interval: expected [lo, hi]")),
+        "not-an-object": ([], (2, "scenario file must be a JSON object")),
+        "ring-dimension": (
+            edited("hultgren-c", lambda data: data["rings"]["a-b-ring"]
+                   .update(dimension=-1)),
+            (3, "rings.a-b-ring: negative dimension -1")),
+        "top-exponent": (
+            edited("hultgren-c", lambda data: data["rings"]["a-b-ring"]["top"]
+                   .update(b=-1)),
+            (3, "rings.a-b-ring: negative exponent in top monomial")),
+        # the segment -1 <= y <= -1 is a point
+        "point-polytope": (
+            edited("cp1", lambda data: data["toric"]["polytopes"][0]
+                   ["facets"][0].update(offset="-1")),
+            {command: (4, "polytope with zero volume on the interval")
+             if command in ("toric", "verify") else (0, None)
+             for command in COMMANDS}),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_each_refusal_is_one_line(self, capsys, tmp_path, case, command):
+        data, expected = self.REFUSED[case]
+        code, message = (expected[command] if isinstance(expected, dict)
+                         else expected)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(data))
+        got = run(capsys, command, "--scenario", str(path))
+        if message is None:
+            assert (got[0], got[2]) == (0, "")
+            assert got[1]
+        else:
+            assert got == (code, "", "error: %s\n" % message)
 
     def test_structural_parse_leaves_semantics_to_validation(self):
         # A component's bundle count that differs from the scenario's parses
@@ -889,6 +956,11 @@ class TestCliVerify:
 
 
 class TestCliMalformedSamples:
+    @pytest.mark.parametrize("command", ["verify", "sample"])
+    def test_no_abscissa_is_a_usage_error(self, capsys, command):
+        assert run(capsys, command, "--catalog", "cp1", "--samples", ",") == (
+            3, "", "error: no sample abscissae given\n")
+
     @pytest.mark.parametrize("command", ["verify", "sample"])
     @pytest.mark.parametrize("samples", ["abc", "abc,1", "1/0", "0.5,x"])
     def test_bad_abscissa_is_a_parse_error(self, capsys, command, samples):

@@ -92,6 +92,31 @@ def test_every_definition_has_a_reader():
     assert not unread, sorted(unread)
 
 
+def test_every_error_class_is_raised():
+    # an error class of errors.py that src/ never raises, itself or through
+    # a subclass, would outlive its last raise inside __all__
+    tree = ast.parse((SRC / "coupledfut" / "errors.py").read_text(
+        encoding="utf-8"))
+    base = {node.name: node.bases[0].id if node.bases else None
+            for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        while name in base:
+            yield name
+            name = base[name]
+
+    errors = {name for name in base if "EngineError" in lineage(name)}
+    assert {"EngineError", "ValidationError", "GeometryError"} <= errors
+    raised = set()
+    for path in sorted((SRC / "coupledfut").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    covered = {name for error in raised & errors for name in lineage(error)}
+    assert not errors - covered, sorted(errors - covered)
+
+
 def load_layertrace():
     spec = importlib.util.spec_from_file_location(
         "layertrace", ROOT / "perfbench" / "layertrace.py")
