@@ -9,7 +9,7 @@ the validity interval.
 from fractions import Fraction
 
 from coupledfut import (
-    component_integral,
+    LocalizationScenario,
     fut_localized,
     load,
     power_sum,
@@ -42,7 +42,9 @@ def main():
     print()
     print("per-component split of the top power sum (bundle 0):")
     for comp in scn.components:
-        value = component_integral(comp, 0, scn.dimension + 1)
+        alone = LocalizationScenario(scn.name, scn.description, scn.note, scn.param,
+                                     scn.dimension, scn.bundles, scn.interval, (comp,))
+        value = power_sum(alone, 0, scn.dimension + 1)
         print("  %-16s -> %s" % (comp.label, value.text(scn.param)))
 
     print()

@@ -12,10 +12,8 @@ from .errors import (ComputationError, CrossValidationError,
                      ParseError, PoleError, UsageError, ValidationError)
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario, ValidationReport,
-                           component_integral, fut_isolated, fut_localized,
-                           make_point_component, power_sum,
-                           shift_hamiltonians, validate_scenario,
-                           volume_localized)
+                           fut_localized, make_point_component, power_sum,
+                           validate_scenario, volume_localized)
 from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
                         RealizedPolytope, ToricModel, fut_toric,
                         fut_toric_at, linear_moment, minkowski_check,
@@ -48,9 +46,8 @@ __all__ = [
     "ValidationError",
     # localization
     "BundleRestriction", "FixedComponent", "LocalizationScenario",
-    "ValidationReport", "component_integral", "fut_isolated",
-    "fut_localized", "make_point_component", "power_sum",
-    "shift_hamiltonians", "validate_scenario", "volume_localized",
+    "ValidationReport", "fut_localized", "make_point_component", "power_sum",
+    "validate_scenario", "volume_localized",
     # polytopes
     "Facet", "MinkowskiReport", "ParamPolytope", "RealizedPolytope",
     "ToricModel", "fut_toric", "fut_toric_at", "linear_moment",

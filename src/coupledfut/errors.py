@@ -108,8 +108,3 @@ class Record:
         raise AttributeError("cannot assign to or delete field %r" % name)
 
     __delattr__ = __setattr__
-
-    def replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(**{**{f: getattr(self, f) for f in self._fields},
-                             **changes})

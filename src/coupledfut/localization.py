@@ -13,8 +13,8 @@ one ratio per bundle, divided by m + 1.  Every quantity stays an exact
 rational function of the deformation parameter.
 
 A scenario computes its findings, residue table, inconsistencies and
-validation report once, on first use; the table and fut_isolated refuse the
-findings before any work.  The table, built fraction-free, holds the power
+validation report once, on first use; the table refuses the findings before
+any work.  The table, built fraction-free, holds the power
 sums p = 0..m+1 of every bundle.  Each must be a polynomial in the
 parameter, else the residues contradict each other; the inconsistencies
 list those that are not, and volume_localized and fut_localized refuse them
@@ -31,10 +31,9 @@ of denominators once, to integer polynomials in the parameter stored as a
 dense array over the monomials dividing the top one.  The scenario then
 sums every entry over one least common multiple of the component
 denominators, moved into u and w_j, and reduces it once.  power_sum,
-validate_scenario, volume_localized and fut_localized all read that table;
-component_integral keeps a reference that shares neither expansion: the
-ring arithmetic's product, inverse by Newton's iteration and power by
-repeated squaring.
+validate_scenario, volume_localized and fut_localized all read that table.
+The references the table is tested against live with the tests, and this
+module uses none of the ring arithmetic they are built on.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .rationals import (MAX_DEGREE, IntPoly, ParamPoly, RationalFunction,
                         _ipoly_add, _ipoly_lcm, _ipoly_mul, _ipoly_quo,
                         positive_on_interval, rat, rat_text, ratfun_reduce)
 from .rings import (EquivariantClass, MonomialTable, NilpotentClass, Ring,
-                    equiv_pow, integrate, invert_unit, point_ring)
+                    point_ring)
 
 
 class BundleRestriction(Record):
@@ -291,16 +290,6 @@ class ValidationReport(Record):
     volume_positive: tuple[bool, ...]
 
 
-def component_integral(comp: FixedComponent, alpha: int, power: int) -> RationalFunction:
-    """One component's contribution to the power-p sum of bundle alpha."""
-    if not 0 <= alpha < len(comp.bundles):
-        raise UsageError("bundle index %d out of range" % alpha)
-    b = comp.bundles[alpha]
-    integrand = (equiv_pow(EquivariantClass(b.hamiltonian, b.chern), power)
-                 * invert_unit(comp.euler))
-    return integrate(integrand)
-
-
 def power_sum(scn: LocalizationScenario, alpha: int, power: int) -> RationalFunction:
     """Sum of component integrals of (u + c1)^power / euler for one bundle.
 
@@ -333,53 +322,6 @@ def fut_localized(scn: LocalizationScenario) -> RationalFunction:
                 "bundle %d has identically vanishing volume" % alpha)
         total = total + num / den
     return total.scale(Fraction(1, m + 1))
-
-
-def fut_isolated(scn: LocalizationScenario) -> RationalFunction:
-    """The invariant of a scenario whose components are all isolated points,
-    by pure scalar arithmetic.
-
-    With each point's moment values u and Euler scalar e, computes
-    (1/(m+1)) sum over bundles of [sum u^(m+1)/e] / [sum u^m/e]; neither the
-    ring arithmetic nor the residue table is involved, so this is an
-    independent check of the general engine on point scenarios.
-    """
-    refuse(scn.findings)
-    bad = [comp.label for comp in scn.components if comp.ring.generators]
-    if bad:
-        raise UsageError("components %r are not isolated points" % (bad,))
-    m = scn.dimension
-    total = RationalFunction.const(0)
-    for alpha in range(scn.bundles):
-        num = den = RationalFunction.const(0)
-        for comp in scn.components:
-            u = comp.bundles[alpha].hamiltonian
-            u_m = RationalFunction.const(1)
-            for _ in range(m):
-                u_m = u_m * u
-            den = den + u_m / comp.euler.scalar
-            num = num + u_m * u / comp.euler.scalar
-        if den.is_zero():
-            raise ComputationError(
-                "zero volume sum for bundle %d; the ratio is undefined" % alpha)
-        total = total + num / den
-    return total.scale(Fraction(1, m + 1))
-
-
-def shift_hamiltonians(scn: LocalizationScenario,
-                       shifts: tuple[Fraction | int | str, ...]) -> LocalizationScenario:
-    """Add a constant to every moment value of each bundle, componentwise."""
-    if len(shifts) != scn.bundles:
-        raise UsageError("need one shift per bundle (%d given, %d bundles)"
-                         % (len(shifts), scn.bundles))
-    consts = [RationalFunction.const(rat(t)) for t in shifts]
-    new_components = []
-    for comp in scn.components:
-        new_bundles = tuple(
-            BundleRestriction(b.hamiltonian + consts[alpha], b.chern)
-            for alpha, b in enumerate(comp.bundles))
-        new_components.append(comp.replace(bundles=new_bundles))
-    return scn.replace(components=tuple(new_components))
 
 
 def make_point_component(label: str, ambient_dim: int,

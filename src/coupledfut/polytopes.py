@@ -560,8 +560,10 @@ def minkowski_check(model: ToricModel,
     pattern at the interval midpoint (strong isomorphism), the Minkowski sum
     adds offsets facetwise: one pass over the bundle facets adds them, and
     the first ambient facet whose offset differs from its total fails the
-    check.  Outside that regime the verdict is inconclusive rather than a
-    guess.
+    check.  A Minkowski sum of full-dimensional polytopes is full-dimensional,
+    so an ambient realization that is not, against bundle realizations that
+    all are, fails too.  Outside that regime the verdict is inconclusive
+    rather than a guess.
     """
     if model.anticanonical is None:
         return MinkowskiReport("inconclusive",
@@ -579,6 +581,11 @@ def minkowski_check(model: ToricModel,
     mid = (interval[0] + interval[1]) / 2
     realized = [realize(pp, mid) for pp in model.polytopes]
     realized_target = realize(target, mid)
+    if (all(rp.is_full_dimensional() for rp in realized)
+            and not realized_target.is_full_dimensional()):
+        return MinkowskiReport(
+            "fail", ("the ambient polytope is lower-dimensional at the "
+                     "midpoint, but the bundle polytopes are not",))
     for rp in realized + [realized_target]:
         if not rp.is_simple() or not rp.is_full_dimensional():
             return MinkowskiReport(

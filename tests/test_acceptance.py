@@ -15,9 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from coupledfut import (
-    component_integral,
     cross_validate,
-    fut_isolated,
     fut_localized,
     fut_roots,
     fut_toric_at,
@@ -27,12 +25,12 @@ from coupledfut import (
     ratfun_eval,
     realize,
     render_factored,
-    shift_hamiltonians,
     volume,
     volume_localized,
 )
 from coupledfut.cli import main
 from coupledfut.rationals import RationalFunction
+from reference import component_integral, fut_isolated, shift_hamiltonians
 
 SEED = 20260816
 SAMPLES = [F(5, 16), F(3, 8), F(1, 2), F(5, 8), F(11, 16)]

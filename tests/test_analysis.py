@@ -31,8 +31,10 @@ from coupledfut.analysis import (
     _quadratic_surds,
 )
 from coupledfut.catalog import NAMES
+from coupledfut.report import emit_roots
 from coupledfut.rationals import (UnitKernel, _factorize, _squarefree_layers,
                                   _squarefree_split)
+from reference import replace
 from test_localization import perfbench_module
 from test_rationals import derivative, leading, monic, ref_divmod
 
@@ -121,6 +123,11 @@ class TestIsolateRoots:
         records = isolate_roots(p, (F(0), F(2)))
         assert [r.exact for r in records] == [F(1, 4), F(1, 2), None]
         assert records[2].surd == (0, 1, 2, 1)
+
+    def test_zero_polynomial_is_refused(self):
+        with pytest.raises(UsageError) as exc:
+            isolate_roots(c("0"), (F(0), F(1)))
+        assert str(exc.value) == "cannot isolate roots of the zero polynomial"
 
     def test_multiplicity_is_reported(self):
         p = product("2c-1", "2c-1", "4c-1")
@@ -241,6 +248,24 @@ class TestFutRoots:
         assert report.messages == (
             "poles inside the validity interval: 1/2 (multiplicity 2)",)
 
+    def test_irrational_poles_are_reported_without_values(self):
+        report = fut_roots(ratfun_reduce(c("1"), c("2c^2-1")), (F(0), F(1)))
+        assert (report.roots, report.poles_inside) == ((), ())
+        assert report.messages == ("irrational poles inside the interval",)
+
+    def test_text_report_of_exact_repeated_and_simple_roots(self):
+        p = product("3c-1", "c^3-1/4", "c^3-1/4", "c^2-1/2")
+        report = fut_roots(RationalFunction.from_poly(p), (F(0), F(1)),
+                           F(1, 10**6))
+        lines = emit_roots(report, "x", "c", "text").splitlines()
+        assert lines[3:] == [
+            "roots found: 3",
+            "root 0: 1/3 exactly (decimal 0.333333333333333333)",
+            "root 1: bracketed in (660561/1048576, 330281/524288) "
+            "(decimal 0.629960524947436582) (multiplicity 2)",
+            "root 2: bracketed in (741455/1048576, 46341/65536) "
+            "(decimal 0.707106781186547524)"]
+
     def test_zero_invariant(self):
         report = fut_roots(RationalFunction.const(0), (F(0), F(1)))
         assert report.roots == ()
@@ -353,8 +378,8 @@ class TestCrossValidate:
             {"normal": [1], "offset": "2"})
         # negated Euler scalars: a volume of -2, which validation refuses
         cp1 = load("cp1")
-        negated = cp1.localization.replace(components=tuple(
-            comp.replace(euler=comp.euler.replace(scalar=-comp.euler.scalar))
+        negated = replace(cp1.localization, components=tuple(
+            replace(comp, euler=replace(comp.euler, scalar=-comp.euler.scalar))
             for comp in cp1.localization.components))
         flagship = load("hultgren-c")
         kinds = [("volume mismatch", flagship),
@@ -363,8 +388,8 @@ class TestCrossValidate:
                  ("do not sum to the ambient polytope",
                   scenario_from_dict(offset)),
                  ("redundant facets", scenario_from_dict(redundant)),
-                 ("scenario validation failed", cp1.replace(
-                     localization=negated))]
+                 ("scenario validation failed", replace(
+                     cp1, localization=negated))]
         for kind, scn in [("", scn) for scn in scenarios] + kinds:
             record = cross_validate(scn.localization, scn.toric)
             assert record.ok is (not record.messages), scn.localization.name
@@ -372,8 +397,9 @@ class TestCrossValidate:
                 assert any(kind in m for m in record.messages), kind
         # a structural finding is refused before any work
         south, north = cp1.localization.components
-        duplicate = cp1.localization.replace(
-            components=(south, north.replace(label=south.label)))
+        duplicate = replace(
+            cp1.localization,
+            components=(south, replace(north, label=south.label)))
         with pytest.raises(ValidationError,
                            match="^duplicate component labels$"):
             cross_validate(duplicate, cp1.toric)

@@ -23,8 +23,6 @@ from coupledfut import (
     RationalFunction,
     UsageError,
     ValidationError,
-    component_integral,
-    fut_isolated,
     fut_localized,
     load,
     make_point_component,
@@ -35,10 +33,11 @@ from coupledfut import (
     render_factored,
     ring_create,
     scenario_from_dict,
-    shift_hamiltonians,
     validate_scenario,
     volume_localized,
 )
+from reference import (component_integral, fut_isolated, replace,
+                       shift_hamiltonians)
 
 RF = RationalFunction
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -274,6 +273,9 @@ class TestPowerSums:
             power_sum(flagship, 0, -1)
         with pytest.raises(UsageError, match="bundle index 2 out of range"):
             power_sum(flagship, 2, 0)
+        with pytest.raises(UsageError) as exc:
+            power_sum(load("cp1").localization, 0, 3)
+        assert str(exc.value) == "power 3 outside the residue table (0..2)"
 
 
 class TestVolumes:
@@ -382,9 +384,9 @@ def with_bundle(scn, index, **changes):
     """scn with the first bundle of component index changed."""
     comps = list(scn.components)
     first, *rest = comps[index].bundles
-    comps[index] = comps[index].replace(
-        bundles=(first.replace(**changes), *rest))
-    return scn.replace(components=tuple(comps))
+    comps[index] = replace(comps[index],
+                           bundles=(replace(first, **changes), *rest))
+    return replace(scn, components=tuple(comps))
 
 
 class TestFindings:
@@ -426,9 +428,9 @@ class TestFindings:
         cp1 = load("cp1").localization
         other = flagship.components[0].ring
         south, north = cp1.components
-        moved = cp1.replace(components=(south, north.replace(
-            euler=EquivariantClass(north.euler.scalar,
-                                   NilpotentClass.zero(other)))))
+        moved = replace(cp1, components=(south, replace(
+            north, euler=EquivariantClass(north.euler.scalar,
+                                          NilpotentClass.zero(other)))))
         assert moved.findings == ("component 'north': class in another "
                                   "ring",)
         assert cp1.findings == ()
@@ -446,8 +448,8 @@ class TestInconsistencies:
         south, north = cp1.components
         return {
             "not a polynomial": two_point_line(["c", "-1"], [["1"], ["1"]]),
-            "duplicate labels": cp1.replace(components=(
-                south, north.replace(label=south.label))),
+            "duplicate labels": replace(cp1, components=(
+                south, replace(north, label=south.label))),
         }
 
     @pytest.mark.parametrize("case", ["not a polynomial", "duplicate labels"])
@@ -476,8 +478,8 @@ class TestInconsistencies:
 
     def test_a_volume_that_is_not_positive_is_still_computed(self):
         cp1 = load("cp1").localization
-        negated = cp1.replace(components=tuple(
-            comp.replace(euler=comp.euler.replace(scalar=-comp.euler.scalar))
+        negated = replace(cp1, components=tuple(
+            replace(comp, euler=replace(comp.euler, scalar=-comp.euler.scalar))
             for comp in cp1.components))
         report = validate_scenario(negated)
         assert report.messages == (

@@ -577,6 +577,21 @@ class TestMinkowski:
             "bundle polytopes do not sum to the ambient polytope: offsets "
             "along normal (-1,) add to 1, expected %s" % ambient_lo,))
 
+    @pytest.mark.parametrize("bundle_hi,status,message", [
+        # a sum of full-dimensional polytopes is full-dimensional
+        ("1", "fail", "the ambient polytope is lower-dimensional at the "
+         "midpoint, but the bundle polytopes are not"),
+        ("-1", "inconclusive", "a realization at the midpoint is not simple "
+         "and full-dimensional"),
+    ])
+    def test_a_flat_ambient_polytope(self, bundle_hi, status, message):
+        # the ambient x <= -1, -x <= 1 is the point {-1}
+        seg = lambda hi: ParamPolytope.create(
+            "c", 1, [((1,), c(hi)), ((-1,), c("1"))])
+        report = minkowski_check(ToricModel(1, (1,), (seg(bundle_hi),),
+                                            seg("-1")), (F(0), F(1)))
+        assert report == MinkowskiReport(status, (message,))
+
     def test_missing_ambient_polytope_is_inconclusive(self):
         seg = ParamPolytope.create("c", 1, [((1,), c("1")), ((-1,), c("0"))])
         report = minkowski_check(ToricModel(1, (1,), (seg,), None), (F(0), F(1)))

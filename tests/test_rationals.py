@@ -404,6 +404,17 @@ class TestRationalFunction:
         with pytest.raises(ComputationError, match="zero denominator"):
             ratfun_reduce(c("1"), ParamPoly.zero())
 
+    def test_division_by_zero_is_rejected(self):
+        with pytest.raises(ComputationError) as exc:
+            RationalFunction.const(1) / RationalFunction.const(0)
+        assert str(exc.value) == "division by the zero rational function"
+
+    def test_a_proper_quotient_is_not_a_polynomial(self):
+        with pytest.raises(ComputationError) as exc:
+            rf("1", "2c^2-1").to_poly()
+        assert str(exc.value) == ("not a polynomial: the denominator has "
+                                  "degree 2")
+
     def test_factored_rendering_of_reference_ratio(self):
         num = c("30") * c("112c^2-112c+23")
         den = c("-2") * c("56c-3") * c("56c-53")

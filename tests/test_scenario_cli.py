@@ -856,6 +856,36 @@ class TestCliVerify:
         payload = json.loads(out)
         assert (payload["minkowski"], payload["messages"]) == ("fail", [reason])
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["toric", "verify"])
+    def test_a_flat_ambient_polytope_fails_additivity(
+            self, capsys, tmp_path, command, fmt):
+        # cp1's ambient segment collapsed to the point {-1}, against the
+        # bundle segment [-1, 1]
+        data = scenario_to_dict(load("cp1"))
+        data["toric"]["anticanonical"]["facets"][0]["offset"] = "-1"
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(data))
+        reason = ("the ambient polytope is lower-dimensional at the "
+                  "midpoint, but the bundle polytopes are not")
+        code, out, err = run(capsys, command, "--scenario", str(path),
+                             "--format", fmt)
+        assert (code, err) == {
+            "toric": (0, ""),
+            "verify": (5, "error: localization and the polytope oracle "
+                          "disagree\n")}[command]
+        if fmt == "structured":
+            payload = json.loads(out)
+            assert payload["minkowski"] == "fail"
+            if command == "verify":
+                assert payload["messages"] == [reason]
+        elif command == "toric":
+            assert "additivity of polytopes: fail\n" in out
+        else:
+            assert "polytope additivity: fail\n" in out
+            assert "overall: INCONSISTENT\n" in out
+            assert out.endswith("detail: %s\n" % reason)
+
     def test_csv_format_is_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--catalog", "hultgren-c", "--format", "csv"

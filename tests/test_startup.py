@@ -1,6 +1,7 @@
 """What importing the command line costs: the modules it loads, and the
-names the package binds for its users and for the benchmark's tracer; and
-how a process enters the command line and ends."""
+names the package binds for its users and for the benchmark's tracer; that
+every definition, the test-side references included, has a reader; and how
+a process enters the command line and ends."""
 
 import ast
 import gc
@@ -90,6 +91,48 @@ def test_every_definition_has_a_reader():
     unread = {name for name in defined - read - set(coupledfut.__all__)
               if not (name.startswith("__") and name.endswith("__"))}
     assert not unread, sorted(unread)
+
+
+def test_the_engine_uses_none_of_its_reference_arithmetic():
+    # tests/reference.py checks the residue table against the ring
+    # arithmetic's power, inverse and integral; an engine built on them
+    # would be compared against itself
+    used = set()
+    for node in ast.walk(ast.parse((SRC / "coupledfut" / "localization.py")
+                                   .read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert {"ratfun_reduce", "point_ring", "_ipoly_mul"} <= used
+    assert used.isdisjoint({"equiv_pow", "invert_unit", "integrate"})
+
+
+def test_every_reference_has_a_reader():
+    # the reader rule on the test side: a function of tests/reference.py
+    # that no tests/test_*.py imports and reads compares nothing
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(
+        encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    assert {"component_integral", "replace"} <= defined
+    read = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imported = {alias.asname or alias.name: alias.name for node in nodes
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "reference" for alias in node.names}
+        for node in nodes:
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in imported):
+                read.add(imported[node.id])
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "reference"):
+                read.add(node.attr)
+    assert not defined - read, sorted(defined - read)
 
 
 def test_every_error_class_is_raised():
