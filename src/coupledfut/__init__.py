@@ -5,7 +5,7 @@ against an independent moment-polytope oracle.
 
 from .analysis import (CrossValidationRecord, RootRecord, RootReport,
                        SampleComparison, cross_validate, fut_roots,
-                       isolate_roots, sample_curve)
+                       isolate_roots, sample_curve, sample_values)
 from .catalog import load
 from .errors import (ComputationError, CrossValidationError,
                      DegenerateDatumError, EngineError, GeometryError,
@@ -22,8 +22,7 @@ from .polytopes import (Facet, MinkowskiReport, ParamPolytope,
 from .rationals import (ParamPoly, RationalFunction, count_roots_open,
                         interpolate, parse_poly, poly_gcd, poly_text,
                         positive_on_interval, rat, rat_text, ratfun_eval,
-                        ratfun_reduce, render_factored, sample_values,
-                        sturm_chain)
+                        ratfun_reduce, render_factored, sturm_chain)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     equiv_pow, integrate, invert_unit, monomial_text,
                     parse_monomial, point_ring, ring_create)
@@ -37,7 +36,7 @@ __all__ = [
     # analysis
     "CrossValidationRecord", "RootRecord", "RootReport", "SampleComparison",
     "count_roots_open", "cross_validate", "fut_roots", "isolate_roots",
-    "positive_on_interval", "sample_curve", "sturm_chain",
+    "positive_on_interval", "sample_curve", "sample_values", "sturm_chain",
     # catalog
     "load",
     # errors
@@ -56,7 +55,7 @@ __all__ = [
     # rationals
     "ParamPoly", "RationalFunction", "interpolate", "parse_poly", "poly_gcd",
     "poly_text", "rat", "rat_text", "ratfun_eval", "ratfun_reduce",
-    "render_factored", "sample_values",
+    "render_factored",
     # rings
     "EquivariantClass", "Generator", "NilpotentClass", "Ring", "equiv_pow",
     "integrate", "invert_unit", "monomial_text", "parse_monomial",

@@ -1,4 +1,4 @@
-"""Root isolation and cross-validation.
+"""Root isolation, sampling and cross-validation.
 
 Roots of the invariant's numerator are read from its factorization in the
 rationals module: the rational roots are exact, each with its multiplicity,
@@ -13,6 +13,8 @@ factors pulled out of D by bounded trial division only, so a very large D
 may be left unreduced.  Poles come from the denominator's factorization the
 same way.  Root counting and the positivity test live in the rationals
 module, on the same kernel.
+Samples, a count or a list of abscissae, follow one rule: 1 to MAX_SAMPLES
+of them, strictly inside the interval, each evaluated exactly.
 Cross-validation plays the localization engine against the polytope oracle:
 per-bundle volumes must agree up to the dimension factorial, the invariants
 must agree as rational functions, and the bundle polytopes must sum to the
@@ -30,14 +32,16 @@ from .localization import (LocalizationScenario, ValidationReport,
 from .polytopes import (MinkowskiReport, ToricModel, fut_toric, fut_toric_at,
                         minkowski_check, realize, volume_curve)
 from .rationals import (IntPoly, ParamPoly, RationalFunction, UnitKernel,
-                        _ipoly_prod, _sign_at, rat, rat_text, ratfun_eval,
-                        sample_values)
+                        _ipoly_prod, _sign_at, rat, rat_text, ratfun_eval)
 # bound here too: perfbench/layertrace.py looks these up on this module
 from .rationals import (count_roots_open, poly_gcd,  # noqa: F401
                         positive_on_interval, sturm_chain)
 
 DEFAULT_WIDTH = Fraction(1, 10 ** 12)
 DEFAULT_SAMPLES = 5
+# largest sample set, a count or a list; verify realizes every polytope at
+# each sample
+MAX_SAMPLES = 1000
 DECIMAL_DIGITS = 18
 # square factors f^2 of a quadratic's discriminant are divided out for f up
 # to this bound, so every discriminant below 10^12 is reduced completely
@@ -214,29 +218,35 @@ def fut_roots(f: RationalFunction, interval: tuple[Fraction, Fraction],
 # sampling and cross-validation
 
 
-def _sample_points(interval: tuple[Fraction, Fraction],
-                   samples: int | list[Fraction],
-                   what: str = "sample") -> list[Fraction]:
-    """A count's equispaced interior grid, or the listed abscissae, which
-    must lie inside the open interval; what names one in the error."""
+def sample_values(interval: tuple[Fraction, Fraction],
+                  samples: int | list[Fraction],
+                  what: str = "sample") -> list[Fraction]:
+    """A count's equispaced interior grid, x_j = lo + j (hi-lo)/(count+1),
+    or the listed abscissae, which must lie inside the open interval; what
+    names one in the error.  Either form holds 1 to MAX_SAMPLES entries,
+    counted before any entry is read."""
+    count = samples if isinstance(samples, int) else len(samples)
+    if count < 1:
+        raise UsageError("need at least one sample")
+    if count > MAX_SAMPLES:
+        raise UsageError("%d samples exceed the limit %d"
+                         % (count, MAX_SAMPLES))
+    lo, hi = interval
     if isinstance(samples, int):
-        return sample_values(interval, samples)
+        return [lo + Fraction(j, count + 1) * (hi - lo)
+                for j in range(1, count + 1)]
     xs = [rat(x) for x in samples]
     for x in xs:
-        if not interval[0] < x < interval[1]:
+        if not lo < x < hi:
             raise UsageError("%s %s is outside the validity interval"
                              % (what, rat_text(x)))
     return xs
 
 
 def sample_curve(f: RationalFunction, interval: tuple[Fraction, Fraction],
-                 samples: int | list[Fraction]) -> list[tuple[Fraction, Fraction | None]]:
-    """Evaluate exactly at the samples; a pole yields None for that abscissa."""
-    out: list[tuple[Fraction, Fraction | None]] = []
-    for x in _sample_points(interval, samples):
-        d = f.den.eval(x)
-        out.append((x, f.num.eval(x) / d if d else None))
-    return out
+                 samples: int | list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """Evaluate exactly at the samples; a pole raises PoleError."""
+    return [(x, ratfun_eval(f, x)) for x in sample_values(interval, samples)]
 
 
 class SampleComparison(Record):
@@ -277,7 +287,7 @@ def cross_validate(scn: LocalizationScenario, model: ToricModel,
     if len(model.polytopes) != scn.bundles:
         raise UsageError("model has %d polytopes for %d bundles"
                          % (len(model.polytopes), scn.bundles))
-    xs = _sample_points(scn.interval, samples)
+    xs = sample_values(scn.interval, samples)
     messages: list[str] = []
     validation = scn.validation
     if not validation.ok:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog
-from .analysis import (DEFAULT_SAMPLES, DEFAULT_WIDTH, _sample_points,
-                       cross_validate, fut_roots, sample_curve)
+from .analysis import (DEFAULT_SAMPLES, DEFAULT_WIDTH, cross_validate,
+                       fut_roots, sample_curve, sample_values)
 from .errors import (CrossValidationError, EngineError, ParseError, Record,
                      UsageError, ValidationError)
 from .localization import fut_localized, refuse, volume_localized
@@ -107,11 +107,11 @@ def _admit(args: SimpleNamespace) -> Scenario:
         if len(args.direction) != model.ambient:
             raise UsageError("direction needs %d entries" % model.ambient)
     if getattr(args, "param_value", None) is not None:
-        _sample_points(interval, [args.param_value], "--param-value")
+        sample_values(interval, [args.param_value], "--param-value")
     if getattr(args, "root_width", 1) <= 0:
         raise UsageError("--root-width must be positive")
     if hasattr(args, "samples"):
-        args.samples = _sample_points(interval, _read_samples(args.samples))
+        args.samples = sample_values(interval, _read_samples(args.samples))
     refuse(scn.localization.validation.messages)
     return scn
 

@@ -35,9 +35,9 @@ from functools import cached_property
 from fractions import Fraction
 
 from .errors import GeometryError, Record, UsageError, ValidationError
-from .rationals import (MAX_DEGREE, MAX_SIMPLICES, ParamPoly,
-                        RationalFunction, _ipoly_add, _ipoly_mul,
-                        positive_on_interval, rat, rat_text)
+from .rationals import (MAX_DEGREE, ParamPoly, RationalFunction,
+                        _ipoly_add, _ipoly_mul, positive_on_interval, rat,
+                        rat_text)
 
 Vector = tuple[Fraction, ...]
 
@@ -303,6 +303,11 @@ def realize(pp: ParamPolytope, value: int | str | Fraction) -> RealizedPolytope:
 
 # ---------------------------------------------------------------------------
 # volume and first moments by recursive star triangulation
+
+# largest star triangulation: a determinant per simplex and realization, a
+# slack product per simplex and chamber (the 6-cube has 720, the product of
+# two 6-simplices 924)
+MAX_SIMPLICES = 1000
 
 
 def _vertex_sets(incidence: tuple, facets: int) -> list[frozenset[int]]:

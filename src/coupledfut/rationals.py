@@ -9,7 +9,9 @@ creation: structural equality is mathematical equality, sums run in
 integers with one gcd, and products need none (Gauss's lemma).  A
 RationalFunction is a gcd-reduced quotient of two, with a monic
 denominator.  The expression parser works on IntPoly numerators over one
-positive denominator in lowest terms, and builds one ParamPoly at the end.
+positive denominator in lowest terms, and builds one ParamPoly at the end,
+within MAX_EXPONENT, MAX_DEGREE and MAX_COEFF_BITS; the root kernel keeps to
+MAX_DEGREE and rat to MAX_COEFF_BITS.
 
 One primitive remainder sequence over the integers serves both the gcd and
 the Sturm chain.  UnitKernel reads the sign of a polynomial, and of its
@@ -659,18 +661,6 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> ParamPoly:
     return ParamPoly.create(coeffs)
 
 
-def sample_values(interval: tuple[Fraction, Fraction],
-                  count: int) -> list[Fraction]:
-    """Equispaced interior sample abscissae x_j = lo + j (hi-lo)/(count+1)."""
-    if count < 1:
-        raise UsageError("need at least one sample")
-    if count > MAX_SAMPLES:
-        raise UsageError("%d samples exceed the limit %d"
-                         % (count, MAX_SAMPLES))
-    lo, hi = interval
-    return [lo + Fraction(j, count + 1) * (hi - lo) for j in range(1, count + 1)]
-
-
 # ---------------------------------------------------------------------------
 # parsing of coefficient expressions like "2c-1/2", "(3-2c)/2", "-c"
 
@@ -685,22 +675,6 @@ MAX_DEGREE = 100
 # while parsing, checked the same way: "((2^100)^100)^100" fails at once; it
 # also bounds the numerator and denominator of every rational read by rat
 MAX_COEFF_BITS = 1024
-# largest sample count; verify realizes every polytope at each sample
-MAX_SAMPLES = 1000
-# largest dimension of a scenario and of each ring in it; the residue table
-# takes powers up to it, and the invariant's degree grows with it
-MAX_DIMENSION = 16
-# largest monomial table of a ring, the monomials dividing its top one; the
-# residue table multiplies over pairs of them.  (CP^1)^10 has 1024
-MAX_RING_MONOMIALS = 1024
-# largest count of facet subsets of a polytope's ambient size, C(facets,
-# ambient), each a candidate vertex and cone whose set-up the polytope route
-# pays.  The 6-cube has 924; the 7-cube's 3432 take seconds
-MAX_FACET_SUBSETS = 1000
-# largest star triangulation: a determinant per simplex and realization, a
-# slack product per simplex and chamber (the 6-cube has 720, the product of
-# two 6-simplices 924)
-MAX_SIMPLICES = 1000
 
 # unicode minus and en dash, middle dot and multiplication sign
 _NORMALIZE = str.maketrans("−–·×", "--**")

@@ -31,12 +31,11 @@ def _interval_text(interval: tuple[Fraction, Fraction]) -> str:
     return "(%s, %s)" % (rat_text(interval[0]), rat_text(interval[1]))
 
 
-def csv_table(rows: list[tuple[Fraction, Fraction | None]]) -> str:
-    """c,fut rows; exact fractions, quoted; a pole leaves the cell empty."""
+def csv_table(rows: list[tuple[Fraction, Fraction]]) -> str:
+    """c,fut rows; exact fractions, quoted."""
     lines = ["c,fut"]
     for x, y in rows:
-        cell = '""' if y is None else '"%s"' % rat_text(y)
-        lines.append('"%s",%s' % (rat_text(x), cell))
+        lines.append('"%s","%s"' % (rat_text(x), rat_text(y)))
     return "\n".join(lines) + "\n"
 
 
@@ -200,8 +199,7 @@ def emit_roots(report: RootReport, scenario: str, param: str,
 
 
 def emit_samples(scenario: str, param: str,
-                 rows: list[tuple[Fraction, Fraction | None]],
-                 fmt: str) -> str:
+                 rows: list[tuple[Fraction, Fraction]], fmt: str) -> str:
     if fmt == "csv":
         return csv_table(rows)
     if fmt == "structured":
@@ -209,16 +207,13 @@ def emit_samples(scenario: str, param: str,
             "scenario": scenario,
             "parameter": param,
             "samples": [
-                {"c": rat_text(x),
-                 "fut": None if y is None else rat_text(y)}
-                for x, y in rows
+                {"c": rat_text(x), "fut": rat_text(y)} for x, y in rows
             ],
         }
         return _json_text(payload)
     lines = ["scenario: %s" % scenario]
     for x, y in rows:
-        lines.append("%s = %s: %s" % (param, rat_text(x),
-                                      "pole" if y is None else rat_text(y)))
+        lines.append("%s = %s: %s" % (param, rat_text(x), rat_text(y)))
     return "\n".join(lines) + "\n"
 
 

@@ -44,12 +44,6 @@ class Ring(Record):
     top: Exponents
     dimension: int
 
-    def gen_index(self, name: str) -> int:
-        for i, g in enumerate(self.generators):
-            if g.name == name:
-                return i
-        raise UsageError("no generator named %r" % name)
-
     def monomial_degree(self, exps: Exponents) -> int:
         """Complex degree of a monomial: degree/2 per generator factor."""
         return sum(e * g.degree // 2 for e, g in zip(exps, self.generators))
@@ -236,7 +230,8 @@ def monomial_text(ring: Ring, exps: Exponents) -> str:
 
 def parse_monomial(ring: Ring, key: str) -> Exponents:
     """Parse a monomial key like 'a', 'b^2', 'a*b^2' into an exponent tuple."""
-    exps = [0] * len(ring.generators)
+    names = [g.name for g in ring.generators]
+    exps = [0] * len(names)
     key = key.strip()
     for piece in key.split("*") if key not in ("1", "") else ():
         piece = piece.strip()
@@ -248,11 +243,9 @@ def parse_monomial(ring: Ring, key: str) -> Exponents:
             e = int(power)
         else:
             name, e = piece, 1
-        try:
-            idx = ring.gen_index(name)
-        except UsageError:
+        if name not in names:
             raise ParseError("unknown generator %r in monomial %r" % (name, key))
-        exps[idx] += e
+        exps[names.index(name)] += e
     if not any(exps):  # also 'a^0'
         raise ParseError("constant monomial %r is not a nilpotent term" % key)
     return tuple(exps)

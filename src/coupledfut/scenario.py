@@ -21,11 +21,21 @@ from .errors import ParseError, Record, ValidationError
 from .localization import (BundleRestriction, FixedComponent,
                            LocalizationScenario)
 from .polytopes import ParamPolytope, ToricModel
-from .rationals import (MAX_COEFF_BITS, MAX_DIMENSION, MAX_FACET_SUBSETS,
-                        MAX_RING_MONOMIALS, RationalFunction, parse_poly,
+from .rationals import (MAX_COEFF_BITS, RationalFunction, parse_poly,
                         poly_text, rat, rat_text)
 from .rings import (EquivariantClass, Generator, NilpotentClass, Ring,
                     monomial_text, parse_monomial, ring_create)
+
+# largest dimension of a scenario and of each ring in it; the residue table
+# takes powers up to it, and the invariant's degree grows with it
+MAX_DIMENSION = 16
+# largest monomial table of a ring, the monomials dividing its top one; the
+# residue table multiplies over pairs of them.  (CP^1)^10 has 1024
+MAX_RING_MONOMIALS = 1024
+# largest count of facet subsets of a polytope's ambient size, C(facets,
+# ambient), each a candidate vertex and cone whose set-up the polytope route
+# pays.  The 6-cube has 924; the 7-cube's 3432 take seconds
+MAX_FACET_SUBSETS = 1000
 
 
 class Scenario(Record):

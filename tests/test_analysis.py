@@ -8,14 +8,18 @@ import pytest
 
 from coupledfut import (
     ParamPoly,
+    PoleError,
     RationalFunction,
     UsageError,
     ValidationError,
     count_roots_open,
     cross_validate,
+    fut_localized,
     fut_roots,
+    fut_toric,
     isolate_roots,
     load,
+    load_scenario,
     parse_poly,
     positive_on_interval,
     ratfun_reduce,
@@ -289,18 +293,57 @@ class TestSampling:
         assert sample_values(INTERVAL, 3) == [F(3, 8), F(1, 2), F(5, 8)]
         assert sample_values(INTERVAL, 1) == [F(1, 2)]
 
-    def test_nonpositive_count_rejected(self):
+    @pytest.mark.parametrize("samples", [0, []])
+    def test_nonpositive_count_rejected(self, samples):
         with pytest.raises(UsageError, match="at least one sample"):
-            sample_values(INTERVAL, 0)
+            sample_values(INTERVAL, samples)
 
-    def test_curve_rows_and_pole_holes(self):
+    def test_a_list_is_bounded_like_a_count(self):
+        # the entries are counted before any is read
+        for samples in (1001, ["x"] * 1001):
+            with pytest.raises(UsageError,
+                               match="^1001 samples exceed the limit 1000$"):
+                sample_values(INTERVAL, samples)
+        xs = sample_values(INTERVAL, 1000)
+        assert sample_values(INTERVAL, xs) == xs
+
+    def test_curve_rows_and_poles(self):
         f = ratfun_reduce(c("1"), c("2c-1"))
-        rows = sample_curve(f, (F(0), F(1)), [F(1, 2), F(1, 4)])
-        assert rows == [(F(1, 2), None), (F(1, 4), F(-2))]
+        assert sample_curve(f, (F(0), F(1)), [F(1, 4)]) == [(F(1, 4), F(-2))]
+        with pytest.raises(PoleError, match="pole at 1/2"):
+            sample_curve(f, (F(0), F(1)), [F(1, 2), F(1, 4)])
+
+    def test_no_admitted_invariant_has_a_pole_inside(self, monkeypatch,
+                                                      tmp_path):
+        # sample_curve raises at a pole, which no admitted call reaches: the
+        # localized invariant's denominator divides the product of the bundle
+        # volumes, which validation proves positive, and the toric one that
+        # of the chamber volume curves; checked on the catalog and on the
+        # benchmark's generated files
+        bench = perfbench_module(monkeypatch, "run")
+        for seed in (1, 2, 3):
+            for make_calls, _ in bench.WORKLOADS.values():
+                bench.write_inputs(make_calls(seed)[0],
+                                   str(tmp_path / str(seed)))
+        scenarios = [load(name) for name in NAMES] + [
+            load_scenario(str(path))
+            for path in sorted(tmp_path.glob("*/*.json"))]
+        assert len(scenarios) == 44
+        checked = [0, 0]
+        for scn in scenarios:
+            loc = scn.localization
+            if not loc.validation.ok:
+                continue
+            f = fut_localized(loc)
+            assert count_roots_open(f.den, loc.interval) == 0, loc.name
+            checked[0] += 1
+            if scn.toric is not None:
+                f = fut_toric(scn.toric, loc.interval)
+                assert count_roots_open(f.den, loc.interval) == 0, loc.name
+                checked[1] += 1
+        assert checked == [44, 23]
 
     def test_flagship_sample_table(self):
-        from coupledfut import fut_localized
-
         f = fut_localized(load("hultgren-c").localization)
         rows = sample_curve(f, INTERVAL, SAMPLES)
         assert rows == [

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from coupledfut import load, scenario_to_dict  # noqa: E402
 from coupledfut.catalog import NAMES  # noqa: E402
 from coupledfut.cli import COMMANDS, OPTIONS, main  # noqa: E402
-from coupledfut.rationals import MAX_DIMENSION  # noqa: E402
+from coupledfut.scenario import MAX_DIMENSION  # noqa: E402
 from test_scenario_cli import points_in_dimension, simplex_block  # noqa: E402
 
 WIDE = "(2^100)^10"

@@ -32,8 +32,8 @@ from coupledfut import (
     volume_curve,
 )
 from coupledfut.catalog import NAMES
-from coupledfut.polytopes import _measure
-from coupledfut.rationals import MAX_DEGREE, MAX_SIMPLICES
+from coupledfut.polytopes import MAX_SIMPLICES, _measure
+from coupledfut.rationals import MAX_DEGREE
 
 INTERVAL = (F(1, 4), F(3, 4))
 SAMPLES = [F(5, 16), F(3, 8), F(1, 2), F(5, 8), F(11, 16)]

@@ -27,9 +27,10 @@ from coupledfut import (
 )
 from coupledfut.catalog import NAMES
 from coupledfut.cli import COMMANDS, main
-from coupledfut.rationals import (MAX_DIMENSION, MAX_FACET_SUBSETS,
-                                  MAX_RING_MONOMIALS, MAX_SIMPLICES)
+from coupledfut.polytopes import MAX_SIMPLICES
 from coupledfut.report import FORMATS
+from coupledfut.scenario import (MAX_DIMENSION, MAX_FACET_SUBSETS,
+                                 MAX_RING_MONOMIALS)
 from test_localization import perfbench_module
 
 ALL_NAMES = ("cp1", "cp1-coupled", "hultgren-c", "hultgren-c-corrupt", "hultgren-c-true")
@@ -1361,6 +1362,14 @@ class TestCliOversizedInput:
                              "--samples", "1001")
         assert (code, out) == (3, "")
         assert "1001 samples exceed the limit 1000" in err
+        # a list of abscissae is held to the same bound as a count
+        listed = [str(F(1, 4) + F(j, 2004)) for j in range(1, 1002)]
+        code, out, err = run(capsys, command, "--catalog", "hultgren-c-true",
+                             "--samples", ",".join(listed[:1000]))
+        assert (code, err) == (0, "")
+        assert run(capsys, command, "--catalog", "hultgren-c-true",
+                   "--samples", ",".join(listed)) == (
+            3, "", "error: 1001 samples exceed the limit 1000\n")
 
     @pytest.mark.parametrize("command", ["verify", "sample"])
     @pytest.mark.parametrize("count", [

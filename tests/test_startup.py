@@ -93,6 +93,35 @@ def test_every_definition_has_a_reader():
     assert not unread, sorted(unread)
 
 
+def limits_and_unread(package):
+    """module.name of each module-level MAX_* constant of the package, and
+    of those that their own module never reads."""
+    limits, unread = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {target.id for node in tree.body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name)
+                 and target.id.startswith("MAX_")}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        limits += ["%s.%s" % (path.stem, name) for name in sorted(names)]
+        unread += ["%s.%s" % (path.stem, name)
+                   for name in sorted(names - read)]
+    return limits, unread
+
+
+def test_each_limit_lives_beside_its_check():
+    # a limit defined in one module and checked in another splits one rule
+    # across two; one checked nowhere bounds nothing
+    limits, unread = limits_and_unread(SRC / "coupledfut")
+    assert {"analysis.MAX_SAMPLES", "polytopes.MAX_SIMPLICES",
+            "rationals.MAX_COEFF_BITS",
+            "scenario.MAX_DIMENSION"} <= set(limits)
+    assert unread == []
+
+
 def test_the_engine_uses_none_of_its_reference_arithmetic():
     # tests/reference.py checks the residue table against the ring
     # arithmetic's power, inverse and integral; an engine built on them
